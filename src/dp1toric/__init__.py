@@ -18,7 +18,7 @@ from .grading import (BOTTOM_ROW, F, H, VARIABLES, BundleParams, DivisorClass,
                       EmptyLinearSystem, ExponentVector, GradingMatrix,
                       InvalidMatrix, Stratum, base_locus_strata,
                       is_dz_movable_on_x, monomial_basis, monomial_bidegree,
-                      normalize, torus_divisor_class)
+                      monomial_count, normalize, torus_divisor_class)
 
 __all__ = [
     "BOTTOM_ROW", "BundleParams", "CaseLabel", "ClassificationRow",
@@ -31,7 +31,7 @@ __all__ = [
     "classify_case", "classify_k2_failures", "delta", "derive_h4",
     "evaluate_top", "is_dz_movable_on_x", "k2_condition", "k3_condition",
     "k_status", "minus_k_cubed", "monomial_basis", "monomial_bidegree",
-    "nef_threshold", "nonsingular_delta", "normalize", "oracle_search",
-    "product", "report", "torus_divisor_class", "triple_on_x", "validity",
-    "x_class",
+    "monomial_count", "nef_threshold", "nonsingular_delta", "normalize",
+    "oracle_search", "product", "report", "torus_divisor_class",
+    "triple_on_x", "validity", "x_class",
 ]

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import minus_k_cubed
-from .conditions import CaseLabel, classify_case, delta, k_status, validity
+from .conditions import (CaseLabel, _decide, _two_delta, classify_case, delta,
+                         k_status, validity)
 from .grading import BundleParams
 
 
@@ -84,36 +84,43 @@ def _row(p: BundleParams) -> ClassificationRow:
                              k_status(p).proven_fails)
 
 
-def classify_k2_failures() -> list[ClassificationRow]:
-    """The reference classification of families with delta > 0 (13 rows)."""
+def _reference_rows() -> tuple[ClassificationRow, ...]:
     rows = []
     for lam, mu, nu in K2_FAILURE_TRIPLETS:
         p = BundleParams(lam, mu, nu)
         row = _row(p)
         assert validity(p).is_valid and row.delta > 0
         rows.append(row)
-    return rows
+    return tuple(rows)
+
+
+# The rows are constants, computed once at import rather than by the first
+# call, so that every call of classify_k2_failures does the same work.
+_REFERENCE_ROWS = _reference_rows()
+
+
+def classify_k2_failures() -> list[ClassificationRow]:
+    """The reference classification of families with delta > 0 (13 rows)."""
+    return list(_REFERENCE_ROWS)
 
 
 def oracle_search(box: SearchBox) -> list[ClassificationRow]:
     """Every normalized triplet in the box passing validity with delta > 0.
 
-    Uses only the validity predicate and the delta formulas; none of the
-    bound derivations behind the reference table enter.  Results are
-    sorted lexicographically on (lambda, mu, nu).
+    Uses only the validity predicate and delta, both decided once per
+    triplet in integers; none of the bound derivations behind the
+    reference table enter.  Results are in lexicographic order on
+    (lambda, mu, nu).
     """
     rows = []
-    for lam in range(box.lambda_range[0], box.lambda_range[1] + 1):
-        if lam < 0:
-            continue
-        for mu in range(box.mu_range[0], box.mu_range[1] + 1):
-            for nu in range(box.nu_range[0], box.nu_range[1] + 1):
-                p = BundleParams(lam, mu, nu)
-                if not validity(p).is_valid:
-                    continue
-                if delta(p) > 0:
-                    rows.append(_row(p))
-    rows.sort(key=lambda r: (r.params.lam, r.params.mu, r.params.nu))
+    mus = range(box.mu_range[0], box.mu_range[1] + 1)
+    nus = range(box.nu_range[0], box.nu_range[1] + 1)
+    for lam in range(max(box.lambda_range[0], 0), box.lambda_range[1] + 1):
+        for mu in mus:
+            for nu in nus:
+                flags, _, _, two_delta = _decide(lam, mu, nu)
+                if not flags and two_delta > 0:
+                    rows.append(_row(BundleParams(lam, mu, nu)))
     return rows
 
 
@@ -128,11 +135,5 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     p = BundleParams(lam, 2 * mu, 3 * mu)
-    wr_y, wr_z = Fraction(lam), Fraction(mu)
-    if wr_z <= wr_y:
-        case = CaseLabel.AI
-        nef = Fraction(-p.mu + p.nu - 2)
-    else:
-        case = CaseLabel.AII
-        nef = -p.lam - Fraction(p.mu, 2) + p.nu - 2
-    return minus_k_cubed(p) + nef, case
+    case = CaseLabel.AI if mu <= lam else CaseLabel.AII
+    return Fraction(_two_delta(p.lam, p.mu, p.nu, case), 2), case

@@ -9,6 +9,7 @@ the oracle search does not match the reference table, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -18,9 +19,13 @@ from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
 from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, InvalidParams,
                          KFailureReason, report)
 from .grading import (BundleParams, DivisorClass, GradingMatrix, InvalidMatrix,
-                      monomial_basis, normalize)
+                      monomial_basis, monomial_count, normalize)
 
 FORMATS = ("plain", "json", "csv", "markdown")
+
+# Largest monomial basis `basis` lists; past it, it refuses with exit 2
+# instead of building the list.
+MAX_BASIS_MONOMIALS = 10**6
 
 TABLE_MD_HEADER = ("| No. | (λ,μ,ν) | δ_X | Case | K-cond. |\n"
                    "|----:|---------|-----|------|---------|\n")
@@ -236,9 +241,27 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+def _check_basis_size(p: BundleParams, cls: DivisorClass) -> None:
+    """Refuse a basis of more than MAX_BASIS_MONOMIALS monomials, or one
+    whose enumeration visits more fiber parts x^c y^d z^e w^g than that,
+    before any of it is built."""
+    parts = 0
+    for r in range(int(cls.h), -1, -3):  # H-degree left to x, y, z beside w^g
+        parts += (r // 2 + 1) * (r - r // 2 + 1)
+        if parts > MAX_BASIS_MONOMIALS:
+            raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
+                             "fiber monomials x^c*y^d*z^e*w^g to scan")
+    count = monomial_count(p, cls)
+    if count > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
+                         f"the {MAX_BASIS_MONOMIALS} that basis lists")
+
+
 def _cmd_basis(args) -> int:
     p = BundleParams(args.lam, args.mu, args.nu)
-    monomials = [str(m) for m in monomial_basis(p, DivisorClass(args.h, args.f))]
+    cls = DivisorClass(args.h, args.f)
+    _check_basis_size(p, cls)
+    monomials = [str(m) for m in monomial_basis(p, cls)]
     if args.format == "json":
         print(json.dumps(monomials, indent=2))
     elif args.format == "csv":
@@ -273,9 +296,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    most commands."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (InvalidMatrix, InvalidParams, ValueError) as exc:

@@ -16,6 +16,18 @@ not interior to the movable cone) is decided as a tri-state: it is proven
 to fail when -K_X is ample (negative nef threshold) or when D_z restricts
 to a movable class with -K_X interior to the cone it spans with the fiber
 class; otherwise no claim is made.
+
+Every decision is made once per triplet, in integers, by `_decide`.
+Scaling the weight ratios by 6 gives the integers (0, 6*lambda, 3*mu,
+2*nu), so validity and the case are integer comparisons, and 2*delta is
+an integer:
+
+    2*delta = 4*lambda + 3*mu - 4*nu + 8     in cases (a-i) and (b)
+    2*delta = 2*lambda + 4*mu - 4*nu + 8     in case (a-ii)
+
+The public functions derive their results from that one decision and
+build `Fraction`s only for the values they return; the nef threshold is
+delta - (-K_X)^3.
 """
 
 from __future__ import annotations
@@ -195,6 +207,90 @@ class FibrationReport:
         )
 
 
+# Reasons a triplet is invalid, as the bit flags of a decision.
+_NU_NEGATIVE = 1  # nu < 0
+_MU_NOT_BELOW = 2  # 3*mu >= 2*nu, i.e. wr(z) >= wr(w)
+_NO_BRANCH = 4  # case (b), but no branch of the restriction matches
+
+# Enum members as module names: an attribute lookup on an Enum class costs
+# more than the rest of a decision.
+_AI, _AII, _B = CaseLabel.AI, CaseLabel.AII, CaseLabel.B
+_I, _II, _III = RestrictBranch.I, RestrictBranch.II, RestrictBranch.III
+
+
+def _two_delta(lam: int, mu: int, nu: int, case: CaseLabel) -> int:
+    """2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) in the given case.
+
+    With 2*(-K_X)^3 = 4*lambda + 5*mu - 6*nu + 12 and 2*nef = -2*mu + 2*nu
+    - 4 in cases (a-i) and (b), -2*lambda - mu + 2*nu - 4 in case (a-ii).
+    This is the one place the nef formulas live.
+    """
+    if case is _AII:
+        return 2 * lam + 4 * mu - 4 * nu + 8
+    return 4 * lam + 3 * mu - 4 * nu + 8
+
+
+def _decide(lam: int, mu: int, nu: int) -> tuple:
+    """The decision for (lambda, mu, nu): (flags, case, branch, two_delta).
+
+    The conditions of `validity` and the case rule of `classify_case`, on
+    the weight ratios scaled by 6 to (0, y, z, w) = (0, 6*lambda, 3*mu,
+    2*nu).  flags is 0 for a valid triplet, which gets its case and
+    2*delta; an invalid one gets its reason flags and None for both.
+    branch is set whenever a branch matches in case (b), valid or not.
+    """
+    y, z, w = 6 * lam, 3 * mu, 2 * nu
+    flags = _NU_NEGATIVE if nu < 0 else 0
+    if z >= w:
+        flags |= _MU_NOT_BELOW
+    if w < y:
+        if w >= 5 * lam and w >= 4 * lam + mu:
+            branch = _I
+        elif 5 * lam > w == 4 * lam + mu:
+            branch = _II
+        elif 4 * lam + mu > w == 5 * lam:
+            branch = _III
+        else:
+            return flags | _NO_BRANCH, None, None, None
+        if flags:
+            return flags, None, branch, None
+        return 0, _B, branch, _two_delta(lam, mu, nu, _B)
+    if flags:
+        return flags, None, None, None
+    case = _AI if 0 <= y and z <= y else _AII
+    return 0, case, None, _two_delta(lam, mu, nu, case)
+
+
+def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityReport:
+    return ValidityReport(nu_nonneg=not flags & _NU_NEGATIVE,
+                          three_mu_lt_two_nu=not flags & _MU_NOT_BELOW,
+                          restrictb_branch=branch, is_valid=not flags)
+
+
+def _decide_valid(p: BundleParams) -> tuple[CaseLabel, int]:
+    """(case, two_delta) of a valid triplet; InvalidParams otherwise."""
+    flags, case, _, two_delta = _decide(p.lam, p.mu, p.nu)
+    if flags:
+        raise InvalidParams(f"{p} fails the validity conditions")
+    return case, two_delta
+
+
+def _nef(p: BundleParams, two_delta: int) -> Fraction:
+    """nef(X/P^1) = delta - (-K_X)^3."""
+    return Fraction(two_delta, 2) - minus_k_cubed(p)
+
+
+def _k_status(p: BundleParams, nef: Fraction) -> KStatus:
+    if nef < 0:
+        return KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
+    # -K_X = H + (lambda + mu - nu + 2) F lies strictly inside the cone of F
+    # and D_z = 2H + mu F when its F-coefficient exceeds wr(z) = mu/2.
+    interior = 2 * (p.lam + p.mu - p.nu + 2) > p.mu
+    if interior and is_dz_movable_on_x(p):
+        return KStatus.proven(KFailureReason.DZ_MOVABLE_INTERIOR)
+    return KStatus.not_proven()
+
+
 def validity(p: BundleParams) -> ValidityReport:
     """Check the conditions for (lambda, mu, nu) to carry a valid fibration.
 
@@ -207,27 +303,8 @@ def validity(p: BundleParams) -> ValidityReport:
 
     (the branch predicates are pairwise exclusive).  Never raises.
     """
-    nu_nonneg = p.nu >= 0
-    three_mu_lt_two_nu = 3 * p.mu <= 2 * p.nu - 1
-    wr = WeightRatios.from_params(p)
-    branch = None
-    in_case_b = wr.wr_w < wr.wr_y
-    if in_case_b:
-        two_nu = 2 * p.nu
-        if two_nu >= 5 * p.lam and two_nu >= 4 * p.lam + p.mu:
-            branch = RestrictBranch.I
-        elif 5 * p.lam > two_nu and two_nu == 4 * p.lam + p.mu:
-            branch = RestrictBranch.II
-        elif 4 * p.lam + p.mu > two_nu and two_nu == 5 * p.lam:
-            branch = RestrictBranch.III
-    is_valid = (nu_nonneg and three_mu_lt_two_nu
-                and (not in_case_b or branch is not None))
-    return ValidityReport(nu_nonneg, three_mu_lt_two_nu, branch, is_valid)
-
-
-def _require_valid(p: BundleParams) -> None:
-    if not validity(p).is_valid:
-        raise InvalidParams(f"{p} fails the validity conditions")
+    flags, _, branch, _ = _decide(p.lam, p.mu, p.nu)
+    return _validity_report(flags, branch)
 
 
 def classify_case(p: BundleParams) -> CaseLabel:
@@ -237,27 +314,17 @@ def classify_case(p: BundleParams) -> CaseLabel:
     wr(w) < wr(y); else (a-i) when wr(z) <= wr(y) (ties wr(y) = wr(w) go to
     case (a)); else (a-ii), where wr(y) < wr(z) < wr(w) holds automatically.
     """
-    _require_valid(p)
-    wr = WeightRatios.from_params(p)
-    if wr.wr_w < wr.wr_y:
-        return CaseLabel.B
-    if max(wr.wr_x, wr.wr_z) <= wr.wr_y:
-        return CaseLabel.AI
-    return CaseLabel.AII
+    return _decide_valid(p)[0]
 
 
 def nef_threshold(p: BundleParams) -> Fraction:
     """Nef threshold of X over P^1: the least r with -K_X + r*F nef."""
-    case = classify_case(p)
-    if case is CaseLabel.AII:
-        return -p.lam - Fraction(p.mu, 2) + p.nu - 2
-    return Fraction(-p.mu + p.nu - 2)
+    return _nef(p, _decide_valid(p)[1])
 
 
 def delta(p: BundleParams) -> Fraction:
     """delta_X = (-K_X)^3 + nef(X/P^1)."""
-    _require_valid(p)
-    return minus_k_cubed(p) + nef_threshold(p)
+    return Fraction(_decide_valid(p)[1], 2)
 
 
 def k2_condition(p: BundleParams) -> bool:
@@ -279,14 +346,7 @@ def k_status(p: BundleParams) -> KStatus:
     movability half is a combinatorial certificate).  All other triplets
     report NotProvenToFail; the tool never claims the K-condition holds.
     """
-    _require_valid(p)
-    if nef_threshold(p) < 0:
-        return KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
-    anticanonical_f = Fraction(p.lam + p.mu - p.nu + 2)
-    interior = anticanonical_f > Fraction(p.mu, 2)
-    if interior and is_dz_movable_on_x(p):
-        return KStatus.proven(KFailureReason.DZ_MOVABLE_INTERIOR)
-    return KStatus.not_proven()
+    return _k_status(p, _nef(p, _decide_valid(p)[1]))
 
 
 def report(p: BundleParams,
@@ -301,11 +361,14 @@ def report(p: BundleParams,
     """
     if p.lam < 0:
         raise InvalidParams(f"{p} is not normalized (lambda < 0)")
-    v = validity(p)
-    if not v.is_valid:
+    flags, case, branch, two_delta = _decide(p.lam, p.mu, p.nu)
+    v = _validity_report(flags, branch)
+    if flags:
         return FibrationReport(params=p, validity=v)
-    d = delta(p)
-    status = k_status(p)
+    d = Fraction(two_delta, 2)
+    k_cubed = minus_k_cubed(p)
+    nef = d - k_cubed
+    status = _k_status(p, nef)
     if d <= 0:
         verdict = Verdict.SUPERRIGID
     elif status.proven_fails:
@@ -317,10 +380,10 @@ def report(p: BundleParams,
     return FibrationReport(
         params=p,
         validity=v,
-        case=classify_case(p),
+        case=case,
         weight_ratios=WeightRatios.from_params(p),
-        k_cubed=minus_k_cubed(p),
-        nef_threshold=nef_threshold(p),
+        k_cubed=k_cubed,
+        nef_threshold=nef,
         delta=d,
         k2_holds=d <= 0,
         k3_threshold_results={Fraction(d0): d <= Fraction(d0) for d0 in thresholds},

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 VARIABLES = ("u", "v", "x", "y", "z", "w")
@@ -174,7 +173,7 @@ class Stratum:
         bad = set(self.zero_set) - set(VARIABLES)
         if bad:
             raise ValueError(f"unknown coordinates {sorted(bad)}")
-        if BASE_VARS <= self.zero_set or FIBER_VARS <= self.zero_set:
+        if _is_irrelevant(self.zero_set):
             raise ValueError(f"irrelevant-ideal stratum {sorted(self.zero_set)}")
 
     @property
@@ -228,62 +227,98 @@ def monomial_bidegree(p: BundleParams, e: ExponentVector) -> tuple[int, int]:
     return fdeg, hdeg
 
 
+def _fiber_parts(p: BundleParams, cls: DivisorClass):
+    """(c, d, e, g, r) for each fiber part x^c y^d z^e w^g of H-degree h.
+
+    r = f - lambda*d - mu*e - nu*g is the F-degree it leaves to u and v; a
+    monomial of bidegree (f, h) is a fiber part with r >= 0 times u^a v^(r-a).
+    Nothing for classes with negative or non-integral H-degree.  The
+    enumeration is finite: the H-degree bounds c, d, e and g.
+    """
+    if not cls.is_integral or cls.h < 0:
+        return
+    hdeg, fdeg = int(cls.h), int(cls.f)
+    for g in range(hdeg // 3 + 1):
+        for e in range((hdeg - 3 * g) // 2 + 1):
+            for d in range(hdeg - 3 * g - 2 * e + 1):
+                yield (hdeg - 3 * g - 2 * e - d, d, e, g,
+                       fdeg - p.lam * d - p.mu * e - p.nu * g)
+
+
 def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
     """All monomials of bidegree (cls.f, cls.h), in lexicographic order.
 
     Empty for classes with negative or non-integral entries that admit no
-    monomials.  The enumeration is finite: the H-degree bounds c, d, e, f
-    and the residual F-degree is split over a and b.
+    monomials.  Each fiber part splits its residual F-degree over a and b.
     """
-    if not cls.is_integral:
-        return []
-    hdeg = int(cls.h)
-    fdeg = int(cls.f)
-    if hdeg < 0:
-        return []
-    found = []
-    for f_ in range(hdeg // 3 + 1):
-        for e_ in range((hdeg - 3 * f_) // 2 + 1):
-            for d_ in range(hdeg - 3 * f_ - 2 * e_ + 1):
-                c_ = hdeg - 3 * f_ - 2 * e_ - d_
-                rest = fdeg - (p.lam * d_ + p.mu * e_ + p.nu * f_)
-                if rest < 0:
-                    continue
-                for a_ in range(rest + 1):
-                    found.append(ExponentVector(a_, rest - a_, c_, d_, e_, f_))
-    return sorted(found)
+    return sorted(ExponentVector(a, r - a, c, d, e, g)
+                  for c, d, e, g, r in _fiber_parts(p, cls)
+                  for a in range(r + 1))
+
+
+def monomial_count(p: BundleParams, cls: DivisorClass) -> int:
+    """len(monomial_basis(p, cls)), in closed form, without building the basis.
+
+    A fiber part with residual F-degree r >= 0 gives r + 1 monomials, so the
+    count is the sum of max(0, r + 1) over the fiber parts.
+    """
+    return sum(max(0, r + 1) for *_, r in _fiber_parts(p, cls))
+
+
+def _support_masks(p: BundleParams, cls: DivisorClass) -> set[int]:
+    """The distinct supports of the monomials of bidegree (cls.f, cls.h), as
+    bit masks (bit i for VARIABLES[i]), without listing the monomials.
+
+    A fiber part with residual r gives the supports of u^a v^(r-a): none
+    from u and v when r = 0, else u alone, v alone, and both when r >= 2.
+    """
+    masks = set()
+    for c, d, e, g, r in _fiber_parts(p, cls):
+        fiber = (c > 0) << 2 | (d > 0) << 3 | (e > 0) << 4 | (g > 0) << 5
+        if r == 0:
+            masks.add(fiber)
+        elif r > 0:
+            masks.add(fiber | 1)  # u^r
+            masks.add(fiber | 2)  # v^r
+            if r >= 2:
+                masks.add(fiber | 3)  # u^a v^(r-a) with 0 < a < r
+    return masks
 
 
 def _is_irrelevant(zero_set: frozenset[str]) -> bool:
     return BASE_VARS <= zero_set or FIBER_VARS <= zero_set
 
 
+def _mask(variables: Iterable[str]) -> int:
+    """Bit mask of a set of coordinates: bit i stands for VARIABLES[i]."""
+    return sum(1 << VARIABLES.index(v) for v in variables)
+
+
+_BASE_MASK = _mask(BASE_VARS)
+_FIBER_MASK = _mask(FIBER_VARS)
+
+
 def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     """Minimal coordinate strata covering the base locus of |cls|.
 
     A stratum V(Z) lies in the base locus exactly when every basis monomial
-    contains a variable of Z.  All 2^6 subsets are scanned; subsets cut out
-    by the irrelevant ideal are skipped and only inclusion-minimal zero sets
-    are returned.  Raises EmptyLinearSystem when |cls| has no sections.
+    contains a variable of Z.  All 2^6 subsets are scanned, as bit masks
+    against the distinct monomial supports; subsets cut out by the
+    irrelevant ideal are skipped and only inclusion-minimal zero sets are
+    returned.  Raises EmptyLinearSystem when |cls| has no sections.
     """
-    basis = monomial_basis(p, cls)
-    if not basis:
+    supports = _support_masks(p, cls)
+    if not supports:
         raise EmptyLinearSystem(f"|{cls}| has no sections on {p}")
-    supports = [m.support() for m in basis]
-    covering = []
-    for r in range(len(VARIABLES) + 1):
-        for combo in combinations(VARIABLES, r):
-            zero_set = frozenset(combo)
-            if _is_irrelevant(zero_set):
-                continue
-            if all(zero_set & s for s in supports):
-                covering.append(zero_set)
-    minimal = [
-        z for z in covering
-        if not any(other < z for other in covering)
-    ]
-    minimal.sort(key=lambda z: (len(z), sorted(VARIABLES.index(v) for v in z)))
-    return [Stratum(z) for z in minimal]
+    covering = [z for z in range(1 << len(VARIABLES))
+                if z & _BASE_MASK != _BASE_MASK and z & _FIBER_MASK != _FIBER_MASK
+                and all(z & s for s in supports)]
+    minimal = [z for z in covering
+               if not any(other != z and other & z == other for other in covering)]
+    strata = [frozenset(v for i, v in enumerate(VARIABLES) if z >> i & 1)
+              for z in minimal]
+    strata.sort(key=lambda z: (len(z), sorted(VARIABLES.index(v) for v in z)))
+    return [Stratum(z) for z in strata]
 
 
 def is_dz_movable_on_x(p: BundleParams) -> bool:
@@ -298,12 +333,11 @@ def is_dz_movable_on_x(p: BundleParams) -> bool:
     """
     dz = torus_divisor_class(p, "z")
     strata = base_locus_strata(p, 3 * dz)
-    hypersurface_monomials = [
-        m.support() for m in monomial_basis(p, DivisorClass(6, 2 * p.nu))
-    ]
+    hypersurface_supports = _support_masks(p, DivisorClass(6, 2 * p.nu))
     for stratum in strata:
         if stratum.codim < 2:
             return False
-        if not any(s.isdisjoint(stratum.zero_set) for s in hypersurface_monomials):
+        zero_mask = _mask(stratum.zero_set)
+        if all(s & zero_mask for s in hypersurface_supports):
             return False
     return True

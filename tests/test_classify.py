@@ -7,7 +7,8 @@ import pytest
 from dp1toric.classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                                classify_k2_failures, nonsingular_delta,
                                oracle_search)
-from dp1toric.conditions import CaseLabel, RestrictBranch, validity
+from dp1toric.conditions import (CaseLabel, RestrictBranch, classify_case,
+                                 delta, k_status, validity)
 from dp1toric.grading import BundleParams
 
 Q = Fraction
@@ -96,6 +97,24 @@ def test_oracle_matches_reference_table():
     assert not extra, (
         f"exhaustive search finds rows absent from the reference table: "
         f"{extra} -- (1,0,2) passes validity (branch II) with delta = 2")
+
+
+def brute_force_search(box):
+    rows = []
+    for lam in range(box.lambda_range[0], box.lambda_range[1] + 1):
+        for mu in range(box.mu_range[0], box.mu_range[1] + 1):
+            for nu in range(box.nu_range[0], box.nu_range[1] + 1):
+                p = BundleParams(lam, mu, nu)
+                if lam >= 0 and validity(p).is_valid and delta(p) > 0:
+                    rows.append(ClassificationRow(p, delta(p), classify_case(p),
+                                                  k_status(p).proven_fails))
+    return rows
+
+
+@pytest.mark.parametrize("box", [SearchBox((-3, 5), (-7, 9), (-4, 12)),
+                                 DEFAULT_BOX.inflated(10)])
+def test_oracle_equals_brute_force_over_public_predicates(box):
+    assert oracle_search(box) == brute_force_search(box)
 
 
 def test_search_box_rejects_empty_intervals():

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, exit codes, and golden renderings."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,16 @@ def test_basis_command_json(capsys):
     code, out, _ = run(capsys, "basis", "0", "2", "3", "1", "0",
                        "--format", "json")
     assert code == 0 and json.loads(out) == ["y", "x"]
+
+
+def test_basis_refuses_huge_bases_quickly(capsys):
+    for argv, reason in ((("0", "0", "0", "6", "100000000"), "monomials"),
+                         (("1", "1", "1", "100000000", "0"), "fiber monomials")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "basis", *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and reason in err
 
 
 def test_nonsingular_command(capsys):

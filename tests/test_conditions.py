@@ -6,10 +6,12 @@ from itertools import product as iproduct
 
 import pytest
 
-from dp1toric.chow import anticanonical_on_x, triple_on_x
+from dp1toric import conditions
+from dp1toric.chow import anticanonical_on_x, minus_k_cubed, triple_on_x
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
-                                 Verdict, classify_case, delta, k2_condition,
+                                 ValidityReport, Verdict, WeightRatios,
+                                 classify_case, delta, k2_condition,
                                  k3_condition, k_status, nef_threshold,
                                  report, validity)
 from dp1toric.grading import F, BundleParams
@@ -200,6 +202,76 @@ def test_table_triplets_validity_and_branches():
         v = validity(BundleParams(*triplet))
         assert v.is_valid
         assert v.restrictb_branch == branches.get(triplet)
+
+
+# --- integer core against the rational formulas ----------------------------------
+
+def reference_validity(p):
+    """Validity decided on the Fraction weight ratios."""
+    wr = WeightRatios.from_params(p)
+    branch = None
+    in_case_b = wr.wr_w < wr.wr_y
+    if in_case_b:
+        two_nu = 2 * p.nu
+        if two_nu >= 5 * p.lam and two_nu >= 4 * p.lam + p.mu:
+            branch = RestrictBranch.I
+        elif 5 * p.lam > two_nu and two_nu == 4 * p.lam + p.mu:
+            branch = RestrictBranch.II
+        elif 4 * p.lam + p.mu > two_nu and two_nu == 5 * p.lam:
+            branch = RestrictBranch.III
+    nu_nonneg = p.nu >= 0
+    three_mu_lt_two_nu = 3 * p.mu <= 2 * p.nu - 1
+    return ValidityReport(nu_nonneg, three_mu_lt_two_nu, branch,
+                          nu_nonneg and three_mu_lt_two_nu
+                          and (not in_case_b or branch is not None))
+
+
+def reference_case(p):
+    wr = WeightRatios.from_params(p)
+    if wr.wr_w < wr.wr_y:
+        return CaseLabel.B
+    if max(wr.wr_x, wr.wr_z) <= wr.wr_y:
+        return CaseLabel.AI
+    return CaseLabel.AII
+
+
+def reference_nef_threshold(p):
+    if reference_case(p) is CaseLabel.AII:
+        return -p.lam - Q(p.mu, 2) + p.nu - 2
+    return Q(-p.mu + p.nu - 2)
+
+
+def test_integer_core_matches_rational_formulas_on_grid():
+    for lam, mu, nu in iproduct(range(-10, 11), repeat=3):
+        p = BundleParams(lam, mu, nu)
+        v = reference_validity(p)
+        assert validity(p) == v, p
+        if not v.is_valid:
+            for fn in (classify_case, nef_threshold, delta):
+                with pytest.raises(InvalidParams):
+                    fn(p)
+            continue
+        nef = reference_nef_threshold(p)
+        assert classify_case(p) is reference_case(p), p
+        assert nef_threshold(p) == nef, p
+        assert delta(p) == minus_k_cubed(p) + nef, p
+        for value in (nef_threshold(p), delta(p)):
+            assert type(value) is Fraction
+
+
+def test_report_decides_once(monkeypatch):
+    calls = {"validity": 0, "_decide": 0}
+    for name in calls:
+        original = getattr(conditions, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(conditions, name, counted)
+    rep = report(BundleParams(1, 1, 3))
+    assert rep.verdict is Verdict.NOT_RIGID_OVER_BASE
+    assert calls["validity"] <= 1
+    assert calls["_decide"] == 1
 
 
 # --- reports ------------------------------------------------------------------------

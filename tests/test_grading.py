@@ -8,7 +8,7 @@ from dp1toric.grading import (BOTTOM_ROW, F, H, BundleParams, DivisorClass,
                               EmptyLinearSystem, ExponentVector, GradingMatrix,
                               InvalidMatrix, Stratum, base_locus_strata,
                               is_dz_movable_on_x, monomial_basis,
-                              monomial_bidegree, normalize,
+                              monomial_bidegree, monomial_count, normalize,
                               torus_divisor_class)
 
 
@@ -175,6 +175,14 @@ def test_basis_non_integral_class_empty():
                           DivisorClass(Fraction(1, 2), 1)) == []
 
 
+def test_monomial_count_matches_basis_length_on_grid():
+    for lam, mu, nu in iproduct(range(-2, 3), range(-3, 4), range(-2, 4)):
+        p = BundleParams(lam, mu, nu)
+        for h, f in iproduct(range(-1, 7), range(-3, 8)):
+            cls = DivisorClass(h, f)
+            assert monomial_count(p, cls) == len(monomial_basis(p, cls))
+
+
 def test_w_squared_always_a_hypersurface_section():
     # w^2 has bidegree (2*nu, 6), the hypersurface class, for every bundle.
     for lam, mu, nu in iproduct(range(0, 4), range(-5, 6), range(0, 6)):
@@ -196,6 +204,42 @@ def cover_exists(supports):
             if all(z & s for s in supports):
                 return True
     return False
+
+
+def reference_strata(p, cls):
+    """Base-locus strata by a scan of frozensets: every non-irrelevant zero
+    set meeting every support, keeping the inclusion-minimal ones."""
+    from itertools import combinations
+
+    from dp1toric.grading import VARIABLES, _is_irrelevant
+    supports = [m.support() for m in monomial_basis(p, cls)]
+    covering = [frozenset(combo) for r in range(7)
+                for combo in combinations(VARIABLES, r)
+                if not _is_irrelevant(frozenset(combo))
+                and all(frozenset(combo) & s for s in supports)]
+    minimal = [z for z in covering if not any(o < z for o in covering)]
+    minimal.sort(key=lambda z: (len(z), sorted(VARIABLES.index(v) for v in z)))
+    return [Stratum(z) for z in minimal]
+
+
+def test_strata_match_set_scan_on_grid():
+    for lam, mu, nu in iproduct(range(0, 3), range(-3, 4), range(0, 5)):
+        p = BundleParams(lam, mu, nu)
+        for h, f in iproduct(range(0, 7), range(-2, 7, 2)):
+            cls = DivisorClass(h, f)
+            if monomial_basis(p, cls):
+                assert base_locus_strata(p, cls) == reference_strata(p, cls)
+
+
+def test_dz_certificate_matches_set_scan_on_grid():
+    for lam, mu, nu in iproduct(range(0, 4), range(-6, 7), range(0, 9)):
+        p = BundleParams(lam, mu, nu)
+        hypersurface = [m.support()
+                        for m in monomial_basis(p, DivisorClass(6, 2 * nu))]
+        expected = all(
+            s.codim >= 2 and any(h.isdisjoint(s.zero_set) for h in hypersurface)
+            for s in reference_strata(p, 3 * torus_divisor_class(p, "z")))
+        assert is_dz_movable_on_x(p) == expected, p
 
 
 def test_strata_of_three_dz_on_1_1_3():
