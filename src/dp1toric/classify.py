@@ -3,11 +3,23 @@
 Two independent routes are provided.  `classify_k2_failures` returns the
 reference classification table (13 families, in table order) with the
 invariants of each row recomputed from the formulas.  `oracle_search`
-exhaustively scans a parameter box using nothing but the validity check
-and delta > 0, so the two can be diffed against each other.
+finds the triplets of a parameter box that pass validity with delta > 0,
+using nothing but the comparisons of that one decision, so the two can be
+diffed against each other.
 
-Note: on the default box the exhaustive search finds one triplet more than
-the reference table, (1, 0, 2); see the README for details.
+The search splits the set it looks for into five regions, one per case
+and branch: (a-i), (a-ii), (b) I, (b) II and (b) III.  Each region is a
+system of integer rows a*lambda + b*mu + c*nu <= r: lambda >= 0, the
+validity rows, the case and branch comparisons of `_decide`, and 2*delta
+>= 1 in that case.  Integer Fourier-Motzkin elimination of nu, then of
+mu, gives nested bounds lambda -> mu -> nu, built once at import.  The
+search clips them to the box, enumerates the lattice points in between
+and keeps those `_decide` finds valid with delta > 0, so it costs the
+same whatever the box.  The bounds are finite, so the regions are
+finite: the set with delta > 0 is 14 triplets over all of Z^3.
+
+Note: the search finds one triplet more than the reference table,
+(1, 0, 2); see the README for details.
 
 `nonsingular_delta` evaluates delta for the nonsingular families, which
 live on the bundles P(lambda, 2*mu, 3*mu) where wr(z) = wr(w) and the case
@@ -18,9 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter, mul
 
-from .conditions import (CaseLabel, _decide, _two_delta, classify_case, delta,
-                         k_status, validity)
+from .conditions import (CaseLabel, RestrictBranch, _decide, _k_status, _nef,
+                         _two_delta)
 from .grading import BundleParams
 
 
@@ -56,8 +70,9 @@ class SearchBox:
                          widen(self.nu_range, 0))
 
 
-# The search bounds derived in the case analyses are lambda <= 3 (a-i),
-# mu <= 3 (a-ii) and lambda <= 6 (b); this box strictly contains them all.
+# The lambda ranges of the regions, derived by the elimination below, are
+# [0,3] (a-i), [0,1] (a-ii), [1,3] (b-I), [1,2] (b-II) and [2,5] (b-III);
+# this box contains the lattice points of every region.
 DEFAULT_BOX = SearchBox((0, 10), (-30, 30), (0, 30))
 
 # Reference table, in table order: the seven (a-i) rows, two (a-ii) rows,
@@ -79,18 +94,18 @@ K2_FAILURE_TRIPLETS = (
 )
 
 
-def _row(p: BundleParams) -> ClassificationRow:
-    return ClassificationRow(p, delta(p), classify_case(p),
-                             k_status(p).proven_fails)
+def _row(p: BundleParams, case: CaseLabel, two_delta: int) -> ClassificationRow:
+    """The row of a valid triplet, from its decision (case, 2*delta)."""
+    return ClassificationRow(p, Fraction(two_delta, 2), case,
+                             _k_status(p, _nef(p, two_delta)).proven_fails)
 
 
 def _reference_rows() -> tuple[ClassificationRow, ...]:
     rows = []
     for lam, mu, nu in K2_FAILURE_TRIPLETS:
-        p = BundleParams(lam, mu, nu)
-        row = _row(p)
-        assert validity(p).is_valid and row.delta > 0
-        rows.append(row)
+        flags, case, _, two_delta = _decide(lam, mu, nu)
+        assert not flags and two_delta > 0
+        rows.append(_row(BundleParams(lam, mu, nu), case, two_delta))
     return tuple(rows)
 
 
@@ -104,24 +119,128 @@ def classify_k2_failures() -> list[ClassificationRow]:
     return list(_REFERENCE_ROWS)
 
 
+# A row (a, b, c, r) stands for a*lambda + b*mu + c*nu <= r on integers, so
+# a strict comparison lowers r by 1 and an equality is two rows.  These are
+# the comparisons `_decide` makes on (6*lambda, 3*mu, 2*nu).
+_VALID_ROWS = (
+    (-1, 0, 0, 0),  # lambda >= 0: normalized
+    (0, 0, -1, 0),  # nu >= 0
+    (0, 3, -2, -1),  # 3*mu <= 2*nu - 1
+)
+_CASE_ROWS = (
+    (CaseLabel.AI, None, (
+        (6, 0, -2, 0),  # 6*lambda <= 2*nu: case (a)
+        (-6, 3, 0, 0),  # 3*mu <= 6*lambda
+    )),
+    (CaseLabel.AII, None, (
+        (6, 0, -2, 0),  # 6*lambda <= 2*nu
+        (6, -3, 0, -1),  # 6*lambda < 3*mu
+    )),
+    (CaseLabel.B, RestrictBranch.I, (
+        (-6, 0, 2, -1),  # 2*nu < 6*lambda: case (b)
+        (5, 0, -2, 0),  # 5*lambda <= 2*nu
+        (4, 1, -2, 0),  # 4*lambda + mu <= 2*nu
+    )),
+    (CaseLabel.B, RestrictBranch.II, (
+        (-6, 0, 2, -1),
+        (-5, 0, 2, -1),  # 2*nu < 5*lambda
+        (4, 1, -2, 0), (-4, -1, 2, 0),  # 2*nu = 4*lambda + mu
+    )),
+    (CaseLabel.B, RestrictBranch.III, (
+        (-6, 0, 2, -1),
+        (-4, -1, 2, -1),  # 2*nu < 4*lambda + mu
+        (5, 0, -2, 0), (-5, 0, 2, 0),  # 2*nu = 5*lambda
+    )),
+)
+
+
+def _delta_row(case: CaseLabel) -> tuple[int, ...]:
+    """2*delta >= 1 as a row, read off the linear form `_two_delta`."""
+    const = _two_delta(0, 0, 0, case)
+    return tuple(const - _two_delta(*unit, case)
+                 for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))) + (const - 1,)
+
+
+def _eliminate(rows: tuple) -> tuple:
+    """Fourier-Motzkin: integer rows on all variables but the last.
+
+    Rows not involving the last variable are kept.  Each row bounding it
+    from above is added to each row bounding it from below, with positive
+    weights that cancel it (Schrijver, Theory of Linear and Integer
+    Programming, 1986, §12.2).  The sum is divided by the gcd of its
+    coefficients and its right-hand side floored, which loses no integer
+    point.  Of rows with equal coefficients only the tightest is kept.
+    For every integer point of the result, the rows leave an interval,
+    maybe empty, for the last variable.
+    """
+    out = [row[:-2] + row[-1:] for row in rows if row[-2] == 0]
+    for up in rows:
+        if up[-2] > 0:
+            for down in rows:
+                if down[-2] < 0:
+                    total = [-down[-2] * u + up[-2] * d for u, d in zip(up, down)]
+                    del total[-2]
+                    g = gcd(*total[:-1]) or 1
+                    out.append(tuple(v // g for v in total))
+    tightest = {}
+    for row in out:
+        coeffs, r = row[:-1], row[-1]
+        tightest[coeffs] = min(r, tightest.get(coeffs, r))
+    return tuple(coeffs + (r,) for coeffs, r in tightest.items())
+
+
+def _region(case: CaseLabel, branch: RestrictBranch | None,
+            case_rows: tuple) -> tuple:
+    """The triplets with delta > 0 in one case (and branch) of `_decide`:
+    (case, branch, rows on (lambda, mu, nu), rows on (lambda, mu), rows on
+    lambda)."""
+    rows = _VALID_ROWS + case_rows + (_delta_row(case),)
+    mu_rows = _eliminate(rows)
+    return case, branch, rows, mu_rows, _eliminate(mu_rows)
+
+
+# Built at import, not by the first search, so every search does the same
+# work.  Plain tuples: a dataclass would add about 1 ms to the import.
+_REGIONS = tuple(_region(*spec) for spec in _CASE_ROWS)
+
+
+def _interval(rows: tuple, prefix: tuple, lo: int, hi: int) -> range:
+    """The values v in [lo, hi] for which (*prefix, v) satisfies rows."""
+    for row in rows:
+        c, r = row[-2:]
+        rest = r - sum(map(mul, row, prefix))
+        if c > 0:
+            hi = min(hi, rest // c)
+        elif c < 0:
+            lo = max(lo, -(rest // -c))
+        elif rest < 0:
+            return range(0)
+    return range(lo, hi + 1)
+
+
 def oracle_search(box: SearchBox) -> list[ClassificationRow]:
     """Every normalized triplet in the box passing validity with delta > 0.
 
-    Uses only the validity predicate and delta, both decided once per
-    triplet in integers; none of the bound derivations behind the
-    reference table enter.  Results are in lexicographic order on
-    (lambda, mu, nu).
+    Enumerates the lattice points of each region inside the box, lambda
+    from the region's lambda rows, mu from its mu rows, nu from its own
+    rows, and keeps a candidate only if `_decide` finds it valid with
+    delta > 0; none of the bound derivations behind the reference table
+    enter.  The cost does not depend on the size of the box.  Results are
+    in lexicographic order on (lambda, mu, nu).
     """
-    rows = []
-    mus = range(box.mu_range[0], box.mu_range[1] + 1)
-    nus = range(box.nu_range[0], box.nu_range[1] + 1)
-    for lam in range(max(box.lambda_range[0], 0), box.lambda_range[1] + 1):
-        for mu in mus:
-            for nu in nus:
-                flags, _, _, two_delta = _decide(lam, mu, nu)
-                if not flags and two_delta > 0:
-                    rows.append(_row(BundleParams(lam, mu, nu)))
-    return rows
+    (llo, lhi), (mlo, mhi), (nlo, nhi) = (box.lambda_range, box.mu_range,
+                                          box.nu_range)
+    hits = []
+    for _, _, rows, mu_rows, lambda_rows in _REGIONS:
+        for lam in _interval(lambda_rows, (), llo, lhi):
+            for mu in _interval(mu_rows, (lam,), mlo, mhi):
+                for nu in _interval(rows, (lam, mu), nlo, nhi):
+                    flags, case, _, two_delta = _decide(lam, mu, nu)
+                    if not flags and two_delta > 0:
+                        hits.append(((lam, mu, nu), case, two_delta))
+    hits.sort(key=itemgetter(0))
+    return [_row(BundleParams(*triplet), case, two_delta)
+            for triplet, case, two_delta in hits]
 
 
 def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:

@@ -105,16 +105,26 @@ class ValidityReport:
 
 @dataclass(frozen=True)
 class KStatus:
+    """Proven failure of the K-condition, with its reason, or no claim.
+
+    A reason is given exactly when the failure is proven.
+    """
+
     proven_fails: bool
     reason: KFailureReason | None = None
 
+    def __post_init__(self):
+        if self.proven_fails != (self.reason is not None):
+            raise ValueError(f"K-status with proven_fails={self.proven_fails} "
+                             f"and reason={self.reason}")
+
     @classmethod
     def proven(cls, reason: KFailureReason) -> "KStatus":
-        return cls(True, reason)
+        return _PROVEN[reason]
 
     @classmethod
     def not_proven(cls) -> "KStatus":
-        return cls(False, None)
+        return _NOT_PROVEN
 
     def __str__(self) -> str:
         if self.proven_fails:
@@ -128,6 +138,11 @@ class KStatus:
         if text.startswith("ProvenFails(") and text.endswith(")"):
             return cls.proven(KFailureReason(text[len("ProvenFails("):-1]))
         raise ValueError(f"unrecognized K-status {text!r}")
+
+
+# The three K-statuses, built once: `_k_status` hands them out per triplet.
+_NOT_PROVEN = KStatus(False)
+_PROVEN = {reason: KStatus(True, reason) for reason in KFailureReason}
 
 
 @dataclass(frozen=True)

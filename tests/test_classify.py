@@ -1,14 +1,16 @@
 """Reference classification table, brute-force oracle, nonsingular families."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from dp1toric.classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
-                               classify_k2_failures, nonsingular_delta,
-                               oracle_search)
-from dp1toric.conditions import (CaseLabel, RestrictBranch, classify_case,
-                                 delta, k_status, validity)
+from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
+                               SearchBox, _interval, classify_k2_failures,
+                               nonsingular_delta, oracle_search)
+from dp1toric.conditions import (CaseLabel, RestrictBranch, _decide,
+                                 classify_case, delta, k_status, validity)
 from dp1toric.grading import BundleParams
 
 Q = Fraction
@@ -111,10 +113,54 @@ def brute_force_search(box):
     return rows
 
 
+def random_box(seed):
+    """A small box near the delta > 0 set, often with negative lower bounds."""
+    rng = random.Random(seed)
+    llo, mlo, nlo = rng.randint(-4, 4), rng.randint(-12, 6), rng.randint(-6, 8)
+    return SearchBox((llo, llo + rng.randint(0, 6)), (mlo, mlo + rng.randint(0, 20)),
+                     (nlo, nlo + rng.randint(0, 12)))
+
+
 @pytest.mark.parametrize("box", [SearchBox((-3, 5), (-7, 9), (-4, 12)),
-                                 DEFAULT_BOX.inflated(10)])
+                                 DEFAULT_BOX.inflated(10),
+                                 SearchBox((0, 12), (-60, 60), (0, 60)),
+                                 *(random_box(seed) for seed in range(20))])
 def test_oracle_equals_brute_force_over_public_predicates(box):
     assert oracle_search(box) == brute_force_search(box)
+
+
+def test_regions_are_the_decision_on_a_grid():
+    """Each region's rows hold exactly on the normalized triplets that
+    `_decide` finds valid with 2*delta > 0, in the region's case and branch."""
+    for lam, mu, nu in itertools.product(range(-20, 21), repeat=3):
+        flags, case, branch, two_delta = _decide(lam, mu, nu)
+        hit = lam >= 0 and not flags and two_delta > 0
+        for region_case, region_branch, rows, _, _ in _REGIONS:
+            inside = all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)
+            expected = hit and (case, branch) == (region_case, region_branch)
+            assert inside == expected, (lam, mu, nu, region_case, region_branch)
+
+
+def test_oracle_on_a_huge_box_finds_the_default_box_rows():
+    huge = SearchBox((0, 10**9), (-10**9, 10**9), (0, 10**9))
+    rows = oracle_search(huge)
+    assert len(rows) == 14
+    assert rows == oracle_search(DEFAULT_BOX)
+    # No region reaches the edge of the huge box, so the 14 rows are all
+    # of Z^3 with delta > 0, not only those in the box.
+    edge = 10**9 - 1
+
+    def inside(values):
+        return not values or -edge < values[0] and values[-1] < edge
+
+    for _, _, rows, mu_rows, lambda_rows in _REGIONS:
+        lams = _interval(lambda_rows, (), -edge, edge)
+        assert inside(lams)
+        for lam in lams:
+            mus = _interval(mu_rows, (lam,), -edge, edge)
+            assert inside(mus)
+            for mu in mus:
+                assert inside(_interval(rows, (lam, mu), -edge, edge))
 
 
 def test_search_box_rejects_empty_intervals():

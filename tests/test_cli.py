@@ -1,6 +1,9 @@
 """CLI subcommands, output formats, exit codes, and golden renderings."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -129,6 +132,21 @@ def test_oracle_default_box_reports_the_extra_row(capsys):
     code, out, _ = run(capsys, "oracle")
     assert code == 1
     assert "extra: (1,0,2)" in out
+
+
+def test_oracle_on_a_huge_box_finishes_quickly():
+    # The search enumerates the delta > 0 set, not the 2*10^27-point box.
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "dp1toric", "oracle", "--lambda", "0", "1000000000",
+         "--mu", "-1000000000", "1000000000", "--nu", "0", "1000000000"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert done.returncode == 1
+    rows = [line for line in done.stdout.splitlines() if line[:3].strip().isdigit()]
+    assert len(rows) == 14
+    assert "extra: (1,0,2)" in done.stdout
 
 
 # --- normalize, basis, nonsingular ------------------------------------------------

@@ -312,3 +312,10 @@ def test_k_status_string_round_trip():
               KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL),
               KStatus.proven(KFailureReason.DZ_MOVABLE_INTERIOR)]:
         assert KStatus.parse(str(s)) == s
+
+
+def test_k_status_rejects_a_reason_without_proof_and_vice_versa():
+    with pytest.raises(ValueError):
+        KStatus(True)
+    with pytest.raises(ValueError):
+        KStatus(False, KFailureReason.AMPLE_ANTICANONICAL)
