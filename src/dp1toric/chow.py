@@ -51,14 +51,6 @@ class CycleClass:
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.coefficients.get((i, j), Fraction(0))
 
-    @property
-    def degree(self) -> int | None:
-        """Common degree i + j of the stored terms; None for 0 or mixed."""
-        degrees = {i + j for i, j in self.coefficients}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(i + j == degree for i, j in self.coefficients)
 

@@ -4,6 +4,9 @@ Subcommands: analyze, table1, oracle, normalize, basis, nonsingular.
 Output formats: plain (default), json, csv, markdown.  Exit codes: 0 for a
 completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
+
+All output goes through one renderer, `_render`, which builds only the
+format asked for; the one special case is basis markdown, a bullet list.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from fractions import Fraction
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, InvalidParams,
-                         KFailureReason, report)
+                         KFailureReason, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix, InvalidMatrix,
-                      monomial_basis, monomial_count, normalize)
+                      fiber_part_count, monomial_basis, monomial_count,
+                      normalize)
 
 FORMATS = ("plain", "json", "csv", "markdown")
 
@@ -27,9 +31,28 @@ FORMATS = ("plain", "json", "csv", "markdown")
 # instead of building the list.
 MAX_BASIS_MONOMIALS = 10**6
 
-TABLE_MD_HEADER = ("| No. | (λ,μ,ν) | δ_X | Case | K-cond. |\n"
-                   "|----:|---------|-----|------|---------|\n")
-TABLE_CSV_HEADER = "no,lambda,mu,nu,delta,case,k_fails\n"
+ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
+ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
+ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
+_JSON = json.JSONEncoder(indent=2)  # json.dumps would build one per call
+
+
+def _render(fmt: str, plain, payload, table, markdown_table=None) -> str:
+    """The output in format fmt.  plain() gives the text, payload() the JSON
+    value, table() the header and rows of cells of the csv table and, unless
+    markdown_table() gives its own, of the markdown table (a row number,
+    headed No., is right-aligned).  Only the format asked for is built."""
+    if fmt == "plain":
+        return plain()
+    if fmt == "json":
+        return _JSON.encode(payload()) + "\n"
+    if fmt == "csv":
+        header, rows = table()
+        return "\n".join(map(",".join, (header, *rows))) + "\n"
+    header, rows = (markdown_table or table)()
+    rule = "|".join(["-" * len(h) + ("-:" if h == "No." else "--") for h in header])
+    body = " |\n| ".join(map(" | ".join, rows))
+    return f"| {' | '.join(header)} |\n|{rule}|\n" + (f"| {body} |\n" if rows else "")
 
 
 def _triplet(p: BundleParams) -> str:
@@ -41,59 +64,34 @@ def _bool(b: bool) -> str:
 
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
-    if fmt == "markdown":
-        out = TABLE_MD_HEADER
-        for i, r in enumerate(rows, 1):
-            kcond = "no" if r.k_fails else ""
-            out += (f"| {i} | {_triplet(r.params)} | {r.delta} "
-                    f"| {r.case.table_label} | {kcond} |\n")
-        return out
-    if fmt == "csv":
-        out = TABLE_CSV_HEADER
-        for i, r in enumerate(rows, 1):
-            p = r.params
-            out += (f"{i},{p.lam},{p.mu},{p.nu},{r.delta},"
-                    f"{r.case.value},{_bool(r.k_fails)}\n")
-        return out
-    if fmt == "json":
-        data = [
-            {
-                "params": {"lambda": r.params.lam, "mu": r.params.mu,
-                           "nu": r.params.nu},
-                "delta": str(r.delta),
-                "case": r.case.value,
-                "k_fails": r.k_fails,
-            }
-            for r in rows
-        ]
-        return json.dumps(data, indent=2) + "\n"
-    out = f"{'no':>3}  {'(lambda,mu,nu)':<15} {'delta':>5}  {'case':<6} K-cond.\n"
-    for i, r in enumerate(rows, 1):
-        kcond = "no" if r.k_fails else ""
-        out += (f"{i:>3}  {_triplet(r.params):<15} {str(r.delta):>5}  "
-                f"{r.case.table_label:<6} {kcond}\n")
-    return out
+    def cells():  # of the plain and the markdown table
+        return [(str(i), _triplet(r.params), str(r.delta), r.case.table_label,
+                 "no" if r.k_fails else "") for i, r in enumerate(rows, 1)]
+    return _render(
+        fmt,
+        lambda: "".join(map("%3s  %-15s %5s  %-6s %s\n".__mod__,
+                            (ROWS_PLAIN_HEADER, *cells()))),
+        lambda: [{"params": to_json(r.params), "delta": to_json(r.delta),
+                  "case": to_json(r.case), "k_fails": r.k_fails} for r in rows],
+        lambda: (ROWS_CSV_HEADER, [
+            (str(i), str(r.params.lam), str(r.params.mu), str(r.params.nu),
+             str(r.delta), r.case.value, _bool(r.k_fails))
+            for i, r in enumerate(rows, 1)]),
+        lambda: (ROWS_MD_HEADER, cells()))
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rep.to_json_dict(), indent=2) + "\n"
-    if fmt in ("csv", "markdown"):
-        pairs = _report_pairs(rep)
-        if fmt == "csv":
-            return "field,value\n" + "".join(f"{k},{v}\n" for k, v in pairs)
-        return ("| field | value |\n|-------|-------|\n"
-                + "".join(f"| {k} | {v} |\n" for k, v in pairs))
-    return _report_plain(rep)
+    return _render(fmt, lambda: _report_plain(rep), rep.to_json_dict,
+                   lambda: _report_table(rep))
 
 
-def _report_pairs(rep: FibrationReport) -> list[tuple[str, str]]:
+def _report_table(rep: FibrationReport) -> tuple:
     p = rep.params
     pairs = [("lambda", str(p.lam)), ("mu", str(p.mu)), ("nu", str(p.nu)),
              ("is_valid", _bool(rep.validity.is_valid))]
     if rep.case is None:
-        pairs += [("invalid_reason", "; ".join(rep.validity.failure_reasons()))]
-        return pairs
+        pairs.append(("invalid_reason", "; ".join(rep.validity.failure_reasons())))
+        return ("field", "value"), pairs
     branch = rep.validity.restrictb_branch
     pairs += [
         ("case", rep.case.value),
@@ -107,7 +105,7 @@ def _report_pairs(rep: FibrationReport) -> list[tuple[str, str]]:
         pairs.append((f"k3({d})", _bool(ok)))
     pairs += [("k_status", str(rep.k_status)),
               ("verdict", rep.verdict.value if rep.verdict else "")]
-    return pairs
+    return ("field", "value"), pairs
 
 
 def _report_plain(rep: FibrationReport) -> str:
@@ -245,12 +243,9 @@ def _check_basis_size(p: BundleParams, cls: DivisorClass) -> None:
     """Refuse a basis of more than MAX_BASIS_MONOMIALS monomials, or one
     whose enumeration visits more fiber parts x^c y^d z^e w^g than that,
     before any of it is built."""
-    parts = 0
-    for r in range(int(cls.h), -1, -3):  # H-degree left to x, y, z beside w^g
-        parts += (r // 2 + 1) * (r - r // 2 + 1)
-        if parts > MAX_BASIS_MONOMIALS:
-            raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
-                             "fiber monomials x^c*y^d*z^e*w^g to scan")
+    if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
+                         "fiber monomials x^c*y^d*z^e*w^g to scan")
     count = monomial_count(p, cls)
     if count > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
@@ -262,27 +257,21 @@ def _cmd_basis(args) -> int:
     cls = DivisorClass(args.h, args.f)
     _check_basis_size(p, cls)
     monomials = [str(m) for m in monomial_basis(p, cls)]
-    if args.format == "json":
-        print(json.dumps(monomials, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write("monomial\n" + "".join(f"{m}\n" for m in monomials))
-    elif args.format == "markdown":
+    if args.format == "markdown":  # a bullet list, not a table
         sys.stdout.write("".join(f"- `{m}`\n" for m in monomials))
     else:
-        sys.stdout.write("".join(f"{m}\n" for m in monomials))
+        sys.stdout.write(_render(
+            args.format, lambda: "".join(f"{m}\n" for m in monomials),
+            lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials])))
     return 0
 
 
 def _cmd_nonsingular(args) -> int:
     d, case = nonsingular_delta(args.lam, args.mu)
-    if args.format == "json":
-        print(json.dumps({"delta": str(d), "case": case.value}, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(f"delta,case\n{d},{case.value}\n")
-    elif args.format == "markdown":
-        print(f"| delta | case |\n|-------|------|\n| {d} | {case.value} |")
-    else:
-        print(d)
+    sys.stdout.write(_render(
+        args.format, lambda: f"{d}\n",
+        lambda: {"delta": to_json(d), "case": to_json(case)},
+        lambda: (("delta", "case"), [(str(d), case.value)])))
     return 0
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .chow import minus_k_cubed
 from .grading import BundleParams, is_dz_movable_on_x
@@ -160,66 +161,67 @@ class FibrationReport:
     verdict: Verdict | None = None
 
     def to_json_dict(self) -> dict:
-        """JSON form: field names as-is, rationals as reduced strings."""
-        out: dict = {
-            "params": {"lambda": self.params.lam, "mu": self.params.mu,
-                       "nu": self.params.nu},
-            "validity": {
-                "nu_nonneg": self.validity.nu_nonneg,
-                "three_mu_lt_two_nu": self.validity.three_mu_lt_two_nu,
-                "restrictb_branch": (self.validity.restrictb_branch.value
-                                     if self.validity.restrictb_branch else None),
-                "is_valid": self.validity.is_valid,
-            },
-        }
-        if self.case is None:
-            return out
-        out["case"] = self.case.value
-        wr = self.weight_ratios
-        out["weight_ratios"] = {
-            "wr_x": str(wr.wr_x), "wr_y": str(wr.wr_y),
-            "wr_z": str(wr.wr_z), "wr_w": str(wr.wr_w),
-        }
-        out["k_cubed"] = str(self.k_cubed)
-        out["nef_threshold"] = str(self.nef_threshold)
-        out["delta"] = str(self.delta)
-        out["k2_holds"] = self.k2_holds
-        out["k3_threshold_results"] = {
-            str(d): ok for d, ok in self.k3_threshold_results.items()
-        }
-        out["k_status"] = str(self.k_status)
-        out["verdict"] = self.verdict.value if self.verdict else None
-        return out
+        """JSON form (see `to_json`); the report of an invalid triplet
+        holds only params and validity."""
+        names = _JSON_FIELDS[FibrationReport] if self.case else ("params", "validity")
+        return {name: to_json(getattr(self, name)) for name in names}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationReport":
-        params = BundleParams(data["params"]["lambda"], data["params"]["mu"],
-                              data["params"]["nu"])
-        v = data["validity"]
-        branch = (RestrictBranch(v["restrictb_branch"])
-                  if v["restrictb_branch"] is not None else None)
-        validity_ = ValidityReport(v["nu_nonneg"], v["three_mu_lt_two_nu"],
-                                   branch, v["is_valid"])
-        if "case" not in data:
-            return cls(params, validity_)
-        wr = data["weight_ratios"]
-        return cls(
-            params,
-            validity_,
-            case=CaseLabel(data["case"]),
-            weight_ratios=WeightRatios(
-                Fraction(wr["wr_x"]), Fraction(wr["wr_y"]),
-                Fraction(wr["wr_z"]), Fraction(wr["wr_w"])),
-            k_cubed=Fraction(data["k_cubed"]),
-            nef_threshold=Fraction(data["nef_threshold"]),
-            delta=Fraction(data["delta"]),
-            k2_holds=data["k2_holds"],
-            k3_threshold_results={
-                Fraction(d): ok for d, ok in data["k3_threshold_results"].items()
-            },
-            k_status=KStatus.parse(data["k_status"]),
-            verdict=Verdict(data["verdict"]) if data["verdict"] else None,
-        )
+        """The report whose `to_json_dict` is data."""
+        return from_json(cls, data)
+
+
+# The JSON encoding of the data model: a triplet is {"lambda", "mu", "nu"},
+# a Fraction its reduced string, an enum its value, a K-status its string,
+# and a report and its parts objects of the fields below, each with the
+# function that decodes it.  bool, int, str and None are themselves.
+_JSON_FIELDS = {
+    ValidityReport: {"nu_nonneg": bool, "three_mu_lt_two_nu": bool,
+                     "restrictb_branch": RestrictBranch, "is_valid": bool},
+    WeightRatios: dict.fromkeys(("wr_x", "wr_y", "wr_z", "wr_w"), Fraction),
+    FibrationReport: {
+        "params": lambda p: BundleParams(p["lambda"], p["mu"], p["nu"]),
+        "validity": ValidityReport, "case": CaseLabel,
+        "weight_ratios": WeightRatios, "k_cubed": Fraction,
+        "nef_threshold": Fraction, "delta": Fraction, "k2_holds": bool,
+        "k3_threshold_results": lambda d: {Fraction(k): ok for k, ok in d.items()},
+        "k_status": KStatus.parse, "verdict": Verdict},
+}
+
+
+def _object_to_json(cls: type):
+    names = tuple(_JSON_FIELDS[cls])
+    return lambda obj: {name: to_json(getattr(obj, name)) for name in names}
+
+
+_TO_JSON = {
+    BundleParams: lambda p: {"lambda": p.lam, "mu": p.mu, "nu": p.nu},
+    # The methods, not str: a call of str through a name costs more.
+    Fraction: Fraction.__str__,
+    KStatus: KStatus.__str__,
+    dict: lambda d: {to_json(k): ok for k, ok in d.items()},  # K^3_d results
+    ValidityReport: _object_to_json(ValidityReport),
+    WeightRatios: _object_to_json(WeightRatios),
+    **dict.fromkeys((CaseLabel, RestrictBranch, Verdict), attrgetter("value")),
+}
+
+
+def to_json(value):
+    """The JSON value of a piece of the data model (see above)."""
+    encode = _TO_JSON.get(type(value))
+    return value if encode is None else encode(value)
+
+
+def from_json(decode, data):
+    """The value of type (or decoder) decode that `to_json` encoded as data."""
+    if data is None:
+        return None
+    fields = _JSON_FIELDS.get(decode)
+    if fields is None:
+        return decode(data)
+    return decode(**{name: from_json(fields[name], value)
+                     for name, value in data.items()})
 
 
 # Reasons a triplet is invalid, as the bit flags of a decision.
@@ -282,8 +284,14 @@ def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityRepor
                           restrictb_branch=branch, is_valid=not flags)
 
 
+def _require_normalized(p: BundleParams) -> None:
+    if not p.is_normalized:  # lambda < 0: wr(y) < wr(x) = 0, no case applies
+        raise InvalidParams(f"{p} is not normalized (lambda < 0)")
+
+
 def _decide_valid(p: BundleParams) -> tuple[CaseLabel, int]:
-    """(case, two_delta) of a valid triplet; InvalidParams otherwise."""
+    """(case, two_delta) of a normalized, valid triplet; else InvalidParams."""
+    _require_normalized(p)
     flags, case, _, two_delta = _decide(p.lam, p.mu, p.nu)
     if flags:
         raise InvalidParams(f"{p} fails the validity conditions")
@@ -316,14 +324,15 @@ def validity(p: BundleParams) -> ValidityReport:
         II  : 5*lambda > 2*nu = 4*lambda + mu
         III : 4*lambda + mu > 2*nu = 5*lambda
 
-    (the branch predicates are pairwise exclusive).  Never raises.
+    (the branch predicates are pairwise exclusive).  Never raises, and
+    does not check normalization (lambda >= 0), which the others require.
     """
     flags, _, branch, _ = _decide(p.lam, p.mu, p.nu)
     return _validity_report(flags, branch)
 
 
 def classify_case(p: BundleParams) -> CaseLabel:
-    """Nef-cone case of a valid triplet.
+    """Nef-cone case of a normalized, valid triplet.
 
     Validity forces wr(z) < wr(w), so the three cases partition: (b) when
     wr(w) < wr(y); else (a-i) when wr(z) <= wr(y) (ties wr(y) = wr(w) go to
@@ -374,8 +383,7 @@ def report(p: BundleParams,
     K-condition provably fails; SuperrigidIfKCondition when delta <= 1 and
     no failure is proven.
     """
-    if p.lam < 0:
-        raise InvalidParams(f"{p} is not normalized (lambda < 0)")
+    _require_normalized(p)
     flags, case, branch, two_delta = _decide(p.lam, p.mu, p.nu)
     v = _validity_report(flags, branch)
     if flags:
@@ -401,7 +409,7 @@ def report(p: BundleParams,
         nef_threshold=nef,
         delta=d,
         k2_holds=d <= 0,
-        k3_threshold_results={Fraction(d0): d <= Fraction(d0) for d0 in thresholds},
+        k3_threshold_results={d0: d <= d0 for d0 in map(Fraction, thresholds)},
         k_status=status,
         verdict=verdict,
     )

@@ -245,6 +245,16 @@ def _fiber_parts(p: BundleParams, cls: DivisorClass):
                        fdeg - p.lam * d - p.mu * e - p.nu * g)
 
 
+def fiber_part_count(cls: DivisorClass) -> int:
+    """len(list(_fiber_parts(p, cls))), for any p, in closed form: the
+    number of (c, d, e, g) >= 0 with c + d + 2*e + 3*g = h is the integer
+    nearest to (2*h^3 + 21*h^2 + 66*h + 55) / 72."""
+    if not cls.is_integral or cls.h < 0:
+        return 0
+    h = int(cls.h)
+    return (2 * h**3 + 21 * h**2 + 66 * h + 91) // 72
+
+
 def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
     """All monomials of bidegree (cls.f, cls.h), in lexicographic order.
 

@@ -197,3 +197,45 @@ def test_nonsingular_command(capsys):
     code, out, _ = run(capsys, "nonsingular", "0", "1", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"delta": "2", "case": "AII"}
+
+
+# --- every output, byte for byte --------------------------------------------------
+
+ALL_FORMATS = ("plain", "json", "csv", "markdown")
+EXTENSION = {"plain": "txt", "json": "json", "csv": "csv", "markdown": "md"}
+
+# (golden stem, argv, formats, exit code).  The output of argv in format fmt
+# is tests/golden/<stem>.<EXTENSION[fmt]>; plain runs without --format.
+# table1.md and table1.csv are pinned by the tests above.
+CLI_GOLDENS = (
+    ("analyze_1_1_3", ("analyze", "1", "1", "3"), ALL_FORMATS, 0),
+    ("analyze_0_0_0", ("analyze", "0", "0", "0"), ALL_FORMATS, 0),
+    ("analyze_2_0_1", ("analyze", "2", "0", "1"), ALL_FORMATS, 0),
+    ("analyze_0_-3_0", ("analyze", "0", "-3", "0"), ALL_FORMATS, 0),
+    ("analyze_2_2_5_t1", ("analyze", "2", "2", "5", "--thresholds", "1"),
+     ALL_FORMATS, 0),
+    ("table1", ("table1",), ("plain", "json"), 0),
+    ("oracle", ("oracle",), ALL_FORMATS, 1),
+    ("oracle_0_-2_0", ("oracle", "--lambda", "0", "0", "--mu", "-2", "-2",
+                       "--nu", "0", "0"), ALL_FORMATS, 1),
+    ("basis_0_2_3_6_6", ("basis", "0", "2", "3", "6", "6"), ALL_FORMATS, 0),
+    ("basis_0_2_3_-1_0", ("basis", "0", "2", "3", "-1", "0"), ALL_FORMATS, 0),
+    ("nonsingular_1_1", ("nonsingular", "1", "1"), ALL_FORMATS, 0),
+    ("nonsingular_0_1", ("nonsingular", "0", "1"), ALL_FORMATS, 0),
+    ("normalize_1_1_0_0_2_3", ("normalize", "1", "1", "0", "0", "2", "3"),
+     ("plain",), 0),
+)
+
+GOLDEN_RUNS = [
+    pytest.param(f"{stem}.{EXTENSION[fmt]}",
+                 argv if fmt == "plain" else argv + ("--format", fmt), code,
+                 id=f"{stem}.{EXTENSION[fmt]}")
+    for stem, argv, formats, code in CLI_GOLDENS for fmt in formats
+]
+
+
+@pytest.mark.parametrize("golden, argv, exit_code", GOLDEN_RUNS)
+def test_output_matches_golden(capsys, golden, argv, exit_code):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

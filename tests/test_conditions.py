@@ -246,7 +246,7 @@ def test_integer_core_matches_rational_formulas_on_grid():
         p = BundleParams(lam, mu, nu)
         v = reference_validity(p)
         assert validity(p) == v, p
-        if not v.is_valid:
+        if lam < 0 or not v.is_valid:
             for fn in (classify_case, nef_threshold, delta):
                 with pytest.raises(InvalidParams):
                     fn(p)
@@ -291,6 +291,16 @@ def test_report_invalid_params_is_partial():
 def test_report_requires_normalized_lambda():
     with pytest.raises(InvalidParams):
         report(BundleParams(-1, 0, 3))
+
+
+def test_every_verdict_but_validity_requires_normalized_lambda():
+    # validity(P(-1,0,3)) passes, but the case trichotomy needs lambda >= 0.
+    p = BundleParams(-1, 0, 3)
+    assert validity(p).is_valid
+    for fn in (classify_case, nef_threshold, delta, k_status, k2_condition,
+               lambda p: k3_condition(p, Q(1))):
+        with pytest.raises(InvalidParams, match="not normalized"):
+            fn(p)
 
 
 def test_report_delta_consistency():

@@ -1,12 +1,14 @@
 """Grading-matrix normalization, monomial bases, and base-locus strata."""
 
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
 from dp1toric.grading import (BOTTOM_ROW, F, H, BundleParams, DivisorClass,
                               EmptyLinearSystem, ExponentVector, GradingMatrix,
-                              InvalidMatrix, Stratum, base_locus_strata,
+                              InvalidMatrix, Stratum, _fiber_parts,
+                              base_locus_strata, fiber_part_count,
                               is_dz_movable_on_x, monomial_basis,
                               monomial_bidegree, monomial_count, normalize,
                               torus_divisor_class)
@@ -181,6 +183,15 @@ def test_monomial_count_matches_basis_length_on_grid():
         for h, f in iproduct(range(-1, 7), range(-3, 8)):
             cls = DivisorClass(h, f)
             assert monomial_count(p, cls) == len(monomial_basis(p, cls))
+
+
+def test_fiber_part_count_matches_the_enumeration_on_grid():
+    for h in range(-2, 40):
+        for f, p in ((0, BundleParams(0, 0, 0)), (Fraction(1, 2), BundleParams(1, 2, 3)),
+                     (5, BundleParams(2, -3, 4))):
+            cls = DivisorClass(h, f)
+            assert fiber_part_count(cls) == len(list(_fiber_parts(p, cls))), cls
+    assert fiber_part_count(DivisorClass(Fraction(7, 2), 0)) == 0
 
 
 def test_w_squared_always_a_hypersurface_section():
