@@ -1,8 +1,9 @@
 """Exact top-intersection products on P(lambda, mu, nu) and its hypersurfaces.
 
-Products of divisor classes are expanded as polynomials in H and F and
-reduced modulo F^2 = 0 (distinct fibers of the bundle are disjoint).  A
-degree-4 class is then a combination of H^4 and H^3*F, whose values are
+Products of divisor classes are reduced modulo F^2 = 0 (distinct fibers
+of the bundle are disjoint), so a product of k classes is a combination of
+H^k and H^(k-1)*F.  A degree-4 class is a combination of H^4 and H^3*F,
+whose values are
 
     (H^4) = -(6*lambda + 3*mu + 2*nu) / 36,    (H^3 * F) = 1/6.
 
@@ -68,23 +69,21 @@ class CycleClass:
 
 
 def product(classes: list[DivisorClass]) -> CycleClass:
-    """Expand the product of divisor classes, reducing by F^2 = 0."""
+    """Product of k <= 4 divisor classes h_i*H + f_i*F, reduced by F^2 = 0.
+
+    Only the terms with at most one F survive, so the product is
+    (prod h_i)*H^k + (sum_j f_j * prod_{i != j} h_i)*H^(k-1)*F; both
+    coefficients are accumulated factor by factor.
+    """
     if len(classes) == 0:
         raise ValueError("empty product")
     if len(classes) > 4:
         raise DegreeOverflow(f"{len(classes)} factors exceed the dimension 4")
-    acc = {(0, 0): Fraction(1)}
+    top, below = Fraction(1), Fraction(0)
     for cls in classes:
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (i, j), q in acc.items():
-            if cls.h != 0:
-                key = (i + 1, j)
-                nxt[key] = nxt.get(key, Fraction(0)) + q * cls.h
-            if cls.f != 0 and j + 1 < 2:
-                key = (i, j + 1)
-                nxt[key] = nxt.get(key, Fraction(0)) + q * cls.f
-        acc = nxt
-    return CycleClass(acc)
+        top, below = top * cls.h, below * cls.h + top * cls.f
+    k = len(classes)
+    return CycleClass({(k, 0): top, (k - 1, 1): below})
 
 
 def evaluate_top(p: BundleParams, c: CycleClass) -> Fraction:

@@ -220,16 +220,19 @@ def _cmd_oracle(args) -> int:
                    key=lambda p: (p.lam, p.mu, p.nu))
     changed = [p for p in set(ref_set) & set(found_set)
                if ref_set[p] != found_set[p]]
+    # The diff goes to stderr unless the format is plain, so that the
+    # formatted rows on stdout parse.
+    out = sys.stdout if args.format == "plain" else sys.stderr
     if not missing and not extra and not changed:
-        print("MATCHES TABLE 1")
+        print("MATCHES TABLE 1", file=out)
         return 0
-    print("DOES NOT MATCH TABLE 1")
+    print("DOES NOT MATCH TABLE 1", file=out)
     for p in missing:
-        print(f"missing: {_triplet(p)}")
+        print(f"missing: {_triplet(p)}", file=out)
     for p in extra:
-        print(f"extra: {_triplet(p)}")
+        print(f"extra: {_triplet(p)}", file=out)
     for p in changed:
-        print(f"differs: {_triplet(p)}")
+        print(f"differs: {_triplet(p)}", file=out)
     return 1
 
 

@@ -399,7 +399,10 @@ def report(p: BundleParams,
     elif d <= 1:
         verdict = Verdict.SUPERRIGID_IF_K_CONDITION
     else:
-        verdict = None  # unreachable for valid triplets: delta > 1 forces a proven failure
+        # Not reached: delta > 0 only on the 14 oracle rows, which are
+        # complete over Z^3, and every one of them with delta > 1 has a
+        # proven K-failure (test_k_fails_exactly_on_rows_with_delta_above_one).
+        verdict = None
     return FibrationReport(
         params=p,
         validity=v,

@@ -334,20 +334,52 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
 def is_dz_movable_on_x(p: BundleParams) -> bool:
     """Combinatorial certificate that D_z restricts to a movable class.
 
-    Checks that every stratum of the base locus of |3 D_z| has codimension
-    at least 2 in the bundle and that some monomial of the hypersurface
-    class 6H + 2*nu*F avoids the stratum, so a generic hypersurface does
-    not contain it.  This certifies that the base locus of D_z restricted
-    to the hypersurface has codimension >= 2; it is a sufficient
-    certificate, not a characterization of movability.
+    The certificate: every stratum of the base locus of |3 D_z| has
+    codimension at least 2 in the bundle, and some monomial of the
+    hypersurface class |X| = |6H + 2*nu*F| avoids it, so a generic
+    hypersurface does not contain it.  This certifies that the base locus
+    of D_z restricted to the hypersurface has codimension >= 2; it is a
+    sufficient certificate, not a characterization of movability.
+
+    On the normalized triplet (lambda, mu, nu) it holds exactly when
+
+        mu >= 0  and  (mu >= 2*lambda  or  2*nu > 3*mu).
+
+    Proof for lambda >= 0.  The sections of a class are the monomials of
+    its bidegree (Cox 1995), and V(Z) lies in the base locus exactly when
+    every section contains a variable of Z.  Among the sections of
+    |3 D_z| = |6H + 3*mu*F| are z^3, always; x^6 (u,v)^(3mu) when mu >= 0;
+    y^6 (u,v)^(3mu - 6lambda) when mu >= 2*lambda; w^2 (u,v)^(3mu - 2nu)
+    when 2*nu <= 3*mu.  w^2 is itself a section of |X|.  Here (u,v)^r
+    stands for u^r and v^r, and no stratum contains both u and v, so each
+    of these sections puts one of its fiber variables in every base
+    stratum; by z^3, z lies in every one.
+
+    - mu < 0: a section without z is x^c y^d w^g (u,v)^r with F-degree
+      lambda*d + nu*g <= 3*mu < 0, so it contains w and nu < 0.  If
+      2*nu > 3*mu there is none (the cheapest is w^2), and V(z), a divisor,
+      is in the base locus.  Otherwise every stratum contains {z, w}, and
+      the only monomials of |X| avoiding both are x^c y^d (u,v)^r with
+      lambda*d + r = 2*nu < 0: there are none.  False either way.
+    - mu >= 0: x^6 puts x in every stratum.  If also mu >= 2*lambda, y^6
+      puts y there too, leaving {x, y, z} (codimension 3, avoided by w^2)
+      or nothing.  If mu < 2*lambda, a section without x and z is y^3 w or
+      w^2.  When 2*nu > 3*mu, neither is one (3*lambda + nu > 3*mu), so the
+      unique stratum is {x, z}, of codimension 2 and avoided by w^2.
+      Otherwise w^2 is one and y^6 is not, so the unique stratum is
+      {x, z, w}, and the only monomial of |X| avoiding it would be
+      y^6 (u,v)^(2nu - 6lambda), which needs nu >= 3*lambda; but
+      2*nu <= 3*mu < 6*lambda.  So the certificate holds in the first two
+      cases and fails in the third.
+
+    For lambda < 0, `normalize` gives the same bundle in another gauge
+    (top_row shifted by a multiple of the bottom row, x and y swapped).
+    The degree of a monomial moves with the gauge, so |3 D_z| and |X| keep
+    their monomials and the strata keep their codimension, up to the swap
+    of x and y; the certificate does not change.
+
+    `base_locus_strata` computes the strata themselves, and the tests check
+    this rule against a scan of them.
     """
-    dz = torus_divisor_class(p, "z")
-    strata = base_locus_strata(p, 3 * dz)
-    hypersurface_supports = _support_masks(p, DivisorClass(6, 2 * p.nu))
-    for stratum in strata:
-        if stratum.codim < 2:
-            return False
-        zero_mask = _mask(stratum.zero_set)
-        if all(s & zero_mask for s in hypersurface_supports):
-            return False
-    return True
+    q = normalize(GradingMatrix.from_params(p))
+    return q.mu >= 0 and (q.mu >= 2 * q.lam or 2 * q.nu > 3 * q.mu)

@@ -1,5 +1,6 @@
 """Intersection products and the anticanonical cube."""
 
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -43,6 +44,37 @@ def test_product_symmetric_and_multilinear():
                                      + t * product([b, c]).coefficient(2, 0))
     assert lhs.coefficient(1, 1) == (s * product([a, c]).coefficient(1, 1)
                                      + t * product([b, c]).coefficient(1, 1))
+
+
+def expand_product(classes):
+    """Reference: multiply out term by term in a dict keyed by (i, j) for
+    H^i * F^j, dropping F^2, then drop the zero coefficients."""
+    acc = {(0, 0): Q(1)}
+    for cls in classes:
+        nxt = {}
+        for (i, j), q in acc.items():
+            if cls.h != 0:
+                key = (i + 1, j)
+                nxt[key] = nxt.get(key, Q(0)) + q * cls.h
+            if cls.f != 0 and j + 1 < 2:
+                key = (i, j + 1)
+                nxt[key] = nxt.get(key, Q(0)) + q * cls.f
+        acc = nxt
+    return {key: q for key, q in acc.items() if q != 0}
+
+
+def test_product_equals_the_term_by_term_expansion():
+    rng = random.Random(20181)
+    entries = [Q(0), Q(1), Q(-1), Q(3), Q(-7), Q(1, 2), Q(-5, 6), Q(7, 3)]
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.choice(entries)
+        return Q(rng.randint(-12, 12), rng.randint(1, 9))
+
+    for _ in range(2000):
+        classes = [DivisorClass(entry(), entry()) for _ in range(rng.randint(1, 4))]
+        assert product(classes).coefficients == expand_product(classes), classes
 
 
 def test_evaluate_top_reference_values():

@@ -134,6 +134,24 @@ def test_oracle_default_box_reports_the_extra_row(capsys):
     assert "extra: (1,0,2)" in out
 
 
+def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
+    code, out, err = run(capsys, "oracle", "--format", "json")
+    assert code == 1
+    rows = json.loads(out)
+    assert len(rows) == 14
+    assert {"lambda": 1, "mu": 0, "nu": 2} in [r["params"] for r in rows]
+    assert err == "DOES NOT MATCH TABLE 1\nextra: (1,0,2)\n"
+    for fmt in ("csv", "markdown"):
+        code, out, err = run(capsys, "oracle", "--lambda", "0", "0", "--mu", "-2",
+                             "-2", "--nu", "0", "0", "--format", fmt)
+        assert code == 1
+        assert "TABLE 1" not in out and "missing:" not in out
+        assert err.startswith("DOES NOT MATCH TABLE 1\n")
+        assert err.count("missing:") == 12 and err.count("\n") == 13
+    code, out, err = run(capsys, "oracle")
+    assert code == 1 and out.endswith("extra: (1,0,2)\n") and err == ""
+
+
 def test_oracle_on_a_huge_box_finishes_quickly():
     # The search enumerates the delta > 0 set, not the 2*10^27-point box.
     src = Path(__file__).parent.parent / "src"

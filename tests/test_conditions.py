@@ -274,6 +274,29 @@ def test_report_decides_once(monkeypatch):
     assert calls["_decide"] == 1
 
 
+def test_report_runs_the_dz_certificate_only_on_its_path(monkeypatch):
+    # The benchmark's trace check counts on this: one call exactly when the
+    # report is valid, nef >= 0 and -K_X is interior, and none otherwise.
+    from dp1toric.classify import DEFAULT_BOX
+    calls = []
+    original = conditions.is_dz_movable_on_x
+    monkeypatch.setattr(conditions, "is_dz_movable_on_x",
+                        lambda p: calls.append(p) or original(p))
+    (llo, lhi), (mlo, mhi), (nlo, nhi) = (DEFAULT_BOX.lambda_range,
+                                          DEFAULT_BOX.mu_range, DEFAULT_BOX.nu_range)
+    on_path = 0
+    for lam, mu, nu in iproduct(range(max(llo, 0), lhi + 1), range(mlo, mhi + 1),
+                                range(nlo, nhi + 1)):
+        p = BundleParams(lam, mu, nu)
+        calls.clear()
+        rep = report(p)
+        expected = (rep.validity.is_valid and rep.nef_threshold >= 0
+                    and 2 * (lam + mu - nu + 2) > mu)
+        assert calls == ([p] if expected else []), p
+        on_path += expected
+    assert on_path > 0
+
+
 # --- reports ------------------------------------------------------------------------
 
 def test_report_verdicts():
