@@ -3,22 +3,24 @@
 Two independent routes are provided.  `classify_k2_failures` returns the
 reference classification table (13 families, in table order) with the
 invariants of each row recomputed from the formulas.  `oracle_search`
-finds the triplets of a parameter box that pass validity with delta > 0,
-using nothing but the comparisons of that one decision, so the two can be
-diffed against each other.
+returns the triplets of a parameter box that pass validity with delta > 0,
+found with nothing but the comparisons of that one decision, so the two
+can be diffed against each other.
 
-The search splits the set it looks for into five regions, one per case
+The oracle splits the set it looks for into five regions, one per case
 and branch: (a-i), (a-ii), (b) I, (b) II and (b) III.  Each region is a
 system of integer rows a*lambda + b*mu + c*nu <= r: lambda >= 0, the
 validity rows, the case and branch comparisons of `_decide`, and 2*delta
 >= 1 in that case.  Integer Fourier-Motzkin elimination of nu, then of
-mu, gives nested bounds lambda -> mu -> nu, built once at import.  The
-search clips them to the box, enumerates the lattice points in between
-and keeps those `_decide` finds valid with delta > 0, so it costs the
-same whatever the box.  The bounds are finite, so the regions are
-finite: the set with delta > 0 is 14 triplets over all of Z^3.
+mu, gives nested bounds lambda -> mu -> nu.  At import, the lattice
+points in between are enumerated over all of Z^3, with no box, and
+`_decide` decides each again; the rows of those it finds valid with
+delta > 0 are the oracle rows.  Import fails if a region leaves a
+variable unbounded, so every import checks that the set with delta > 0
+is finite: it is 14 triplets.  `oracle_search` filters these rows by the
+box, so it costs the same whatever the box.
 
-Note: the search finds one triplet more than the reference table,
+Note: the oracle finds one triplet more than the reference table,
 (1, 0, 2); see the README for details.
 
 `nonsingular_delta` evaluates delta for the nonsingular families, which
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 
 from .conditions import (CaseLabel, RestrictBranch, _decide, _k_status, _nef,
                          _two_delta)
@@ -94,24 +96,23 @@ K2_FAILURE_TRIPLETS = (
 )
 
 
-def _row(p: BundleParams, case: CaseLabel, two_delta: int) -> ClassificationRow:
-    """The row of a valid triplet, from its decision (case, 2*delta)."""
-    return ClassificationRow(p, Fraction(two_delta, 2), case,
-                             _k_status(p, _nef(p, two_delta)).proven_fails)
-
-
-def _reference_rows() -> tuple[ClassificationRow, ...]:
+def _rows(triplets) -> tuple[ClassificationRow, ...]:
+    """The rows of the triplets that `_decide` finds valid with delta > 0,
+    in the order given."""
     rows = []
-    for lam, mu, nu in K2_FAILURE_TRIPLETS:
+    for lam, mu, nu in triplets:
         flags, case, _, two_delta = _decide(lam, mu, nu)
-        assert not flags and two_delta > 0
-        rows.append(_row(BundleParams(lam, mu, nu), case, two_delta))
+        if not flags and two_delta > 0:
+            p = BundleParams(lam, mu, nu)
+            rows.append(ClassificationRow(p, Fraction(two_delta, 2), case,
+                                          _k_status(p, _nef(p, two_delta)).proven_fails))
     return tuple(rows)
 
 
 # The rows are constants, computed once at import rather than by the first
 # call, so that every call of classify_k2_failures does the same work.
-_REFERENCE_ROWS = _reference_rows()
+_REFERENCE_ROWS = _rows(K2_FAILURE_TRIPLETS)
+assert len(_REFERENCE_ROWS) == len(K2_FAILURE_TRIPLETS)
 
 
 def classify_k2_failures() -> list[ClassificationRow]:
@@ -199,48 +200,53 @@ def _region(case: CaseLabel, branch: RestrictBranch | None,
     return case, branch, rows, mu_rows, _eliminate(mu_rows)
 
 
-# Built at import, not by the first search, so every search does the same
-# work.  Plain tuples: a dataclass would add about 1 ms to the import.
+# Plain tuples: a dataclass would add about 1 ms to the import.
 _REGIONS = tuple(_region(*spec) for spec in _CASE_ROWS)
 
 
-def _interval(rows: tuple, prefix: tuple, lo: int, hi: int) -> range:
-    """The values v in [lo, hi] for which (*prefix, v) satisfies rows."""
+def _interval(rows: tuple, prefix: tuple) -> range:
+    """The values v for which (*prefix, v) satisfies rows.
+
+    Raises ValueError when the rows bound v from one side only, unless a
+    row without v already fails.
+    """
+    lows, highs = [], []
     for row in rows:
         c, r = row[-2:]
         rest = r - sum(map(mul, row, prefix))
         if c > 0:
-            hi = min(hi, rest // c)
+            highs.append(rest // c)
         elif c < 0:
-            lo = max(lo, -(rest // -c))
+            lows.append(-(rest // -c))
         elif rest < 0:
             return range(0)
-    return range(lo, hi + 1)
+    if not lows or not highs:
+        raise ValueError(f"rows {rows} leave the variable after {prefix} unbounded")
+    return range(max(lows), min(highs) + 1)
+
+
+# Every lattice point of every region, decided again by `_rows`.  Enumerated
+# from the rows alone, with no box, so importing the module checks that the
+# set with delta > 0 is finite over all of Z^3.
+_ORACLE_ROWS = _rows(sorted(
+    (lam, mu, nu) for _, _, rows, mu_rows, lambda_rows in _REGIONS
+    for lam in _interval(lambda_rows, ())
+    for mu in _interval(mu_rows, (lam,))
+    for nu in _interval(rows, (lam, mu))))
 
 
 def oracle_search(box: SearchBox) -> list[ClassificationRow]:
     """Every normalized triplet in the box passing validity with delta > 0.
 
-    Enumerates the lattice points of each region inside the box, lambda
-    from the region's lambda rows, mu from its mu rows, nu from its own
-    rows, and keeps a candidate only if `_decide` finds it valid with
-    delta > 0; none of the bound derivations behind the reference table
-    enter.  The cost does not depend on the size of the box.  Results are
-    in lexicographic order on (lambda, mu, nu).
+    Filters the rows of every lattice point of the regions, built at import:
+    each was decided again by `_decide`, and none of the bound derivations
+    behind the reference table enter.  The cost does not depend on the size
+    of the box.  Results are in lexicographic order on (lambda, mu, nu).
     """
     (llo, lhi), (mlo, mhi), (nlo, nhi) = (box.lambda_range, box.mu_range,
                                           box.nu_range)
-    hits = []
-    for _, _, rows, mu_rows, lambda_rows in _REGIONS:
-        for lam in _interval(lambda_rows, (), llo, lhi):
-            for mu in _interval(mu_rows, (lam,), mlo, mhi):
-                for nu in _interval(rows, (lam, mu), nlo, nhi):
-                    flags, case, _, two_delta = _decide(lam, mu, nu)
-                    if not flags and two_delta > 0:
-                        hits.append(((lam, mu, nu), case, two_delta))
-    hits.sort(key=itemgetter(0))
-    return [_row(BundleParams(*triplet), case, two_delta)
-            for triplet, case, two_delta in hits]
+    return [r for r in _ORACLE_ROWS if llo <= r.params.lam <= lhi
+            and mlo <= r.params.mu <= mhi and nlo <= r.params.nu <= nhi]
 
 
 def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:

@@ -16,6 +16,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
@@ -209,31 +210,19 @@ def _cmd_table1(args) -> int:
 def _cmd_oracle(args) -> int:
     box = SearchBox(tuple(args.lambda_range), tuple(args.mu_range),
                     tuple(args.nu_range))
-    found = oracle_search(box)
-    reference = classify_k2_failures()
-    sys.stdout.write(render_rows(found, args.format))
-    found_set = {r.params: r for r in found}
-    ref_set = {r.params: r for r in reference}
-    missing = sorted(set(ref_set) - set(found_set),
-                     key=lambda p: (p.lam, p.mu, p.nu))
-    extra = sorted(set(found_set) - set(ref_set),
-                   key=lambda p: (p.lam, p.mu, p.nu))
-    changed = [p for p in set(ref_set) & set(found_set)
-               if ref_set[p] != found_set[p]]
+    found = {r.params: r for r in oracle_search(box)}
+    ref = {r.params: r for r in classify_k2_failures()}
+    sys.stdout.write(render_rows(list(found.values()), args.format))
+    diff = [f"{kind}: {_triplet(p)}" for kind, params in (
+        ("missing", ref.keys() - found.keys()),
+        ("extra", found.keys() - ref.keys()),
+        ("differs", [p for p in ref.keys() & found.keys() if ref[p] != found[p]]))
+        for p in sorted(params, key=attrgetter("lam", "mu", "nu"))]
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
-    out = sys.stdout if args.format == "plain" else sys.stderr
-    if not missing and not extra and not changed:
-        print("MATCHES TABLE 1", file=out)
-        return 0
-    print("DOES NOT MATCH TABLE 1", file=out)
-    for p in missing:
-        print(f"missing: {_triplet(p)}", file=out)
-    for p in extra:
-        print(f"extra: {_triplet(p)}", file=out)
-    for p in changed:
-        print(f"differs: {_triplet(p)}", file=out)
-    return 1
+    print("DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1", *diff,
+          sep="\n", file=sys.stdout if args.format == "plain" else sys.stderr)
+    return 1 if diff else 0
 
 
 def _cmd_normalize(args) -> int:

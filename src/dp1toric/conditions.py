@@ -399,8 +399,9 @@ def report(p: BundleParams,
     elif d <= 1:
         verdict = Verdict.SUPERRIGID_IF_K_CONDITION
     else:
-        # Not reached: delta > 0 only on the 14 oracle rows, which are
-        # complete over Z^3, and every one of them with delta > 1 has a
+        # Not reached: delta > 0 only on the 14 oracle rows, whose
+        # completeness over Z^3 every import of `classify` checks
+        # (`_ORACLE_ROWS`), and every one of them with delta > 1 has a
         # proven K-failure (test_k_fails_exactly_on_rows_with_delta_above_one).
         verdict = None
     return FibrationReport(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dp1toric import classify
 from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
                                SearchBox, _interval, classify_k2_failures,
                                nonsingular_delta, oracle_search)
@@ -154,13 +155,44 @@ def test_oracle_on_a_huge_box_finds_the_default_box_rows():
         return not values or -edge < values[0] and values[-1] < edge
 
     for _, _, rows, mu_rows, lambda_rows in _REGIONS:
-        lams = _interval(lambda_rows, (), -edge, edge)
+        lams = _interval(lambda_rows, ())
         assert inside(lams)
         for lam in lams:
-            mus = _interval(mu_rows, (lam,), -edge, edge)
+            mus = _interval(mu_rows, (lam,))
             assert inside(mus)
             for mu in mus:
-                assert inside(_interval(rows, (lam, mu), -edge, edge))
+                assert inside(_interval(rows, (lam, mu)))
+
+
+def test_interval_raises_on_a_one_sided_bound():
+    # Rows (a, c, r) stand for a*u + c*v <= r, here at u = 2.
+    with pytest.raises(ValueError):
+        _interval(((1, 1, 7),), (2,))  # v <= 5: no lower bound
+    with pytest.raises(ValueError):
+        _interval(((0, -1, 5), (1, 0, 3)), (2,))  # v >= -5: no upper bound
+    assert _interval(((1, 1, 7), (0, -1, 5)), (2,)) == range(-5, 6)
+
+
+def test_interval_is_empty_when_a_row_without_the_variable_fails():
+    # 1*2 + 0*v <= 1 fails whatever v is, so no bound on v is needed.
+    assert _interval(((1, 0, 1),), (2,)) == range(0)
+    assert _interval(((0, -1), (1, 3)), ()) == range(0)
+
+
+@pytest.mark.parametrize("box", [
+    DEFAULT_BOX, DEFAULT_BOX.inflated(10),
+    SearchBox((0, 10**9), (-10**9, 10**9), (0, 10**9)),
+    SearchBox((-5, -1), (-30, 30), (0, 30))])
+def test_oracle_search_decides_nothing_per_call(box, monkeypatch):
+    expected = oracle_search(box)
+
+    def refuse(*args):
+        raise AssertionError("oracle_search decided a triplet")
+
+    for name in ("_decide", "_k_status", "_nef"):
+        monkeypatch.setattr(classify, name, refuse)
+    assert oracle_search(box) == expected
+    assert (expected == []) == (box.lambda_range[1] < 0)
 
 
 def test_search_box_rejects_empty_intervals():
