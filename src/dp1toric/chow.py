@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .grading import BundleParams, DivisorClass, signed, torus_divisor_class
 
@@ -68,30 +69,56 @@ class CycleClass:
         return joined[1:] if joined.startswith("+") else joined
 
 
+def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a', b', s) with a = a'/s and b = b'/s, s the lcm of the denominators."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    s = lcm(ad, bd)
+    return an * (s // ad), bn * (s // bd), s
+
+
+def _coefficients(classes: list[DivisorClass]) -> tuple[int, int, int]:
+    """(top, below, d) with the product of the k classes equal to
+    (top*H^k + below*H^(k-1)*F) / d modulo F^2 = 0, all ints.
+
+    Each class is scaled to ints over the lcm of its two denominators, and
+    d is the product of those scales; d = 1 for integral classes.
+    """
+    top, below, d = 1, 0, 1
+    for cls in classes:
+        h, f, s = _over_common(cls.h, cls.f)
+        top, below, d = top * h, below * h + top * f, d * s
+    return top, below, d
+
+
 def product(classes: list[DivisorClass]) -> CycleClass:
     """Product of k <= 4 divisor classes h_i*H + f_i*F, reduced by F^2 = 0.
 
     Only the terms with at most one F survive, so the product is
     (prod h_i)*H^k + (sum_j f_j * prod_{i != j} h_i)*H^(k-1)*F; both
-    coefficients are accumulated factor by factor.
+    coefficients are accumulated factor by factor in ints, and each becomes
+    one `Fraction` over the common denominator.
     """
     if len(classes) == 0:
         raise ValueError("empty product")
     if len(classes) > 4:
         raise DegreeOverflow(f"{len(classes)} factors exceed the dimension 4")
-    top, below = Fraction(1), Fraction(0)
-    for cls in classes:
-        top, below = top * cls.h, below * cls.h + top * cls.f
+    top, below, d = _coefficients(classes)
     k = len(classes)
-    return CycleClass({(k, 0): top, (k - 1, 1): below})
+    return CycleClass({(k, 0): Fraction(top, d), (k - 1, 1): Fraction(below, d)})
+
+
+def _top_value(p: BundleParams, top: int, below: int, d: int) -> Fraction:
+    """Degree of (top*H^4 + below*H^3*F) / d, by the closed forms of the
+    module docstring: (H^4) = -(6*lambda + 3*mu + 2*nu)/36, (H^3*F) = 1/6."""
+    return Fraction(-top * (6 * p.lam + 3 * p.mu + 2 * p.nu) + 6 * below, 36 * d)
 
 
 def evaluate_top(p: BundleParams, c: CycleClass) -> Fraction:
     """Degree of a top (degree-4) cycle class on P(lambda, mu, nu)."""
     if not c.is_homogeneous(4):
         raise DegreeMismatch(f"top evaluation needs degree 4, got {c}")
-    h4 = -Fraction(6 * p.lam + 3 * p.mu + 2 * p.nu, 36)
-    return c.coefficient(4, 0) * h4 + c.coefficient(3, 1) * Fraction(1, 6)
+    return _top_value(p, *_over_common(c.coefficient(4, 0), c.coefficient(3, 1)))
 
 
 def derive_h4(p: BundleParams) -> Fraction:
@@ -100,7 +127,7 @@ def derive_h4(p: BundleParams) -> Fraction:
     The four divisors D_x, D_y, D_z, D_w have no common point, so their
     product vanishes.  Expanding it leaves a linear equation in the unknown
     (H^4) with (H^3 * F) = 1/6 known; this derivation is independent of the
-    closed form used by `evaluate_top`.
+    closed form used by `evaluate_top` and `triple_on_x`.
     """
     cyc = product([torus_divisor_class(p, t) for t in "xyzw"])
     coeff_h4 = cyc.coefficient(4, 0)
@@ -125,7 +152,7 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
 
     Restriction is computed upstairs: (a . b . c)_X = (a . b . c . X)_P.
     """
-    return evaluate_top(p, product([a, b, c, x_class(p)]))
+    return _top_value(p, *_coefficients([a, b, c, x_class(p)]))
 
 
 def minus_k_cubed(p: BundleParams) -> Fraction:

@@ -16,14 +16,13 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from operator import attrgetter
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, InvalidParams,
                          KFailureReason, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix, InvalidMatrix,
-                      fiber_part_count, monomial_basis, monomial_count,
+                      fiber_part_count, monomial_count, monomial_strings,
                       normalize)
 
 FORMATS = ("plain", "json", "csv", "markdown")
@@ -210,14 +209,19 @@ def _cmd_table1(args) -> int:
 def _cmd_oracle(args) -> int:
     box = SearchBox(tuple(args.lambda_range), tuple(args.mu_range),
                     tuple(args.nu_range))
-    found = {r.params: r for r in oracle_search(box)}
-    ref = {r.params: r for r in classify_k2_failures()}
-    sys.stdout.write(render_rows(list(found.values()), args.format))
-    diff = [f"{kind}: {_triplet(p)}" for kind, params in (
+    rows = oracle_search(box)
+    sys.stdout.write(render_rows(rows, args.format))
+    # Keyed by plain tuples: hashing and comparing the dataclasses would
+    # cost more than the search.
+    def by_triplet(rs):
+        return {(r.params.lam, r.params.mu, r.params.nu): (r.delta, r.case, r.k_fails)
+                for r in rs}
+    found, ref = by_triplet(rows), by_triplet(classify_k2_failures())
+    diff = ["{}: ({},{},{})".format(kind, *t) for kind, triplets in (
         ("missing", ref.keys() - found.keys()),
         ("extra", found.keys() - ref.keys()),
-        ("differs", [p for p in ref.keys() & found.keys() if ref[p] != found[p]]))
-        for p in sorted(params, key=attrgetter("lam", "mu", "nu"))]
+        ("differs", [t for t in ref.keys() & found.keys() if ref[t] != found[t]]))
+        for t in sorted(triplets)]
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
     print("DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1", *diff,
@@ -248,7 +252,7 @@ def _cmd_basis(args) -> int:
     p = BundleParams(args.lam, args.mu, args.nu)
     cls = DivisorClass(args.h, args.f)
     _check_basis_size(p, cls)
-    monomials = [str(m) for m in monomial_basis(p, cls)]
+    monomials = monomial_strings(p, cls)
     if args.format == "markdown":  # a bullet list, not a table
         sys.stdout.write("".join(f"- `{m}`\n" for m in monomials))
     else:

@@ -150,13 +150,12 @@ class ExponentVector(NamedTuple):
         return frozenset(v for v, k in zip(VARIABLES, self) if k > 0)
 
     def __str__(self) -> str:
-        parts = []
-        for v, k in zip(VARIABLES, self):
-            if k == 1:
-                parts.append(v)
-            elif k > 1:
-                parts.append(f"{v}^{k}")
-        return "*".join(parts) if parts else "1"
+        return "*".join(_power(v, k) for v, k in zip(VARIABLES, self) if k) or "1"
+
+
+def _power(v: str, k: int) -> str:
+    """The factor v^k, k >= 1, of a monomial as `str` spells it."""
+    return v if k == 1 else f"{v}^{k}"
 
 
 @dataclass(frozen=True)
@@ -243,6 +242,33 @@ def _fiber_parts(p: BundleParams, cls: DivisorClass):
             for d in range(hdeg - 3 * g - 2 * e + 1):
                 yield (hdeg - 3 * g - 2 * e - d, d, e, g,
                        fdeg - p.lam * d - p.mu * e - p.nu * g)
+
+
+def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
+    """[str(m) for m in monomial_basis(p, cls)], built without the
+    ExponentVectors.
+
+    Lexicographic order is by a, then by b = r - a, then by (c, d, e, g).
+    The fiber parts with r >= 0 are sorted once by (r, c, d, e, g); for each
+    a, those with r >= a (a suffix of that order) give the monomials
+    u^a v^(r-a) x^c y^d z^e w^g in order.
+    """
+    parts = sorted((r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls)
+                   if r >= 0)
+    fibers = [(r, "*".join(_power(v, k) for v, k in zip(VARIABLES[2:], cdeg) if k))
+              for r, *cdeg in parts]
+    r_max = parts[-1][0] if parts else -1
+    # u and v factors carry a trailing "*", stripped where no factor follows.
+    v_factors = [""] + [_power("v", b) + "*" for b in range(1, r_max + 1)]
+    out = []
+    start = 0
+    for a in range(r_max + 1):
+        while fibers[start][0] < a:
+            start += 1
+        u = _power("u", a) + "*" if a else ""
+        out += [(u + v_factors[r - a] + fiber).rstrip("*") or "1"
+                for r, fiber in fibers[start:]]
+    return out
 
 
 def fiber_part_count(cls: DivisorClass) -> int:

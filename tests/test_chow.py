@@ -77,6 +77,43 @@ def test_product_equals_the_term_by_term_expansion():
         assert product(classes).coefficients == expand_product(classes), classes
 
 
+def random_entry(rng):
+    """0, an integer or a fraction with a small denominator (halves and
+    thirds among them)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Q(0)
+    if kind == 1:
+        return Q(rng.randint(-9, 9))
+    return Q(rng.randint(-12, 12), rng.choice([2, 3, 6, rng.randint(1, 9)]))
+
+
+def test_values_at_the_api_edge_are_fractions():
+    # Integer arithmetic inside must not leak an int (or a float) out.
+    rng = random.Random(8)
+    for lam, mu, nu in iproduct(range(-2, 3), range(-3, 4), range(-1, 4)):
+        p = BundleParams(lam, mu, nu)
+        assert type(derive_h4(p)) is Fraction
+        for _ in range(3):
+            a, b, c = (DivisorClass(random_entry(rng), random_entry(rng))
+                       for _ in range(3))
+            assert type(triple_on_x(p, a, b, c)) is Fraction
+            for k in range(1, 5):
+                cyc = product([a, b, c, x_class(p)][:k])
+                assert all(type(q) is Fraction for q in cyc.coefficients.values())
+            assert type(evaluate_top(p, product([a, b, c, F]))) is Fraction
+            assert type(evaluate_top(p, product([F, F, F, F]))) is Fraction
+
+
+def test_triple_on_x_equals_the_generic_path():
+    rng = random.Random(20182)
+    for _ in range(2000):
+        p = BundleParams(rng.randint(-4, 6), rng.randint(-10, 10), rng.randint(-6, 12))
+        a, b, c = (DivisorClass(random_entry(rng), random_entry(rng))
+                   for _ in range(3))
+        assert triple_on_x(p, a, b, c) == evaluate_top(p, product([a, b, c, x_class(p)]))
+
+
 def test_evaluate_top_reference_values():
     h4 = product([H] * 4)
     assert evaluate_top(BundleParams(0, -2, 0), h4) == Q(1, 6)

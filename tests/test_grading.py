@@ -10,8 +10,8 @@ from dp1toric.grading import (BOTTOM_ROW, F, H, BundleParams, DivisorClass,
                               InvalidMatrix, Stratum, _fiber_parts,
                               base_locus_strata, fiber_part_count,
                               is_dz_movable_on_x, monomial_basis,
-                              monomial_bidegree, monomial_count, normalize,
-                              torus_divisor_class)
+                              monomial_bidegree, monomial_count,
+                              monomial_strings, normalize, torus_divisor_class)
 
 
 def ev(a=0, b=0, c=0, d=0, e=0, f=0):
@@ -183,6 +183,24 @@ def test_monomial_count_matches_basis_length_on_grid():
         for h, f in iproduct(range(-1, 7), range(-3, 8)):
             cls = DivisorClass(h, f)
             assert monomial_count(p, cls) == len(monomial_basis(p, cls))
+
+
+def test_monomial_strings_equal_the_basis_strings_on_grid():
+    for lam, mu, nu in iproduct(range(0, 6), range(-8, 9), range(-3, 12)):
+        p = BundleParams(lam, mu, nu)
+        for h, f in iproduct(range(-1, 8), (-4, 1, 2 * nu)):
+            cls = DivisorClass(h, f)
+            assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)], (p, cls)
+
+
+def test_monomial_strings_edge_cases():
+    p = BundleParams(1, 1, 3)
+    assert monomial_strings(p, DivisorClass(0, 0)) == ["1"]
+    assert monomial_strings(p, DivisorClass(0, 2)) == ["v^2", "u*v", "u^2"]
+    assert monomial_strings(p, DivisorClass(-1, 4)) == []
+    assert monomial_strings(p, DivisorClass(0, -1)) == []
+    assert monomial_strings(p, DivisorClass(Fraction(1, 2), 1)) == []
+    assert monomial_strings(p, DivisorClass(2, Fraction(1, 3))) == []
 
 
 def test_fiber_part_count_matches_the_enumeration_on_grid():
