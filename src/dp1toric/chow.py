@@ -14,9 +14,9 @@ independent cross-check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .grading import BundleParams, DivisorClass, signed, torus_divisor_class
 
@@ -29,26 +29,27 @@ class DegreeMismatch(ValueError):
     """Cycle class of the wrong degree passed to a top evaluation."""
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
     """Cycle class sum of q_{ij} * H^i * F^j with 0 <= i <= 4, j <= 1.
 
     Terms with F-exponent >= 2 are dropped on construction (the reduction
     F^2 = 0); zero coefficients are not stored.
     """
 
-    coefficients: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coefficients: dict[tuple[int, int], Fraction] | None = None):
         reduced = {}
-        for (i, j), q in self.coefficients.items():
+        for (i, j), q in (coefficients or {}).items():
             q = Fraction(q)
             if j >= 2 or q == 0:
                 continue
             if not 0 <= i <= 4 or j < 0:
                 raise ValueError(f"monomial H^{i}F^{j} out of range")
             reduced[(i, j)] = q
-        object.__setattr__(self, "coefficients", reduced)
+        return tuple.__new__(cls, (reduced,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.coefficients.get((i, j), Fraction(0))
@@ -136,9 +137,14 @@ def derive_h4(p: BundleParams) -> Fraction:
     return -coeff_h3f * Fraction(1, 6) / coeff_h4
 
 
+def _x_coefficients(p: BundleParams) -> tuple[int, int]:
+    """(h, f) of the class h*H + f*F = 6H + 2*nu*F of the hypersurface X."""
+    return 6, 2 * p.nu
+
+
 def x_class(p: BundleParams) -> DivisorClass:
     """Class 6H + 2*nu*F of the degree-1 del Pezzo hypersurface."""
-    return DivisorClass(6, 2 * p.nu)
+    return DivisorClass(*_x_coefficients(p))
 
 
 def anticanonical_on_x(p: BundleParams) -> DivisorClass:
@@ -151,8 +157,12 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     """Triple intersection (a . b . c) on the hypersurface X.
 
     Restriction is computed upstairs: (a . b . c)_X = (a . b . c . X)_P.
+    With (a . b . c) = (top*H^3 + below*H^2*F) / d and X = h*H + f*F, the
+    product is (h*top*H^4 + (h*below + f*top)*H^3*F) / d modulo F^2 = 0.
     """
-    return _top_value(p, *_coefficients([a, b, c, x_class(p)]))
+    top, below, d = _coefficients([a, b, c])
+    h, f = _x_coefficients(p)
+    return _top_value(p, h * top, h * below + f * top, d)
 
 
 def minus_k_cubed(p: BundleParams) -> Fraction:

@@ -30,37 +30,39 @@ trichotomy needs a tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .conditions import (CaseLabel, RestrictBranch, _decide, _k_status, _nef,
                          _two_delta)
 from .grading import BundleParams
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     params: BundleParams
     delta: Fraction
     case: CaseLabel
     k_fails: bool
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(NamedTuple("SearchBox", [("lambda_range", tuple[int, int]),
+                                          ("mu_range", tuple[int, int]),
+                                          ("nu_range", tuple[int, int])])):
     """Inclusive integer intervals for (lambda, mu, nu)."""
 
-    lambda_range: tuple[int, int]
-    mu_range: tuple[int, int]
-    nu_range: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, (lo, hi) in (("lambda", self.lambda_range),
-                               ("mu", self.mu_range), ("nu", self.nu_range)):
+    def __new__(cls, lambda_range: tuple[int, int], mu_range: tuple[int, int],
+                nu_range: tuple[int, int]):
+        for name, (lo, hi) in (("lambda", lambda_range), ("mu", mu_range),
+                               ("nu", nu_range)):
             if lo > hi:
                 raise ValueError(f"empty {name} interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lambda_range, mu_range, nu_range))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def inflated(self, amount: int) -> "SearchBox":
         def widen(rng, lo_floor=None):
@@ -200,7 +202,6 @@ def _region(case: CaseLabel, branch: RestrictBranch | None,
     return case, branch, rows, mu_rows, _eliminate(mu_rows)
 
 
-# Plain tuples: a dataclass would add about 1 ms to the import.
 _REGIONS = tuple(_region(*spec) for spec in _CASE_ROWS)
 
 
@@ -233,6 +234,9 @@ _ORACLE_ROWS = _rows(sorted(
     for lam in _interval(lambda_rows, ())
     for mu in _interval(mu_rows, (lam,))
     for nu in _interval(rows, (lam, mu))))
+# (lambda, mu, nu, row) per oracle row, in plain tuples: unpacking each row's
+# BundleParams would cost the box filter as much as all its comparisons.
+_ORACLE_INDEX = tuple((*r.params, r) for r in _ORACLE_ROWS)
 
 
 def oracle_search(box: SearchBox) -> list[ClassificationRow]:
@@ -243,10 +247,9 @@ def oracle_search(box: SearchBox) -> list[ClassificationRow]:
     behind the reference table enter.  The cost does not depend on the size
     of the box.  Results are in lexicographic order on (lambda, mu, nu).
     """
-    (llo, lhi), (mlo, mhi), (nlo, nhi) = (box.lambda_range, box.mu_range,
-                                          box.nu_range)
-    return [r for r in _ORACLE_ROWS if llo <= r.params.lam <= lhi
-            and mlo <= r.params.mu <= mhi and nlo <= r.params.nu <= nhi]
+    (llo, lhi), (mlo, mhi), (nlo, nhi) = box
+    return [r for lam, mu, nu, r in _ORACLE_INDEX
+            if llo <= lam <= lhi and mlo <= mu <= mhi and nlo <= nu <= nhi]
 
 
 def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:

@@ -56,7 +56,7 @@ def _render(fmt: str, plain, payload, table, markdown_table=None) -> str:
 
 
 def _triplet(p: BundleParams) -> str:
-    return f"({p.lam},{p.mu},{p.nu})"
+    return "(%s,%s,%s)" % p
 
 
 def _bool(b: bool) -> str:
@@ -65,18 +65,17 @@ def _bool(b: bool) -> str:
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
     def cells():  # of the plain and the markdown table
-        return [(str(i), _triplet(r.params), str(r.delta), r.case.table_label,
-                 "no" if r.k_fails else "") for i, r in enumerate(rows, 1)]
+        return [(str(i), _triplet(p), str(d), case.table_label, "no" if k else "")
+                for i, (p, d, case, k) in enumerate(rows, 1)]
     return _render(
         fmt,
         lambda: "".join(map("%3s  %-15s %5s  %-6s %s\n".__mod__,
                             (ROWS_PLAIN_HEADER, *cells()))),
-        lambda: [{"params": to_json(r.params), "delta": to_json(r.delta),
-                  "case": to_json(r.case), "k_fails": r.k_fails} for r in rows],
+        lambda: [{"params": to_json(p), "delta": to_json(d),
+                  "case": to_json(case), "k_fails": k} for p, d, case, k in rows],
         lambda: (ROWS_CSV_HEADER, [
-            (str(i), str(r.params.lam), str(r.params.mu), str(r.params.nu),
-             str(r.delta), r.case.value, _bool(r.k_fails))
-            for i, r in enumerate(rows, 1)]),
+            (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
+            for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
         lambda: (ROWS_MD_HEADER, cells()))
 
 
@@ -211,17 +210,15 @@ def _cmd_oracle(args) -> int:
                     tuple(args.nu_range))
     rows = oracle_search(box)
     sys.stdout.write(render_rows(rows, args.format))
-    # Keyed by plain tuples: hashing and comparing the dataclasses would
-    # cost more than the search.
+
     def by_triplet(rs):
-        return {(r.params.lam, r.params.mu, r.params.nu): (r.delta, r.case, r.k_fails)
-                for r in rs}
+        return {p: (d, case, k) for p, d, case, k in rs}
     found, ref = by_triplet(rows), by_triplet(classify_k2_failures())
-    diff = ["{}: ({},{},{})".format(kind, *t) for kind, triplets in (
+    diff = [f"{kind}: {_triplet(p)}" for kind, triplets in (
         ("missing", ref.keys() - found.keys()),
         ("extra", found.keys() - ref.keys()),
         ("differs", [t for t in ref.keys() & found.keys() if ref[t] != found[t]]))
-        for t in sorted(triplets)]
+        for p in sorted(triplets)]
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
     print("DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1", *diff,

@@ -33,9 +33,10 @@ delta - (-K_X)^3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .chow import minus_k_cubed
 from .grading import BundleParams, is_dz_movable_on_x
@@ -74,8 +75,7 @@ class Verdict(enum.Enum):
     NOT_RIGID_OVER_BASE = "NotRigidOverBase"
 
 
-@dataclass(frozen=True)
-class WeightRatios:
+class WeightRatios(NamedTuple):
     wr_x: Fraction
     wr_y: Fraction
     wr_z: Fraction
@@ -86,8 +86,7 @@ class WeightRatios:
         return cls(Fraction(0), Fraction(p.lam), Fraction(p.mu, 2), Fraction(p.nu, 3))
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     nu_nonneg: bool
     three_mu_lt_two_nu: bool
     restrictb_branch: RestrictBranch | None
@@ -104,20 +103,22 @@ class ValidityReport:
         return reasons
 
 
-@dataclass(frozen=True)
-class KStatus:
+class KStatus(NamedTuple("KStatus", [("proven_fails", bool),
+                                      ("reason", KFailureReason | None)])):
     """Proven failure of the K-condition, with its reason, or no claim.
 
     A reason is given exactly when the failure is proven.
     """
 
-    proven_fails: bool
-    reason: KFailureReason | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.proven_fails != (self.reason is not None):
-            raise ValueError(f"K-status with proven_fails={self.proven_fails} "
-                             f"and reason={self.reason}")
+    def __new__(cls, proven_fails: bool, reason: KFailureReason | None = None):
+        if proven_fails != (reason is not None):
+            raise ValueError(f"K-status with proven_fails={proven_fails} "
+                             f"and reason={reason}")
+        return tuple.__new__(cls, (proven_fails, reason))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @classmethod
     def proven(cls, reason: KFailureReason) -> "KStatus":
@@ -146,8 +147,7 @@ _NOT_PROVEN = KStatus(False)
 _PROVEN = {reason: KStatus(True, reason) for reason in KFailureReason}
 
 
-@dataclass(frozen=True)
-class FibrationReport:
+class FibrationReport(NamedTuple):
     params: BundleParams
     validity: ValidityReport
     case: CaseLabel | None = None
@@ -156,7 +156,8 @@ class FibrationReport:
     nef_threshold: Fraction | None = None
     delta: Fraction | None = None
     k2_holds: bool | None = None
-    k3_threshold_results: dict[Fraction, bool] = field(default_factory=dict)
+    # Read-only, so that the reports of invalid triplets share no mutable dict.
+    k3_threshold_results: dict[Fraction, bool] = MappingProxyType({})
     k_status: KStatus | None = None
     verdict: Verdict | None = None
 

@@ -18,7 +18,6 @@ coordinate strata of base loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -38,8 +37,7 @@ class EmptyLinearSystem(ValueError):
     """Requested base locus of a divisor class with no sections."""
 
 
-@dataclass(frozen=True)
-class BundleParams:
+class BundleParams(NamedTuple):
     """Parameters (lambda, mu, nu) of the bundle P(lambda, mu, nu).
 
     The normalized form has lam >= 0; arbitrary integer triplets are
@@ -59,8 +57,7 @@ class BundleParams:
         return f"P({self.lam},{self.mu},{self.nu})"
 
 
-@dataclass(frozen=True)
-class GradingMatrix:
+class GradingMatrix(NamedTuple):
     """2x6 grading matrix with rows (deg_F, deg_H) per coordinate."""
 
     top_row: tuple[int, int, int, int, int, int]
@@ -81,16 +78,15 @@ class GradingMatrix:
         return GradingMatrix((t[0], t[1], t[3], t[2], t[4], t[5]), self.bottom_row)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)])):
     """Element h*H + f*F of the rank-2 divisor class group of the bundle."""
 
-    h: Fraction
-    f: Fraction
+    __slots__ = ()
 
-    def __init__(self, h, f):
-        object.__setattr__(self, "h", Fraction(h))
-        object.__setattr__(self, "f", Fraction(f))
+    def __new__(cls, h, f):
+        return tuple.__new__(cls, (Fraction(h), Fraction(f)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.h + other.h, self.f + other.f)
@@ -158,22 +154,24 @@ def _power(v: str, k: int) -> str:
     return v if k == 1 else f"{v}^{k}"
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple("Stratum", [("zero_set", frozenset)])):
     """Torus-invariant subvariety V(zero_set) of the bundle.
 
     The zero set may not contain {u, v} or {x, y, z, w}: those loci are cut
     out by the irrelevant ideal and are empty in the bundle.
     """
 
-    zero_set: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = set(self.zero_set) - set(VARIABLES)
+    def __new__(cls, zero_set: frozenset[str]):
+        bad = set(zero_set) - set(VARIABLES)
         if bad:
             raise ValueError(f"unknown coordinates {sorted(bad)}")
-        if _is_irrelevant(self.zero_set):
-            raise ValueError(f"irrelevant-ideal stratum {sorted(self.zero_set)}")
+        if _is_irrelevant(zero_set):
+            raise ValueError(f"irrelevant-ideal stratum {sorted(zero_set)}")
+        return tuple.__new__(cls, (zero_set,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def codim(self) -> int:

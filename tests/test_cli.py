@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -158,7 +157,7 @@ def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
 def test_oracle_differs_lines_are_sorted(capsys, monkeypatch):
     # A table whose rows (1,1,3) and (0,-2,0) carry another delta: both
     # differ from the search, and the 12 other rows found are extra.
-    altered = [replace(r, delta=r.delta + 1) for r in classify_k2_failures()
+    altered = [r._replace(delta=r.delta + 1) for r in classify_k2_failures()
                if (r.params.lam, r.params.mu, r.params.nu) in {(0, -2, 0), (1, 1, 3)}]
     monkeypatch.setattr(cli, "classify_k2_failures", lambda: altered[::-1])
     differs = ["differs: (0,-2,0)", "differs: (1,1,3)"]
