@@ -7,15 +7,15 @@ the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
 format asked for; the one special case is basis markdown, a bullet list.
+The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
@@ -137,63 +137,6 @@ def _report_plain(rep: FibrationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _thresholds_arg(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad thresholds {text!r}: {exc}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dp1toric",
-        description=("Exact invariants and rigidity conditions of degree-1 "
-                     "del Pezzo fibrations in toric P(1,1,2,3)-bundles over P^1."))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(sp):
-        sp.add_argument("--format", choices=FORMATS, default="plain")
-
-    sp = sub.add_parser("analyze", help="full report for one (lambda, mu, nu)")
-    sp.add_argument("lam", type=int, metavar="lambda")
-    sp.add_argument("mu", type=int)
-    sp.add_argument("nu", type=int)
-    sp.add_argument("--thresholds", type=_thresholds_arg,
-                    default=DEFAULT_THRESHOLDS,
-                    help="comma-separated rationals for K^3_d checks (default 0,1,3/2)")
-    add_format(sp)
-
-    sp = sub.add_parser("table1", help="the reference classification table")
-    add_format(sp)
-
-    sp = sub.add_parser("oracle",
-                        help="brute-force search, diffed against the table")
-    sp.add_argument("--lambda", dest="lambda_range", nargs=2, type=int,
-                    metavar=("LO", "HI"), default=DEFAULT_BOX.lambda_range)
-    sp.add_argument("--mu", dest="mu_range", nargs=2, type=int,
-                    metavar=("LO", "HI"), default=DEFAULT_BOX.mu_range)
-    sp.add_argument("--nu", dest="nu_range", nargs=2, type=int,
-                    metavar=("LO", "HI"), default=DEFAULT_BOX.nu_range)
-    add_format(sp)
-
-    sp = sub.add_parser("normalize",
-                        help="canonical (lambda, mu, nu) of a grading-matrix top row")
-    sp.add_argument("top_row", type=int, nargs=6, metavar="DEG")
-
-    sp = sub.add_parser("basis", help="monomial basis of h*H + f*F")
-    for name in ("lam", "mu", "nu", "h", "f"):
-        sp.add_argument(name, type=int, metavar=name if name != "lam" else "lambda")
-    add_format(sp)
-
-    sp = sub.add_parser("nonsingular",
-                        help="delta of the nonsingular family on P(lambda, 2*mu, 3*mu)")
-    sp.add_argument("lam", type=int, metavar="lambda")
-    sp.add_argument("mu", type=int)
-    add_format(sp)
-
-    return parser
-
-
 def _cmd_analyze(args) -> int:
     rep = report(BundleParams(args.lam, args.mu, args.nu), args.thresholds)
     sys.stdout.write(render_report(rep, args.format))
@@ -205,15 +148,18 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    box = SearchBox(tuple(args.lambda_range), tuple(args.mu_range),
-                    tuple(args.nu_range))
-    rows = oracle_search(box)
-    sys.stdout.write(render_rows(rows, args.format))
+def _by_triplet(rows: list[ClassificationRow]) -> dict:
+    return {p: (d, case, k) for p, d, case, k in rows}
 
-    def by_triplet(rs):
-        return {p: (d, case, k) for p, d, case, k in rs}
-    found, ref = by_triplet(rows), by_triplet(classify_k2_failures())
+
+# The reference table as the oracle diffs it, built once.
+_TABLE1 = _by_triplet(classify_k2_failures())
+
+
+def _cmd_oracle(args) -> int:
+    rows = oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))
+    sys.stdout.write(render_rows(rows, args.format))
+    found, ref = _by_triplet(rows), _TABLE1
     diff = [f"{kind}: {_triplet(p)}" for kind, triplets in (
         ("missing", ref.keys() - found.keys()),
         ("extra", found.keys() - ref.keys()),
@@ -227,7 +173,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    p = normalize(GradingMatrix(tuple(args.top_row)))
+    p = normalize(GradingMatrix(args.top_row))
     print(_triplet(p))
     return 0
 
@@ -268,27 +214,165 @@ def _cmd_nonsingular(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "table1": _cmd_table1,
-    "oracle": _cmd_oracle,
-    "normalize": _cmd_normalize,
-    "basis": _cmd_basis,
-    "nonsingular": _cmd_nonsingular,
+def _format_arg(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
+    return text
+
+
+def _thresholds_arg(text: str) -> tuple[Fraction, ...]:
+    try:
+        return tuple(Fraction(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad thresholds {text!r}: {exc}") from None
+
+
+_DESCRIPTION = ("Exact invariants and rigidity conditions of degree-1 del Pezzo "
+                "fibrations in toric P(1,1,2,3)-bundles over P^1.")
+
+# The grammar of the command line.  A command is (handler, help,
+# positionals, options): each positional is (destination, metavar, count)
+# and takes count ints; each option is {flag: (destination, default,
+# number of values, converter of one value, metavar)}.  A positional or
+# option of one value holds that value, one of more the tuple of them.
+_FORMAT = {"--format": ("format", "plain", 1, _format_arg,
+                        "{" + ",".join(FORMATS) + "}")}
+_TRIPLET = (("lam", "lambda", 1), ("mu", "mu", 1), ("nu", "nu", 1))
+_GRAMMAR = {
+    "analyze": (_cmd_analyze, "full report for one (lambda, mu, nu); THRESHOLDS "
+                "are comma-separated rationals for the K^3_d checks "
+                "(default 0,1,3/2)", _TRIPLET,
+                {"--thresholds": ("thresholds", DEFAULT_THRESHOLDS, 1,
+                                  _thresholds_arg, "THRESHOLDS"), **_FORMAT}),
+    "table1": (_cmd_table1, "the reference classification table", (), _FORMAT),
+    "oracle": (_cmd_oracle, "brute-force search, diffed against the table", (),
+               {"--lambda": ("lambda_range", DEFAULT_BOX.lambda_range, 2, int, "LO HI"),
+                "--mu": ("mu_range", DEFAULT_BOX.mu_range, 2, int, "LO HI"),
+                "--nu": ("nu_range", DEFAULT_BOX.nu_range, 2, int, "LO HI"),
+                **_FORMAT}),
+    "normalize": (_cmd_normalize,
+                  "canonical (lambda, mu, nu) of a grading-matrix top row",
+                  (("top_row", "DEG", 6),), {}),
+    "basis": (_cmd_basis, "monomial basis of h*H + f*F",
+              _TRIPLET + (("h", "h", 1), ("f", "f", 1)), _FORMAT),
+    "nonsingular": (_cmd_nonsingular,
+                    "delta of the nonsingular family on P(lambda, 2*mu, 3*mu)",
+                    _TRIPLET[:2], _FORMAT),
 }
+_HELP = ("-h", "--help")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than
-    most commands."""
-    return build_parser()
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: dp1toric [-h] {%s} ..." % ",".join(_GRAMMAR)
+    _, _, positionals, options = _GRAMMAR[command]
+    return " ".join(["usage: dp1toric", command, "[-h]",
+                     *(f"[{flag} {spec[4]}]" for flag, spec in options.items()),
+                     *(metavar for _, metavar, count in positionals
+                       for _ in range(count))])
+
+
+def _help(command: str | None) -> None:
+    """Print the usage and the help of command (None: the top level), and
+    exit 0."""
+    if command is None:
+        listing = "".join(f"  {name:<13}{spec[1]}\n" for name, spec in _GRAMMAR.items())
+        text = f"\n\n{_DESCRIPTION}\n\ncommands:\n{listing}"
+    else:
+        text = f"\n\n{_GRAMMAR[command][1]}\n"
+    sys.stdout.write(_usage(command) + text)
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, reason: str) -> None:
+    """Write the usage of command (None: the top level) and reason to
+    stderr, and exit 2."""
+    prog = "dp1toric" if command is None else f"dp1toric {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    """Whether token is a flag: `-`, `-1` and `-.5` are values."""
+    return len(token) > 1 and token[0] == "-" and token[1] not in "0123456789."
+
+
+def _flag(command: str | None, token: str, flags) -> str:
+    """The flag among flags and -h/--help that token names, exactly or,
+    for a long flag, by a unique prefix."""
+    if token in flags or token in _HELP:
+        return token
+    matches = [f for f in (*flags, "--help") if f.startswith(token)
+               ] if token[:2] == "--" and len(token) > 2 else []
+    if len(matches) != 1:
+        _fail(command, f"unrecognized arguments: {token}")
+    return matches[0]
+
+
+def _convert(command: str, name: str, convert, texts: list[str]):
+    try:
+        values = tuple(map(convert, texts))
+    except ValueError as exc:
+        _fail(command, f"argument {name}: {exc}")
+    return values[0] if len(values) == 1 else values
+
+
+def _parse(argv: list[str]) -> tuple:
+    """The handler of the command that argv names, and its arguments as
+    attributes, read by _GRAMMAR.  Options may come anywhere after the
+    command, as `--flag value` or `--flag=value`, and a unique prefix
+    names a long flag; after `--` every token is a positional."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if _is_option(command):
+        _flag(None, command, ())
+        _help(None)
+    if command not in _GRAMMAR:
+        _fail(None, f"invalid choice: {command!r} (choose from {', '.join(_GRAMMAR)})")
+    handler, _, positionals, options = _GRAMMAR[command]
+    values = {spec[0]: spec[1] for spec in options.values()}
+    tokens = []  # the positionals
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if not _is_option(token):
+            tokens.append(token)
+            continue
+        if token == "--":
+            tokens += rest[i:]
+            break
+        flag, eq, value = token.partition("=")
+        flag = _flag(command, flag, options)
+        if flag in _HELP:
+            _help(command)
+        dest, _, nargs, convert, _ = options[flag]
+        if eq:
+            given = [value]
+        else:
+            given, i = rest[i:i + nargs], i + nargs
+        if len(given) != nargs or any(map(_is_option, given)):
+            _fail(command, f"argument {flag}: expected {nargs} argument"
+                  + "s" * (nargs > 1))
+        values[dest] = _convert(command, flag, convert, given)
+    names = [metavar for _, metavar, count in positionals for _ in range(count)]
+    if len(tokens) < len(names):
+        _fail(command, "the following arguments are required: "
+              + ", ".join(names[len(tokens):]))
+    if len(tokens) > len(names):
+        _fail(command, "unrecognized arguments: " + " ".join(tokens[len(names):]))
+    start = 0
+    for dest, metavar, count in positionals:
+        values[dest] = _convert(command, metavar, int, tokens[start:start + count])
+        start += count
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except (InvalidMatrix, InvalidParams, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

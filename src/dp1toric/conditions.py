@@ -55,7 +55,10 @@ class CaseLabel(enum.Enum):
 
     @property
     def table_label(self) -> str:
-        return {"AI": "(a-i)", "AII": "(a-ii)", "B": "(b)"}[self.value]
+        return _TABLE_LABELS[self._value_]
+
+
+_TABLE_LABELS = {"AI": "(a-i)", "AII": "(a-ii)", "B": "(b)"}
 
 
 class RestrictBranch(enum.Enum):
@@ -164,8 +167,8 @@ class FibrationReport(NamedTuple):
     def to_json_dict(self) -> dict:
         """JSON form (see `to_json`); the report of an invalid triplet
         holds only params and validity."""
-        names = _JSON_FIELDS[FibrationReport] if self.case else ("params", "validity")
-        return {name: to_json(getattr(self, name)) for name in names}
+        names = self._fields if self.case else ("params", "validity")
+        return dict(zip(names, map(to_json, self)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationReport":
@@ -191,9 +194,14 @@ _JSON_FIELDS = {
 }
 
 
+# Each object's JSON fields are its record fields, in order, so that a
+# record zips with their names.
+assert all(cls._fields == tuple(fields) for cls, fields in _JSON_FIELDS.items())
+
+
 def _object_to_json(cls: type):
-    names = tuple(_JSON_FIELDS[cls])
-    return lambda obj: {name: to_json(getattr(obj, name)) for name in names}
+    names = cls._fields
+    return lambda obj: dict(zip(names, map(to_json, obj)))
 
 
 _TO_JSON = {

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -159,7 +160,7 @@ def test_oracle_differs_lines_are_sorted(capsys, monkeypatch):
     # differ from the search, and the 12 other rows found are extra.
     altered = [r._replace(delta=r.delta + 1) for r in classify_k2_failures()
                if (r.params.lam, r.params.mu, r.params.nu) in {(0, -2, 0), (1, 1, 3)}]
-    monkeypatch.setattr(cli, "classify_k2_failures", lambda: altered[::-1])
+    monkeypatch.setattr(cli, "_TABLE1", cli._by_triplet(altered[::-1]))
     differs = ["differs: (0,-2,0)", "differs: (1,1,3)"]
     code, out, err = run(capsys, "oracle")
     assert code == 1 and err == ""
@@ -234,6 +235,107 @@ def test_nonsingular_command(capsys):
     code, out, _ = run(capsys, "nonsingular", "0", "1", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"delta": "2", "case": "AII"}
+
+
+# --- the grammar ------------------------------------------------------------------
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, expected, exit_code", [
+    (("analyze", "--format", "csv", "1", "1", "3"), "analyze_1_1_3.csv", 0),
+    (("analyze", "1", "--format", "csv", "1", "3"), "analyze_1_1_3.csv", 0),
+    (("analyze", "1", "1", "3", "--format=csv"), "analyze_1_1_3.csv", 0),
+    (("analyze", "1", "1", "--form", "csv", "3"), "analyze_1_1_3.csv", 0),
+    (("analyze", "--fo=csv", "1", "1", "3"), "analyze_1_1_3.csv", 0),
+    (("analyze", "--thr=1", "2", "2", "--format", "json", "5"),
+     "analyze_2_2_5_t1.json", 0),
+    (("basis", "0", "2", "--format", "json", "3", "6", "6"),
+     "basis_0_2_3_6_6.json", 0),
+    (("oracle", "--f", "plain", "--n", "0", "0", "--l", "0", "0",
+      "--m", "-2", "-2"), "oracle_0_-2_0.txt", 1),
+], ids=["option-first", "option-between", "equals", "prefix", "prefix-equals",
+        "thresholds-prefix", "basis-between", "oracle-prefixes"])
+def test_options_anywhere_in_any_spelling(capsys, argv, expected, exit_code):
+    assert run(capsys, *argv) == (exit_code, golden(expected), "")
+
+
+def test_negative_numbers_are_values(capsys):
+    assert run(capsys, "analyze", "0", "-3", "0", "--format", "json") == (
+        0, golden("analyze_0_-3_0.json"), "")
+    assert run(capsys, "basis", "0", "2", "3", "-1", "0") == (
+        0, golden("basis_0_2_3_-1_0.txt"), "")
+    assert run(capsys, "oracle", "--mu", "-2", "-2", "--lambda", "0", "0",
+               "--nu", "0", "0") == (1, golden("oracle_0_-2_0.txt"), "")
+    code, out, _ = run(capsys, "oracle", "--lambda", "-30", "-1")
+    assert code == 1 and out.count("missing:") == 13
+    # After "--" every token is a positional.
+    code, out, err = run(capsys, "analyze", "--format", "json", "--", "-1", "0", "3")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), ("--help",), ("--he",), ("analyze", "-h"), ("basis", "--help"),
+    ("oracle", "--lambda", "0", "1", "--he"), ("table1", "--format", "json", "-h"),
+])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    command = argv[0] if argv[0][0] != "-" else ""
+    assert out.startswith(f"usage: dp1toric {command}".rstrip())
+    if not command:
+        for name in ("analyze", "table1", "oracle", "normalize", "basis",
+                     "nonsingular"):
+            assert f"  {name}" in out
+
+
+def usage_error(capsys, *argv) -> None:
+    """Run argv, which must be a usage error: SystemExit(2), a usage line
+    and a `dp1toric[ <cmd>]: error: ` line on stderr, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: dp1toric")
+    assert re.match(r"dp1toric( [a-z0-9]+)?: error: \S", lines[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("frobnicate",),
+    ("analyze", "1", "1"),
+    ("normalize", "1", "1", "0", "0", "2"),
+    ("analyze", "1", "1", "3", "4"),
+    ("table1", "1"),
+    ("basis", "0", "2", "3", "x", "0"),
+    ("analyze", "1", "1", "three"),
+    ("oracle", "--nu", "0", "1.5"),
+    ("analyze", "1", "1", "3", "--format", "yaml"),
+    ("table1", "--format", "md"),
+    ("table1", "--format"),
+    ("oracle", "--lambda", "0"),
+    ("oracle", "--lambda", "0", "--mu", "0", "0"),
+    ("oracle", "--lambda=0", "1"),
+    ("analyze", "1", "1", "3", "--thresholds", "1,x"),
+    ("analyze", "1", "1", "3", "--thresholds", "1/0"),
+    ("analyze", "1", "1", "3", "--bogus"),
+    ("analyze", "1", "1", "3", "-x"),
+    ("normalize", "1", "1", "0", "0", "2", "3", "--format", "json"),
+    ("--format", "json", "table1"),
+], ids=["no-command", "unknown-command", "missing-positional",
+        "missing-positional-6", "extra-positional", "extra-positional-none",
+        "not-an-int", "not-an-int-last", "option-not-an-int", "bad-format",
+        "format-choice-prefix",
+        "format-without-value", "one-value-of-two", "option-cuts-values",
+        "equals-of-two-values", "bad-thresholds", "thresholds-zero-division",
+        "unknown-option", "unknown-short-option", "option-of-another-command",
+        "option-before-command"])
+def test_usage_errors_exit_2_on_stderr(capsys, argv):
+    usage_error(capsys, *argv)
 
 
 # --- every output, byte for byte --------------------------------------------------

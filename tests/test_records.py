@@ -1,6 +1,7 @@
 """The records of the data model: immutable NamedTuples with value equality,
 the reprs of the earlier dataclass records, and their validation; and the
-import of the package, which must not load `dataclasses` or `inspect`."""
+import of the package, which must not load `dataclasses` or `inspect`, nor
+the CLI `argparse` or `gettext`."""
 
 import json
 import os
@@ -151,3 +152,5 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert not added & {"dataclasses", "inspect"}
     if module == "dp1toric":  # eager: every library module, not a lazy stub
         assert set(LIBRARY_MODULES) <= added
+    else:  # the CLI reads its grammar table, not argparse
+        assert not added & {"argparse", "gettext"}
