@@ -7,12 +7,14 @@ returns the triplets of a parameter box that pass validity with delta > 0,
 found with nothing but the comparisons of that one decision, so the two
 can be diffed against each other.
 
-The oracle splits the set it looks for into five regions, one per case
-and branch: (a-i), (a-ii), (b) I, (b) II and (b) III.  Each region is a
-system of integer rows a*lambda + b*mu + c*nu <= r: lambda >= 0, the
-validity rows, the case and branch comparisons of `_decide`, and 2*delta
->= 1 in that case.  Integer Fourier-Motzkin elimination of nu, then of
-mu, gives nested bounds lambda -> mu -> nu.  At import, the lattice
+The oracle splits the set it looks for into five regions, one per entry
+of the table that decides, `conditions._CASE_ROWS`: (a-i), (a-ii), (b) I,
+(b) II and (b) III.  Each region is a system of integer rows a*lambda +
+b*mu + c*nu <= r: lambda >= 0, the table's validity and case rows, and
+2*delta >= 1 read off the case's form in `conditions._TWO_DELTA`.  As at
+most one entry holds at a triplet, the regions are the first-match
+decision of `_decide`.  Integer Fourier-Motzkin elimination of nu, then
+of mu, gives nested bounds lambda -> mu -> nu.  At import, the lattice
 points in between are enumerated over all of Z^3, with no box, and
 `_decide` decides each again; the rows of those it finds valid with
 delta > 0 are the oracle rows.  Import fails if a region leaves a
@@ -35,8 +37,8 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .conditions import (CaseLabel, RestrictBranch, _decide, _k_status, _nef,
-                         _two_delta)
+from .conditions import (_CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel,
+                         RestrictBranch, _decide, _k_status, _nef, _two_delta)
 from .grading import BundleParams
 
 
@@ -122,48 +124,6 @@ def classify_k2_failures() -> list[ClassificationRow]:
     return list(_REFERENCE_ROWS)
 
 
-# A row (a, b, c, r) stands for a*lambda + b*mu + c*nu <= r on integers, so
-# a strict comparison lowers r by 1 and an equality is two rows.  These are
-# the comparisons `_decide` makes on (6*lambda, 3*mu, 2*nu).
-_VALID_ROWS = (
-    (-1, 0, 0, 0),  # lambda >= 0: normalized
-    (0, 0, -1, 0),  # nu >= 0
-    (0, 3, -2, -1),  # 3*mu <= 2*nu - 1
-)
-_CASE_ROWS = (
-    (CaseLabel.AI, None, (
-        (6, 0, -2, 0),  # 6*lambda <= 2*nu: case (a)
-        (-6, 3, 0, 0),  # 3*mu <= 6*lambda
-    )),
-    (CaseLabel.AII, None, (
-        (6, 0, -2, 0),  # 6*lambda <= 2*nu
-        (6, -3, 0, -1),  # 6*lambda < 3*mu
-    )),
-    (CaseLabel.B, RestrictBranch.I, (
-        (-6, 0, 2, -1),  # 2*nu < 6*lambda: case (b)
-        (5, 0, -2, 0),  # 5*lambda <= 2*nu
-        (4, 1, -2, 0),  # 4*lambda + mu <= 2*nu
-    )),
-    (CaseLabel.B, RestrictBranch.II, (
-        (-6, 0, 2, -1),
-        (-5, 0, 2, -1),  # 2*nu < 5*lambda
-        (4, 1, -2, 0), (-4, -1, 2, 0),  # 2*nu = 4*lambda + mu
-    )),
-    (CaseLabel.B, RestrictBranch.III, (
-        (-6, 0, 2, -1),
-        (-4, -1, 2, -1),  # 2*nu < 4*lambda + mu
-        (5, 0, -2, 0), (-5, 0, 2, 0),  # 2*nu = 5*lambda
-    )),
-)
-
-
-def _delta_row(case: CaseLabel) -> tuple[int, ...]:
-    """2*delta >= 1 as a row, read off the linear form `_two_delta`."""
-    const = _two_delta(0, 0, 0, case)
-    return tuple(const - _two_delta(*unit, case)
-                 for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))) + (const - 1,)
-
-
 def _eliminate(rows: tuple) -> tuple:
     """Fourier-Motzkin: integer rows on all variables but the last.
 
@@ -197,7 +157,9 @@ def _region(case: CaseLabel, branch: RestrictBranch | None,
     """The triplets with delta > 0 in one case (and branch) of `_decide`:
     (case, branch, rows on (lambda, mu, nu), rows on (lambda, mu), rows on
     lambda)."""
-    rows = _VALID_ROWS + case_rows + (_delta_row(case),)
+    a, b, c, r = _TWO_DELTA[case]
+    rows = ((-1, 0, 0, 0), *(row for row, _ in _VALID_ROWS), *case_rows,
+            (-a, -b, -c, r - 1))
     mu_rows = _eliminate(rows)
     return case, branch, rows, mu_rows, _eliminate(mu_rows)
 

@@ -13,6 +13,7 @@ The command line is read by one table, `_GRAMMAR`, and `_parse`.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -220,8 +221,18 @@ def _format_arg(text: str) -> str:
     return text
 
 
+# The decimal exponent of a rational as `Fraction` reads it.  Fraction
+# builds 10**exponent first, so one beyond the digits a report can print is
+# refused before it takes minutes or all memory.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _thresholds_arg(text: str) -> tuple[Fraction, ...]:
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
+        for exponent in filter(None, map(_EXPONENT.search, text.split(","))):
+            if abs(int(exponent[1])) > limit:
+                raise ValueError(f"exponent {exponent[1]} exceeds {limit}")
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad thresholds {text!r}: {exc}") from None

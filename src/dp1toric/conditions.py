@@ -17,15 +17,14 @@ to fail when -K_X is ample (negative nef threshold) or when D_z restricts
 to a movable class with -K_X interior to the cone it spans with the fiber
 class; otherwise no claim is made.
 
-Every decision is made once per triplet, in integers, by `_decide`.
-Scaling the weight ratios by 6 gives the integers (0, 6*lambda, 3*mu,
-2*nu), so validity and the case are integer comparisons, and 2*delta is
-an integer:
+Every decision is made once per triplet, in integers, by `_decide`, from
+one table.  Scaling the weight ratios by 6 gives the integers (0,
+6*lambda, 3*mu, 2*nu), so validity, the case and the branch of case (b)
+are the integer rows of `_VALID_ROWS` and `_CASE_ROWS`, and 2*delta is
+the integer linear form `_TWO_DELTA` of the case.
 
-    2*delta = 4*lambda + 3*mu - 4*nu + 8     in cases (a-i) and (b)
-    2*delta = 2*lambda + 4*mu - 4*nu + 8     in case (a-ii)
-
-The public functions derive their results from that one decision and
+`classify` bounds the oracle's regions by the same rows and forms.  The
+public functions derive their results from that one decision and
 build `Fraction`s only for the values they return; the nef threshold is
 delta - (-K_X)^3.
 """
@@ -238,53 +237,78 @@ _NU_NEGATIVE = 1  # nu < 0
 _MU_NOT_BELOW = 2  # 3*mu >= 2*nu, i.e. wr(z) >= wr(w)
 _NO_BRANCH = 4  # case (b), but no branch of the restriction matches
 
-# Enum members as module names: an attribute lookup on an Enum class costs
-# more than the rest of a decision.
-_AI, _AII, _B = CaseLabel.AI, CaseLabel.AII, CaseLabel.B
-_I, _II, _III = RestrictBranch.I, RestrictBranch.II, RestrictBranch.III
+# The table of the decision.  A row (a, b, c, r) stands for a*lambda + b*mu
+# + c*nu <= r on integers, so a strict comparison lowers r by 1 and an
+# equality is two rows.  Each validity row comes with its flag on failure.
+_VALID_ROWS = (
+    ((0, 0, -1, 0), _NU_NEGATIVE),  # nu >= 0
+    ((0, 3, -2, -1), _MU_NOT_BELOW),  # 3*mu <= 2*nu - 1
+)
+# (case, branch, rows) per case and branch of case (b).  At most one entry
+# holds at a triplet, and the (a-i) and (a-ii) entries together hold
+# exactly where 6*lambda <= 2*nu, so that only case (b) can match no entry.
+_CASE_ROWS = (
+    (CaseLabel.AI, None, (
+        (6, 0, -2, 0),  # 6*lambda <= 2*nu: case (a)
+        (-6, 3, 0, 0),  # 3*mu <= 6*lambda
+    )),
+    (CaseLabel.AII, None, (
+        (6, 0, -2, 0),  # 6*lambda <= 2*nu
+        (6, -3, 0, -1),  # 6*lambda < 3*mu
+    )),
+    (CaseLabel.B, RestrictBranch.I, (
+        (-6, 0, 2, -1),  # 2*nu < 6*lambda: case (b)
+        (5, 0, -2, 0),  # 5*lambda <= 2*nu
+        (4, 1, -2, 0),  # 4*lambda + mu <= 2*nu
+    )),
+    (CaseLabel.B, RestrictBranch.II, (
+        (-6, 0, 2, -1),
+        (-5, 0, 2, -1),  # 2*nu < 5*lambda
+        (4, 1, -2, 0), (-4, -1, 2, 0),  # 2*nu = 4*lambda + mu
+    )),
+    (CaseLabel.B, RestrictBranch.III, (
+        (-6, 0, 2, -1),
+        (-4, -1, 2, -1),  # 2*nu < 4*lambda + mu
+        (5, 0, -2, 0), (-5, 0, 2, 0),  # 2*nu = 5*lambda
+    )),
+)
+# 2*delta = a*lambda + b*mu + c*nu + r per case, as (a, b, c, r): 2*(-K_X)^3
+# = 4*lambda + 5*mu - 6*nu + 12 plus twice the nef threshold of the case
+# (module docstring).  This is the one place the nef formulas live.
+_TWO_DELTA = {CaseLabel.AI: (4, 3, -4, 8), CaseLabel.AII: (2, 4, -4, 8),
+              CaseLabel.B: (4, 3, -4, 8)}
 
 
 def _two_delta(lam: int, mu: int, nu: int, case: CaseLabel) -> int:
-    """2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) in the given case.
-
-    With 2*(-K_X)^3 = 4*lambda + 5*mu - 6*nu + 12 and 2*nef = -2*mu + 2*nu
-    - 4 in cases (a-i) and (b), -2*lambda - mu + 2*nu - 4 in case (a-ii).
-    This is the one place the nef formulas live.
-    """
-    if case is _AII:
-        return 2 * lam + 4 * mu - 4 * nu + 8
-    return 4 * lam + 3 * mu - 4 * nu + 8
+    """2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) in the given case."""
+    a, b, c, r = _TWO_DELTA[case]
+    return a * lam + b * mu + c * nu + r
 
 
 def _decide(lam: int, mu: int, nu: int) -> tuple:
     """The decision for (lambda, mu, nu): (flags, case, branch, two_delta).
 
-    The conditions of `validity` and the case rule of `classify_case`, on
-    the weight ratios scaled by 6 to (0, y, z, w) = (0, 6*lambda, 3*mu,
-    2*nu).  flags is 0 for a valid triplet, which gets its case and
-    2*delta; an invalid one gets its reason flags and None for both.
-    branch is set whenever a branch matches in case (b), valid or not.
+    flags are those of the failing `_VALID_ROWS`, and the first entry of
+    `_CASE_ROWS` whose rows all hold gives the case and the branch; if none
+    holds, flags get `_NO_BRANCH`.  flags is 0 for a valid triplet, which
+    gets its case and 2*delta; an invalid one gets None for both.  branch
+    is set whenever a branch matches in case (b), valid or not.
     """
-    y, z, w = 6 * lam, 3 * mu, 2 * nu
-    flags = _NU_NEGATIVE if nu < 0 else 0
-    if z >= w:
-        flags |= _MU_NOT_BELOW
-    if w < y:
-        if w >= 5 * lam and w >= 4 * lam + mu:
-            branch = _I
-        elif 5 * lam > w == 4 * lam + mu:
-            branch = _II
-        elif 4 * lam + mu > w == 5 * lam:
-            branch = _III
+    flags = 0
+    for (a, b, c, r), flag in _VALID_ROWS:
+        if a * lam + b * mu + c * nu > r:
+            flags |= flag
+    for case, branch, rows in _CASE_ROWS:
+        for a, b, c, r in rows:
+            if a * lam + b * mu + c * nu > r:
+                break
         else:
-            return flags | _NO_BRANCH, None, None, None
-        if flags:
-            return flags, None, branch, None
-        return 0, _B, branch, _two_delta(lam, mu, nu, _B)
+            break
+    else:
+        return flags | _NO_BRANCH, None, None, None
     if flags:
-        return flags, None, None, None
-    case = _AI if 0 <= y and z <= y else _AII
-    return 0, case, None, _two_delta(lam, mu, nu, case)
+        return flags, None, branch, None
+    return 0, case, branch, _two_delta(lam, mu, nu, case)
 
 
 def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityReport:

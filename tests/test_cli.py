@@ -51,6 +51,14 @@ def test_analyze_custom_threshold(capsys):
     assert json.loads(out)["k3_threshold_results"] == {"1": True}
 
 
+def test_analyze_accepts_decimal_and_rational_thresholds(capsys):
+    code, out, _ = run(capsys, "analyze", "2", "2", "5", "--thresholds",
+                       "1e-3,3/2,0.5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["k3_threshold_results"] == {
+        "1/1000": False, "3/2": True, "1/2": False}
+
+
 def test_analyze_json_round_trips(capsys):
     for triplet in [("1", "1", "3"), ("0", "0", "0"), ("4", "6", "10")]:
         code, out, _ = run(capsys, "analyze", *triplet, "--format", "json")
@@ -322,6 +330,8 @@ def usage_error(capsys, *argv) -> None:
     ("oracle", "--lambda=0", "1"),
     ("analyze", "1", "1", "3", "--thresholds", "1,x"),
     ("analyze", "1", "1", "3", "--thresholds", "1/0"),
+    ("analyze", "1", "1", "3", "--thresholds", "1e100000000"),
+    ("analyze", "1", "1", "3", "--thresholds", "0,1e10000000"),
     ("analyze", "1", "1", "3", "--bogus"),
     ("analyze", "1", "1", "3", "-x"),
     ("normalize", "1", "1", "0", "0", "2", "3", "--format", "json"),
@@ -332,6 +342,7 @@ def usage_error(capsys, *argv) -> None:
         "format-choice-prefix",
         "format-without-value", "one-value-of-two", "option-cuts-values",
         "equals-of-two-values", "bad-thresholds", "thresholds-zero-division",
+        "thresholds-huge-exponent", "thresholds-exponent-over-digit-limit",
         "unknown-option", "unknown-short-option", "option-of-another-command",
         "option-before-command"])
 def test_usage_errors_exit_2_on_stderr(capsys, argv):

@@ -259,6 +259,19 @@ def test_integer_core_matches_rational_formulas_on_grid():
             assert type(value) is Fraction
 
 
+def test_case_table_entries_are_exclusive_and_cover_case_a():
+    """At most one `_CASE_ROWS` entry holds at a triplet, and the (a-i) and
+    (a-ii) entries together hold exactly where 6*lambda <= 2*nu.  First
+    match in `_decide` and the regions of `classify`, each read on its own,
+    agree only because of this."""
+    for lam, mu, nu in iproduct(range(13), range(-30, 31), range(-3, 41)):
+        holding = [case for case, _, rows in conditions._CASE_ROWS
+                   if all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)]
+        assert len(holding) <= 1, (lam, mu, nu, holding)
+        in_case_a = holding != [] and holding[0] is not CaseLabel.B
+        assert in_case_a == (6 * lam <= 2 * nu), (lam, mu, nu)
+
+
 def test_report_decides_once(monkeypatch):
     calls = {"validity": 0, "_decide": 0}
     for name in calls:
