@@ -72,8 +72,7 @@ def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
         fmt,
         lambda: "".join(map("%3s  %-15s %5s  %-6s %s\n".__mod__,
                             (ROWS_PLAIN_HEADER, *cells()))),
-        lambda: [{"params": to_json(p), "delta": to_json(d),
-                  "case": to_json(case), "k_fails": k} for p, d, case, k in rows],
+        lambda: list(map(to_json, rows)),
         lambda: (ROWS_CSV_HEADER, [
             (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
             for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
@@ -233,7 +232,9 @@ def _thresholds_arg(text: str) -> tuple[Fraction, ...]:
         for exponent in filter(None, map(_EXPONENT.search, text.split(","))):
             if abs(int(exponent[1])) > limit:
                 raise ValueError(f"exponent {exponent[1]} exceeds {limit}")
-        return tuple(Fraction(part) for part in text.split(","))
+        thresholds = tuple(map(Fraction, text.split(",")))
+        list(map(str, thresholds))  # as the report prints: ValueError past the limit
+        return thresholds
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad thresholds {text!r}: {exc}") from None
 

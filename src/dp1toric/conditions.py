@@ -175,10 +175,11 @@ class FibrationReport(NamedTuple):
         return from_json(cls, data)
 
 
-# The JSON encoding of the data model: a triplet is {"lambda", "mu", "nu"},
-# a Fraction its reduced string, an enum its value, a K-status its string,
-# and a report and its parts objects of the fields below, each with the
-# function that decodes it.  bool, int, str and None are themselves.
+# The JSON encoding of the data model has one rule: a record is the object
+# of its fields, in field order.  `_TO_JSON` encodes the rest: a triplet as
+# {"lambda", "mu", "nu"}, a Fraction as its reduced string, an enum as its
+# value, a K-status as its string and the K^3_d results as an object; bool,
+# int, str and None are themselves.  `_JSON_FIELDS` names each field's decoder.
 _JSON_FIELDS = {
     ValidityReport: {"nu_nonneg": bool, "three_mu_lt_two_nu": bool,
                      "restrictb_branch": RestrictBranch, "is_valid": bool},
@@ -193,14 +194,8 @@ _JSON_FIELDS = {
 }
 
 
-# Each object's JSON fields are its record fields, in order, so that a
-# record zips with their names.
+# The decoders name the fields `to_json` writes, in their order.
 assert all(cls._fields == tuple(fields) for cls, fields in _JSON_FIELDS.items())
-
-
-def _object_to_json(cls: type):
-    names = cls._fields
-    return lambda obj: dict(zip(names, map(to_json, obj)))
 
 
 _TO_JSON = {
@@ -209,16 +204,18 @@ _TO_JSON = {
     Fraction: Fraction.__str__,
     KStatus: KStatus.__str__,
     dict: lambda d: {to_json(k): ok for k, ok in d.items()},  # K^3_d results
-    ValidityReport: _object_to_json(ValidityReport),
-    WeightRatios: _object_to_json(WeightRatios),
     **dict.fromkeys((CaseLabel, RestrictBranch, Verdict), attrgetter("value")),
 }
 
 
 def to_json(value):
-    """The JSON value of a piece of the data model (see above)."""
+    """The JSON value of a piece of the data model, by the rule above: its
+    `_TO_JSON` encoding, else the object of a record's fields, else itself."""
     encode = _TO_JSON.get(type(value))
-    return value if encode is None else encode(value)
+    if encode is not None:
+        return encode(value)
+    fields = getattr(value, "_fields", None)
+    return value if fields is None else dict(zip(fields, map(to_json, value)))
 
 
 def from_json(decode, data):

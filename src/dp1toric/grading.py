@@ -202,19 +202,12 @@ def normalize(m: GradingMatrix) -> BundleParams:
 
 
 def torus_divisor_class(p: BundleParams, coord: str) -> DivisorClass:
-    """Divisor class of the coordinate divisor D_coord on P(lambda, mu, nu)."""
-    classes = {
-        "u": F,
-        "v": F,
-        "x": H,
-        "y": DivisorClass(1, p.lam),
-        "z": DivisorClass(2, p.mu),
-        "w": DivisorClass(3, p.nu),
-    }
-    try:
-        return classes[coord]
-    except KeyError:
+    """Divisor class of the coordinate divisor D_coord on P(lambda, mu, nu):
+    the coordinate's column (deg_F, deg_H) of the grading matrix."""
+    if coord not in VARIABLES:
         raise ValueError(f"coordinate must be one of {VARIABLES}, got {coord!r}")
+    i = VARIABLES.index(coord)
+    return DivisorClass(BOTTOM_ROW[i], GradingMatrix.from_params(p).top_row[i])
 
 
 def monomial_bidegree(p: BundleParams, e: ExponentVector) -> tuple[int, int]:

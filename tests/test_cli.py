@@ -59,6 +59,14 @@ def test_analyze_accepts_decimal_and_rational_thresholds(capsys):
         "1/1000": False, "3/2": True, "1/2": False}
 
 
+def test_analyze_accepts_a_threshold_of_as_many_digits_as_the_limit(capsys):
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    code, out, _ = run(capsys, "analyze", "1", "1", "3", "--thresholds",
+                       f"1e{limit - 1}", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["k3_threshold_results"] == {"1" + "0" * (limit - 1): True}
+
+
 def test_analyze_json_round_trips(capsys):
     for triplet in [("1", "1", "3"), ("0", "0", "0"), ("4", "6", "10")]:
         code, out, _ = run(capsys, "analyze", *triplet, "--format", "json")
@@ -332,6 +340,9 @@ def usage_error(capsys, *argv) -> None:
     ("analyze", "1", "1", "3", "--thresholds", "1/0"),
     ("analyze", "1", "1", "3", "--thresholds", "1e100000000"),
     ("analyze", "1", "1", "3", "--thresholds", "0,1e10000000"),
+    ("analyze", "1", "1", "3", "--thresholds", "1e4300"),
+    ("analyze", "1", "1", "3", "--thresholds", "12e4299"),
+    ("analyze", "1", "1", "3", "--thresholds", "1e-4300"),
     ("analyze", "1", "1", "3", "--bogus"),
     ("analyze", "1", "1", "3", "-x"),
     ("normalize", "1", "1", "0", "0", "2", "3", "--format", "json"),
@@ -343,6 +354,9 @@ def usage_error(capsys, *argv) -> None:
         "format-without-value", "one-value-of-two", "option-cuts-values",
         "equals-of-two-values", "bad-thresholds", "thresholds-zero-division",
         "thresholds-huge-exponent", "thresholds-exponent-over-digit-limit",
+        "thresholds-numerator-over-digit-limit",
+        "thresholds-scaled-numerator-over-digit-limit",
+        "thresholds-denominator-over-digit-limit",
         "unknown-option", "unknown-short-option", "option-of-another-command",
         "option-before-command"])
 def test_usage_errors_exit_2_on_stderr(capsys, argv):

@@ -5,9 +5,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from dp1toric.grading import (BOTTOM_ROW, F, H, BundleParams, DivisorClass,
-                              EmptyLinearSystem, ExponentVector, GradingMatrix,
-                              InvalidMatrix, Stratum, _fiber_parts,
+from dp1toric.grading import (BOTTOM_ROW, VARIABLES, F, H, BundleParams,
+                              DivisorClass, EmptyLinearSystem, ExponentVector,
+                              GradingMatrix, InvalidMatrix, Stratum, _fiber_parts,
                               base_locus_strata, fiber_part_count,
                               is_dz_movable_on_x, monomial_basis,
                               monomial_bidegree, monomial_count,
@@ -110,13 +110,15 @@ def test_monomial_bidegree():
 
 def test_bidegree_matches_grading_matrix_columns():
     # The bidegree of a single variable equals its grading-matrix column.
-    for lam, mu, nu in [(0, 2, 3), (2, -2, 2), (1, 1, 3)]:
+    for lam, mu, nu in [(0, 2, 3), (2, -2, 2), (1, 1, 3), (-1, 0, 3)]:
         p = BundleParams(lam, mu, nu)
         top = GradingMatrix.from_params(p).top_row
         for i in range(6):
             exps = [0] * 6
             exps[i] = 1
             assert monomial_bidegree(p, ExponentVector(*exps)) == (top[i], BOTTOM_ROW[i])
+            assert (torus_divisor_class(p, VARIABLES[i])
+                    == DivisorClass(BOTTOM_ROW[i], top[i]))
 
 
 # --- monomial bases -----------------------------------------------------------

@@ -17,6 +17,7 @@ from dp1toric import (DEFAULT_BOX, BundleParams, CycleClass, DivisorClass,
                       SearchBox, Stratum, ValidityReport, WeightRatios,
                       classify_k2_failures, report, validity)
 from dp1toric.classify import ClassificationRow
+from dp1toric.conditions import to_json
 
 SRC = Path(__file__).parent.parent / "src"
 LIBRARY_MODULES = ("dp1toric.grading", "dp1toric.chow", "dp1toric.conditions",
@@ -131,6 +132,15 @@ def test_invalid_reports_share_no_mutable_results():
     assert FibrationReport.from_json_dict(a.to_json_dict()) == a
     valid = report(BundleParams(1, 1, 3))
     assert valid.k3_threshold_results is not report(BundleParams(1, 1, 3)).k3_threshold_results
+
+
+def test_to_json_encodes_every_record_as_the_object_of_its_fields():
+    rep = report(BundleParams(1, 1, 3))
+    for record in (classify_k2_failures()[0], rep.validity, rep.weight_ratios,
+                   validity(BundleParams(2, 2, 5))):
+        assert to_json(record) == dict(zip(record._fields, map(to_json, record)))
+    for value in (True, 3, "x", None):
+        assert to_json(value) is value
 
 
 def modules_added_by_import(module: str) -> set[str]:
