@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .grading import BundleParams, DivisorClass, signed, torus_divisor_class
+from .grading import (BundleParams, DivisorClass, _signed_sum, signed,
+                      torus_divisor_class)
 
 
 class DegreeOverflow(ValueError):
@@ -58,16 +59,13 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
         return all(i + j == degree for i, j in self.coefficients)
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
         parts = []
         for (i, j), q in sorted(self.coefficients.items(), reverse=True):
             powers = [f"{sym}^{k}" if k > 1 else sym
                       for sym, k in (("H", i), ("F", j)) if k > 0]
             mono = "*".join(powers)
             parts.append(f"{signed(q)}*{mono}" if mono else signed(q))
-        joined = "".join(parts)
-        return joined[1:] if joined.startswith("+") else joined
+        return _signed_sum(parts)
 
 
 def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:

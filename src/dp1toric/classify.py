@@ -67,13 +67,10 @@ class SearchBox(NamedTuple("SearchBox", [("lambda_range", tuple[int, int]),
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def inflated(self, amount: int) -> "SearchBox":
-        def widen(rng, lo_floor=None):
-            lo, hi = rng[0] - amount, rng[1] + amount
-            if lo_floor is not None:
-                lo = max(lo, lo_floor)
-            return lo, hi
-        return SearchBox(widen(self.lambda_range, 0), widen(self.mu_range),
-                         widen(self.nu_range, 0))
+        (lam_lo, lam_hi), (mu_lo, mu_hi), (nu_lo, nu_hi) = self
+        return SearchBox((max(lam_lo - amount, 0), lam_hi + amount),
+                         (mu_lo - amount, mu_hi + amount),
+                         (max(nu_lo - amount, 0), nu_hi + amount))
 
 
 # The lambda ranges of the regions, derived by the elimination below, are

@@ -6,7 +6,7 @@ completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
-format asked for; the one special case is basis markdown, a bullet list.
+format asked for.
 The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
@@ -20,9 +20,9 @@ from types import SimpleNamespace
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
-from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, InvalidParams,
-                         KFailureReason, report, to_json)
-from .grading import (BundleParams, DivisorClass, GradingMatrix, InvalidMatrix,
+from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, KFailureReason,
+                         report, to_json)
+from .grading import (BundleParams, DivisorClass, GradingMatrix,
                       fiber_part_count, monomial_count, monomial_strings,
                       normalize)
 
@@ -38,11 +38,11 @@ ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
 _JSON = json.JSONEncoder(indent=2)  # json.dumps would build one per call
 
 
-def _render(fmt: str, plain, payload, table, markdown_table=None) -> str:
+def _render(fmt: str, plain, payload, table, markdown=None) -> str:
     """The output in format fmt.  plain() gives the text, payload() the JSON
-    value, table() the header and rows of cells of the csv table and, unless
-    markdown_table() gives its own, of the markdown table (a row number,
-    headed No., is right-aligned).  Only the format asked for is built."""
+    value and table() the header and rows of cells of the csv table.  The
+    markdown is markdown() when given, else the markdown table of table().
+    Only the format asked for is built."""
     if fmt == "plain":
         return plain()
     if fmt == "json":
@@ -50,7 +50,12 @@ def _render(fmt: str, plain, payload, table, markdown_table=None) -> str:
     if fmt == "csv":
         header, rows = table()
         return "\n".join(map(",".join, (header, *rows))) + "\n"
-    header, rows = (markdown_table or table)()
+    return markdown() if markdown else _markdown(*table())
+
+
+def _markdown(header, rows) -> str:
+    """The markdown table of header and rows of cells; a row number, headed
+    No., is right-aligned."""
     rule = "|".join(["-" * len(h) + ("-:" if h == "No." else "--") for h in header])
     body = " |\n| ".join(map(" | ".join, rows))
     return f"| {' | '.join(header)} |\n|{rule}|\n" + (f"| {body} |\n" if rows else "")
@@ -76,7 +81,7 @@ def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
         lambda: (ROWS_CSV_HEADER, [
             (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
             for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
-        lambda: (ROWS_MD_HEADER, cells()))
+        lambda: _markdown(ROWS_MD_HEADER, cells()))
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
@@ -129,8 +134,7 @@ def _report_plain(rep: FibrationReport) -> str:
                    for d, ok in rep.k3_threshold_results.items())
     lines.append(f"K^3_d-condition: {k3}")
     status = str(rep.k_status)
-    if (rep.k_status.proven_fails
-            and rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR):
+    if rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR:
         status += "  [combinatorial certificate]"
     lines.append(f"K-condition: {status}")
     lines.append(f"verdict: {rep.verdict.value if rep.verdict else 'undetermined'}")
@@ -196,12 +200,10 @@ def _cmd_basis(args) -> int:
     cls = DivisorClass(args.h, args.f)
     _check_basis_size(p, cls)
     monomials = monomial_strings(p, cls)
-    if args.format == "markdown":  # a bullet list, not a table
-        sys.stdout.write("".join(f"- `{m}`\n" for m in monomials))
-    else:
-        sys.stdout.write(_render(
-            args.format, lambda: "".join(f"{m}\n" for m in monomials),
-            lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials])))
+    sys.stdout.write(_render(
+        args.format, lambda: "".join(f"{m}\n" for m in monomials),
+        lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials]),
+        lambda: "".join(f"- `{m}`\n" for m in monomials)))  # a bullet list
     return 0
 
 
@@ -385,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return handler(args)
-    except (InvalidMatrix, InvalidParams, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -137,16 +137,18 @@ class KStatus(NamedTuple("KStatus", [("proven_fails", bool),
 
     @classmethod
     def parse(cls, text: str) -> "KStatus":
-        if text == "NotProvenToFail":
-            return cls.not_proven()
-        if text.startswith("ProvenFails(") and text.endswith(")"):
-            return cls.proven(KFailureReason(text[len("ProvenFails("):-1]))
-        raise ValueError(f"unrecognized K-status {text!r}")
+        """The K-status whose `str` is text."""
+        status = _BY_STRING.get(text)
+        if status is None:
+            raise ValueError(f"unrecognized K-status {text!r}")
+        return status
 
 
-# The three K-statuses, built once: `_k_status` hands them out per triplet.
+# The three K-statuses, built once: `_k_status` hands them out per triplet,
+# and `KStatus.parse` looks them up by their strings.
 _NOT_PROVEN = KStatus(False)
 _PROVEN = {reason: KStatus(True, reason) for reason in KFailureReason}
+_BY_STRING = {str(s): s for s in (_NOT_PROVEN, *_PROVEN.values())}
 
 
 class FibrationReport(NamedTuple):

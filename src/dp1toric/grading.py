@@ -19,7 +19,8 @@ coordinate strata of base loci.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import combinations
+from typing import NamedTuple
 
 VARIABLES = ("u", "v", "x", "y", "z", "w")
 BASE_VARS = frozenset({"u", "v"})
@@ -117,15 +118,18 @@ class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)]
                 terms.append(f"-{sym}")
             else:
                 terms.append(f"{signed(coeff)}{sym}")
-        if not terms:
-            return "0"
-        joined = "".join(terms)
-        return joined[1:] if joined.startswith("+") else joined
+        return _signed_sum(terms)
 
 
 def signed(q: Fraction) -> str:
     """Rational with an explicit leading sign, e.g. +3/2 or -1."""
     return f"+{q}" if q >= 0 else str(q)
+
+
+def _signed_sum(terms) -> str:
+    """The sum of terms that each begin with their sign, as written: no
+    leading +, and 0 for no terms."""
+    return "".join(terms).removeprefix("+") or "0"
 
 
 H = DivisorClass(1, 0)
@@ -316,36 +320,33 @@ def _is_irrelevant(zero_set: frozenset[str]) -> bool:
     return BASE_VARS <= zero_set or FIBER_VARS <= zero_set
 
 
-def _mask(variables: Iterable[str]) -> int:
-    """Bit mask of a set of coordinates: bit i stands for VARIABLES[i]."""
-    return sum(1 << VARIABLES.index(v) for v in variables)
-
-
-_BASE_MASK = _mask(BASE_VARS)
-_FIBER_MASK = _mask(FIBER_VARS)
+# Every zero set that the irrelevant ideal allows, as (bit mask, set) with
+# bit i for VARIABLES[i]: by size, and sets of one size in coordinate order.
+_ZERO_SETS = tuple(
+    (sum(1 << i for i in indices), zero_set)
+    for k in range(len(VARIABLES) + 1)
+    for indices in combinations(range(len(VARIABLES)), k)
+    if not _is_irrelevant(zero_set := frozenset(VARIABLES[i] for i in indices)))
 
 
 def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     """Minimal coordinate strata covering the base locus of |cls|.
 
     A stratum V(Z) lies in the base locus exactly when every basis monomial
-    contains a variable of Z.  All 2^6 subsets are scanned, as bit masks
-    against the distinct monomial supports; subsets cut out by the
-    irrelevant ideal are skipped and only inclusion-minimal zero sets are
-    returned.  Raises EmptyLinearSystem when |cls| has no sections.
+    contains a variable of Z.  The allowed zero sets are walked by size, as
+    bit masks against the distinct monomial supports, and a set is kept
+    when it meets every support and contains no set kept before it; so the
+    inclusion-minimal zero sets are returned, by size and then in
+    coordinate order.  Raises EmptyLinearSystem when |cls| has no sections.
     """
     supports = _support_masks(p, cls)
     if not supports:
         raise EmptyLinearSystem(f"|{cls}| has no sections on {p}")
-    covering = [z for z in range(1 << len(VARIABLES))
-                if z & _BASE_MASK != _BASE_MASK and z & _FIBER_MASK != _FIBER_MASK
-                and all(z & s for s in supports)]
-    minimal = [z for z in covering
-               if not any(other != z and other & z == other for other in covering)]
-    strata = [frozenset(v for i, v in enumerate(VARIABLES) if z >> i & 1)
-              for z in minimal]
-    strata.sort(key=lambda z: (len(z), sorted(VARIABLES.index(v) for v in z)))
-    return [Stratum(z) for z in strata]
+    kept = []  # (mask, stratum)
+    for z, zero_set in _ZERO_SETS:
+        if all(z & s for s in supports) and all(m & z != m for m, _ in kept):
+            kept.append((z, Stratum(zero_set)))
+    return [stratum for _, stratum in kept]
 
 
 def is_dz_movable_on_x(p: BundleParams) -> bool:

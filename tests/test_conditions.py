@@ -56,6 +56,11 @@ def test_validity_origin_fails_strict_inequality():
     assert "3*mu <= 2*nu - 1 violated" in v.failure_reasons()
 
 
+def test_validity_failure_reasons_list_every_violation():
+    assert validity(BundleParams(0, 0, -1)).failure_reasons() == [
+        "nu >= 0 violated", "3*mu <= 2*nu - 1 violated"]
+
+
 def test_validity_case_b_without_branch():
     # (2,0,1): case (b) since wr_w = 1/3 < 2, but no branch matches.
     v = validity(BundleParams(2, 0, 1))

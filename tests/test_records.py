@@ -104,12 +104,33 @@ def test_records_are_tuples_of_their_fields():
     lambda: KStatus(False)._replace(proven_fails=True),
     lambda: CycleClass({(5, 0): 1}),
     lambda: CycleClass({(1, -1): 1}),
+    lambda: KStatus.parse("ProvenFails(Bogus)"),
+    lambda: KStatus.parse(""),
 ], ids=["box-lambda", "box-nu", "box-replace", "stratum-unknown",
         "stratum-irrelevant", "stratum-replace", "k-status-no-reason",
-        "k-status-reason", "k-status-replace", "cycle-h5", "cycle-f-1"])
+        "k-status-reason", "k-status-replace", "cycle-h5", "cycle-f-1",
+        "k-status-parse-reason", "k-status-parse-empty"])
 def test_validated_records_still_raise(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("record, text", [
+    (DivisorClass(0, 0), "0"),
+    (DivisorClass(1, 0), "H"),
+    (DivisorClass(-1, 0), "-H"),
+    (DivisorClass(0, 1), "F"),
+    (DivisorClass(0, -1), "-F"),
+    (DivisorClass(1, 1), "H+F"),
+    (DivisorClass(Q(-3, 2), -1), "-3/2H-F"),
+    (DivisorClass(2, Q(1, 2)), "2H+1/2F"),
+    (CycleClass(), "0"),
+    (CycleClass({(0, 0): 3}), "3"),
+    (CycleClass({(4, 0): -1, (3, 1): Q(1, 2)}), "-1*H^4+1/2*H^3*F"),
+    (Stratum(frozenset("zx")), "{x,z}"),
+])
+def test_record_strings(record, text):
+    assert str(record) == text
 
 
 def test_divisor_class_coerces_to_fractions():
