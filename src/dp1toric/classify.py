@@ -1,11 +1,12 @@
 """Classification of the fibrations failing the K^2-condition.
 
-Two independent routes are provided.  `classify_k2_failures` returns the
-reference classification table (13 families, in table order) with the
-invariants of each row recomputed from the formulas.  `oracle_search`
-returns the triplets of a parameter box that pass validity with delta > 0,
-found with nothing but the comparisons of that one decision, so the two
-can be diffed against each other.
+Two routes give two lists of triplets, with one row per triplet.
+`classify_k2_failures` lists the reference classification table (13
+families, in table order, `K2_FAILURE_TRIPLETS`).  `oracle_search` lists
+the triplets of a parameter box that pass validity with delta > 0, found
+with nothing but the comparisons of that one decision, so the two lists
+can be diffed: the oracle finds one triplet more, (1, 0, 2) (see the
+README).
 
 The oracle splits the set it looks for into five regions, one per entry
 of the table that decides, `conditions._CASE_ROWS`: (a-i), (a-ii), (b) I,
@@ -17,13 +18,16 @@ decision of `_decide`.  Integer Fourier-Motzkin elimination of nu, then
 of mu, gives nested bounds lambda -> mu -> nu.  At import, the lattice
 points in between are enumerated over all of Z^3, with no box, and
 `_decide` decides each again; the rows of those it finds valid with
-delta > 0 are the oracle rows.  Import fails if a region leaves a
-variable unbounded, so every import checks that the set with delta > 0
-is finite: it is 14 triplets.  `oracle_search` filters these rows by the
-box, so it costs the same whatever the box.
+delta > 0 are the oracle rows, the only rows built.  `oracle_search`
+filters them by the box, so it costs the same whatever the box, and the
+reference rows are the oracle rows of the reference triplets.
 
-Note: the oracle finds one triplet more than the reference table,
-(1, 0, 2); see the README for details.
+Every import checks, and raises unless:
+- no region leaves a variable unbounded, so the set with delta > 0 is
+  finite over Z^3 (14 triplets);
+- each oracle row with delta > 1 has a proven K-failure, so the verdict
+  of `conditions.report` is total;
+- the search finds every reference triplet (KeyError, naming it).
 
 `nonsingular_delta` evaluates delta for the nonsingular families, which
 live on the bundles P(lambda, 2*mu, 3*mu) where wr(z) = wr(w) and the case
@@ -110,17 +114,6 @@ def _rows(triplets) -> tuple[ClassificationRow, ...]:
     return tuple(rows)
 
 
-# The rows are constants, computed once at import rather than by the first
-# call, so that every call of classify_k2_failures does the same work.
-_REFERENCE_ROWS = _rows(K2_FAILURE_TRIPLETS)
-assert len(_REFERENCE_ROWS) == len(K2_FAILURE_TRIPLETS)
-
-
-def classify_k2_failures() -> list[ClassificationRow]:
-    """The reference classification of families with delta > 0 (13 rows)."""
-    return list(_REFERENCE_ROWS)
-
-
 def _eliminate(rows: tuple) -> tuple:
     """Fourier-Motzkin: integer rows on all variables but the last.
 
@@ -193,9 +186,20 @@ _ORACLE_ROWS = _rows(sorted(
     for lam in _interval(lambda_rows, ())
     for mu in _interval(mu_rows, (lam,))
     for nu in _interval(rows, (lam, mu))))
+if any(r.delta > 1 and not r.k_fails for r in _ORACLE_ROWS):
+    raise ValueError("an oracle row with delta > 1 has no proven K-failure")
+# The reference rows are oracle rows, looked up by triplet: a reference
+# triplet that the search does not find raises KeyError, naming it.
+_REFERENCE_ROWS = tuple({r.params: r for r in _ORACLE_ROWS}[t]
+                        for t in K2_FAILURE_TRIPLETS)
 # (lambda, mu, nu, row) per oracle row, in plain tuples: unpacking each row's
 # BundleParams would cost the box filter as much as all its comparisons.
 _ORACLE_INDEX = tuple((*r.params, r) for r in _ORACLE_ROWS)
+
+
+def classify_k2_failures() -> list[ClassificationRow]:
+    """The reference classification of families with delta > 0 (13 rows)."""
+    return list(_REFERENCE_ROWS)
 
 
 def oracle_search(box: SearchBox) -> list[ClassificationRow]:
@@ -221,6 +225,5 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    p = BundleParams(lam, 2 * mu, 3 * mu)
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
-    return Fraction(_two_delta(p.lam, p.mu, p.nu, case), 2), case
+    return Fraction(_two_delta(lam, 2 * mu, 3 * mu, case), 2), case

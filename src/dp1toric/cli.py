@@ -108,7 +108,7 @@ def _report_table(rep: FibrationReport) -> tuple:
     for d, ok in rep.k3_threshold_results.items():
         pairs.append((f"k3({d})", _bool(ok)))
     pairs += [("k_status", str(rep.k_status)),
-              ("verdict", rep.verdict.value if rep.verdict else "")]
+              ("verdict", rep.verdict.value)]
     return ("field", "value"), pairs
 
 
@@ -137,7 +137,7 @@ def _report_plain(rep: FibrationReport) -> str:
     if rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR:
         status += "  [combinatorial certificate]"
     lines.append(f"K-condition: {status}")
-    lines.append(f"verdict: {rep.verdict.value if rep.verdict else 'undetermined'}")
+    lines.append(f"verdict: {rep.verdict.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -152,22 +152,16 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _by_triplet(rows: list[ClassificationRow]) -> dict:
-    return {p: (d, case, k) for p, d, case, k in rows}
-
-
-# The reference table as the oracle diffs it, built once.
-_TABLE1 = _by_triplet(classify_k2_failures())
+# The triplets of the reference table, as the oracle diffs them.
+_TABLE1 = frozenset(r.params for r in classify_k2_failures())
 
 
 def _cmd_oracle(args) -> int:
     rows = oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))
     sys.stdout.write(render_rows(rows, args.format))
-    found, ref = _by_triplet(rows), _TABLE1
+    found = {r.params for r in rows}
     diff = [f"{kind}: {_triplet(p)}" for kind, triplets in (
-        ("missing", ref.keys() - found.keys()),
-        ("extra", found.keys() - ref.keys()),
-        ("differs", [t for t in ref.keys() & found.keys() if ref[t] != found[t]]))
+        ("missing", _TABLE1 - found), ("extra", found - _TABLE1))
         for p in sorted(triplets)]
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
@@ -209,10 +203,10 @@ def _cmd_basis(args) -> int:
 
 def _cmd_nonsingular(args) -> int:
     d, case = nonsingular_delta(args.lam, args.mu)
-    sys.stdout.write(_render(
-        args.format, lambda: f"{d}\n",
-        lambda: {"delta": to_json(d), "case": to_json(case)},
-        lambda: (("delta", "case"), [(str(d), case.value)])))
+    header, cells = ("delta", "case"), (str(d), case.value)
+    sys.stdout.write(_render(args.format, lambda: f"{d}\n",
+                             lambda: dict(zip(header, cells)),
+                             lambda: (header, [cells])))
     return 0
 
 

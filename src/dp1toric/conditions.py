@@ -409,11 +409,14 @@ def report(p: BundleParams,
            thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS) -> FibrationReport:
     """Full invariant-and-verdict report for a normalized triplet.
 
-    Invalid triplets yield a report carrying only params and validity.
-    Verdicts: Superrigid when delta <= 0 (the K^2-condition implies both
-    the K-condition and the K^3 conditions); NotRigidOverBase when the
-    K-condition provably fails; SuperrigidIfKCondition when delta <= 1 and
-    no failure is proven.
+    Invalid triplets yield a report carrying only params and validity; a
+    valid one always has a verdict.  Superrigid when delta <= 0 (the
+    K^2-condition implies both the K-condition and the K^3 conditions);
+    else NotRigidOverBase when the K-condition provably fails; else
+    SuperrigidIfKCondition.  That last one needs delta <= 1, which holds by
+    exhaustion: delta > 0 only on the 14 rows `classify` enumerates over
+    Z^3, and its import raises unless each of them with delta > 1 has a
+    proven K-failure.
     """
     _require_normalized(p)
     flags, case, branch, two_delta = _decide(p.lam, p.mu, p.nu)
@@ -428,14 +431,8 @@ def report(p: BundleParams,
         verdict = Verdict.SUPERRIGID
     elif status.proven_fails:
         verdict = Verdict.NOT_RIGID_OVER_BASE
-    elif d <= 1:
+    else:  # delta <= 1: importing `classify` checks it on every delta > 0 row
         verdict = Verdict.SUPERRIGID_IF_K_CONDITION
-    else:
-        # Not reached: delta > 0 only on the 14 oracle rows, whose
-        # completeness over Z^3 every import of `classify` checks
-        # (`_ORACLE_ROWS`), and every one of them with delta > 1 has a
-        # proven K-failure (test_k_fails_exactly_on_rows_with_delta_above_one).
-        verdict = None
     return FibrationReport(
         params=p,
         validity=v,

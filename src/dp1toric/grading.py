@@ -183,6 +183,11 @@ class Stratum(NamedTuple("Stratum", [("zero_set", frozenset)])):
         # two factors independently, so each coordinate counts once.
         return len(self.zero_set)
 
+    def __repr__(self) -> str:
+        # Coordinate order: a frozenset's follows string hashes, per process.
+        ordered = ", ".join(map(repr, sorted(self.zero_set, key=VARIABLES.index)))
+        return "Stratum(zero_set=frozenset(%s))" % (ordered and "{%s}" % ordered)
+
     def __str__(self) -> str:
         ordered = sorted(self.zero_set, key=VARIABLES.index)
         return "{" + ",".join(ordered) + "}"

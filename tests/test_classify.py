@@ -1,16 +1,17 @@
 """Reference classification table, brute-force oracle, nonsingular families."""
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from dp1toric import classify
+from dp1toric import classify, conditions
 from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
                                SearchBox, _interval, classify_k2_failures,
                                nonsingular_delta, oracle_search)
-from dp1toric.conditions import (CaseLabel, RestrictBranch, _decide,
+from dp1toric.conditions import (CaseLabel, KStatus, RestrictBranch, _decide,
                                  classify_case, delta, k_status, validity)
 from dp1toric.grading import BundleParams
 
@@ -57,6 +58,43 @@ def test_k_fails_exactly_on_rows_with_delta_above_one():
         for r in rows:
             assert 0 < r.delta <= Q(5, 2)
             assert (r.delta > 1) == r.k_fails
+
+
+def classify_again():
+    """Execute classify's source again, as dp1toric._classify_again: its
+    relative imports resolve to the loaded package, patches included, and
+    nothing is added to sys.modules."""
+    spec = importlib.util.spec_from_file_location("dp1toric._classify_again",
+                                                  classify.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_import_builds_the_reference_rows_again():
+    assert classify_again()._REFERENCE_ROWS == classify._REFERENCE_ROWS
+
+
+def test_import_raises_unless_rows_above_one_have_a_proven_k_failure(monkeypatch):
+    monkeypatch.setattr(conditions, "_k_status", lambda p, nef: KStatus.not_proven())
+    with pytest.raises(ValueError, match="delta > 1"):
+        classify_again()
+
+
+def test_import_names_a_reference_triplet_the_search_misses(monkeypatch):
+    def decide(lam, mu, nu):  # (1, 2, 4) fails the validity conditions
+        flags, *rest = _decide(lam, mu, nu)
+        return (1 if (lam, mu, nu) == (1, 2, 4) else flags, *rest)
+
+    monkeypatch.setattr(conditions, "_decide", decide)
+    with pytest.raises(KeyError, match=r"\(1, 2, 4\)"):
+        classify_again()
+
+
+def test_each_reference_row_is_the_oracle_row_of_its_triplet():
+    found = {r.params: r for r in oracle_search(DEFAULT_BOX)}
+    rows = classify_k2_failures()
+    assert len(rows) == 13 and all(r is found[r.params] for r in rows)
 
 
 def test_every_row_valid_with_matching_branch():

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from dp1toric import cli
-from dp1toric.classify import classify_k2_failures
 from dp1toric.cli import main
 from dp1toric.conditions import FibrationReport, report
 from dp1toric.grading import BundleParams
@@ -169,23 +167,6 @@ def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
         assert err.count("missing:") == 12 and err.count("\n") == 13
     code, out, err = run(capsys, "oracle")
     assert code == 1 and out.endswith("extra: (1,0,2)\n") and err == ""
-
-
-def test_oracle_differs_lines_are_sorted(capsys, monkeypatch):
-    # A table whose rows (1,1,3) and (0,-2,0) carry another delta: both
-    # differ from the search, and the 12 other rows found are extra.
-    altered = [r._replace(delta=r.delta + 1) for r in classify_k2_failures()
-               if (r.params.lam, r.params.mu, r.params.nu) in {(0, -2, 0), (1, 1, 3)}]
-    monkeypatch.setattr(cli, "_TABLE1", cli._by_triplet(altered[::-1]))
-    differs = ["differs: (0,-2,0)", "differs: (1,1,3)"]
-    code, out, err = run(capsys, "oracle")
-    assert code == 1 and err == ""
-    lines = out.splitlines()
-    assert lines[-2:] == differs and lines.count("DOES NOT MATCH TABLE 1") == 1
-    assert sum(line.startswith("extra: ") for line in lines) == 12
-    code, out, err = run(capsys, "oracle", "--format", "json")
-    assert code == 1 and len(json.loads(out)) == 14
-    assert err.splitlines()[-2:] == differs
 
 
 def test_oracle_on_a_huge_box_finishes_quickly():

@@ -133,6 +133,23 @@ def test_record_strings(record, text):
     assert str(record) == text
 
 
+def test_stratum_repr_does_not_depend_on_the_hash_seed():
+    probe = 'from dp1toric import Stratum; print(repr(Stratum(frozenset("zxw"))))'
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    reprs = set()
+    for seed in range(5):
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={**env, "PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        reprs.add(done.stdout)
+    text = "Stratum(zero_set=frozenset({'x', 'z', 'w'}))"
+    assert reprs == {text + "\n"} and eval(text) == Stratum(frozenset("zxw"))
+    empty = Stratum(frozenset())
+    assert repr(empty) == "Stratum(zero_set=frozenset())" and eval(repr(empty)) == empty
+
+
 def test_divisor_class_coerces_to_fractions():
     c = DivisorClass(1, 2)
     assert type(c.h) is Q and type(c.f) is Q
