@@ -117,14 +117,15 @@ def _rows(triplets) -> tuple[ClassificationRow, ...]:
 def _eliminate(rows: tuple) -> tuple:
     """Fourier-Motzkin: integer rows on all variables but the last.
 
-    Rows not involving the last variable are kept.  Each row bounding it
-    from above is added to each row bounding it from below, with positive
-    weights that cancel it (Schrijver, Theory of Linear and Integer
-    Programming, 1986, §12.2).  The sum is divided by the gcd of its
-    coefficients and its right-hand side floored, which loses no integer
-    point.  Of rows with equal coefficients only the tightest is kept.
-    For every integer point of the result, the rows leave an interval,
-    maybe empty, for the last variable.
+    Rows not involving the last variable are kept, then each row bounding
+    it from above is added to each row bounding it from below, with
+    positive weights that cancel it (Schrijver, Theory of Linear and
+    Integer Programming, 1986, §12.2), one row per (up, down) pair in loop
+    order.  The sum is divided by the gcd of its coefficients and its
+    right-hand side floored, which loses no integer point.  Every row is
+    kept: a looser duplicate cannot change an integer interval.  For every
+    integer point of the result, the rows leave an interval, maybe empty,
+    for the last variable.
     """
     out = [row[:-2] + row[-1:] for row in rows if row[-2] == 0]
     for up in rows:
@@ -135,11 +136,7 @@ def _eliminate(rows: tuple) -> tuple:
                     del total[-2]
                     g = gcd(*total[:-1]) or 1
                     out.append(tuple(v // g for v in total))
-    tightest = {}
-    for row in out:
-        coeffs, r = row[:-1], row[-1]
-        tightest[coeffs] = min(r, tightest.get(coeffs, r))
-    return tuple(coeffs + (r,) for coeffs, r in tightest.items())
+    return tuple(out)
 
 
 def _region(case: CaseLabel, branch: RestrictBranch | None,

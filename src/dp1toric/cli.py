@@ -16,12 +16,13 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
-from .conditions import (DEFAULT_THRESHOLDS, FibrationReport, KFailureReason,
-                         report, to_json)
+from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
+                         KFailureReason, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix,
                       fiber_part_count, monomial_count, monomial_strings,
                       normalize)
@@ -35,6 +36,7 @@ MAX_BASIS_MONOMIALS = 10**6
 ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
 ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
 ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
+_TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
 _JSON = json.JSONEncoder(indent=2)  # json.dumps would build one per call
 
 
@@ -71,7 +73,7 @@ def _bool(b: bool) -> str:
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
     def cells():  # of the plain and the markdown table
-        return [(str(i), _triplet(p), str(d), case.table_label, "no" if k else "")
+        return [(str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
                 for i, (p, d, case, k) in enumerate(rows, 1)]
     return _render(
         fmt,
@@ -332,7 +334,7 @@ def _parse(argv: list[str]) -> tuple:
     names a long flag; after `--` every token is a positional."""
     if not argv:
         _fail(None, "the following arguments are required: command")
-    command, rest = argv[0], argv[1:]
+    command, rest = argv[0], iter(argv[1:])
     if _is_option(command):
         _flag(None, command, ())
         _help(None)
@@ -341,25 +343,19 @@ def _parse(argv: list[str]) -> tuple:
     handler, _, positionals, options = _GRAMMAR[command]
     values = {spec[0]: spec[1] for spec in options.values()}
     tokens = []  # the positionals
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        i += 1
+    for token in rest:
         if not _is_option(token):
             tokens.append(token)
             continue
         if token == "--":
-            tokens += rest[i:]
+            tokens += rest
             break
         flag, eq, value = token.partition("=")
         flag = _flag(command, flag, options)
         if flag in _HELP:
             _help(command)
         dest, _, nargs, convert, _ = options[flag]
-        if eq:
-            given = [value]
-        else:
-            given, i = rest[i:i + nargs], i + nargs
+        given = [value] if eq else list(islice(rest, nargs))
         if len(given) != nargs or any(map(_is_option, given)):
             _fail(command, f"argument {flag}: expected {nargs} argument"
                   + "s" * (nargs > 1))
@@ -370,10 +366,9 @@ def _parse(argv: list[str]) -> tuple:
               + ", ".join(names[len(tokens):]))
     if len(tokens) > len(names):
         _fail(command, "unrecognized arguments: " + " ".join(tokens[len(names):]))
-    start = 0
+    texts = iter(tokens)
     for dest, metavar, count in positionals:
-        values[dest] = _convert(command, metavar, int, tokens[start:start + count])
-        start += count
+        values[dest] = _convert(command, metavar, int, islice(texts, count))
     return handler, SimpleNamespace(**values)
 
 
@@ -384,11 +379,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

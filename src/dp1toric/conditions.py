@@ -52,13 +52,6 @@ class CaseLabel(enum.Enum):
     AII = "AII"
     B = "B"
 
-    @property
-    def table_label(self) -> str:
-        return _TABLE_LABELS[self._value_]
-
-
-_TABLE_LABELS = {"AI": "(a-i)", "AII": "(a-ii)", "B": "(b)"}
-
 
 class RestrictBranch(enum.Enum):
     I = "I"

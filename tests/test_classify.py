@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 
 from dp1toric import classify, conditions
 from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
-                               SearchBox, _interval, classify_k2_failures,
-                               nonsingular_delta, oracle_search)
+                               SearchBox, _eliminate, _interval,
+                               classify_k2_failures, nonsingular_delta,
+                               oracle_search)
 from dp1toric.conditions import (CaseLabel, KStatus, RestrictBranch, _decide,
                                  classify_case, delta, k_status, validity)
 from dp1toric.grading import BundleParams
@@ -215,6 +217,42 @@ def test_interval_is_empty_when_a_row_without_the_variable_fails():
     # 1*2 + 0*v <= 1 fails whatever v is, so no bound on v is needed.
     assert _interval(((1, 0, 1),), (2,)) == range(0)
     assert _interval(((0, -1), (1, 3)), ()) == range(0)
+
+
+def test_eliminate_keeps_every_derived_row():
+    """One row per row without the last variable and one per (up, down)
+    pair, at both levels of every region: no duplicate is dropped."""
+    for _, _, rows, mu_rows, _ in _REGIONS:
+        for system in (rows, mu_rows):
+            signs = [(row[-2] > 0) - (row[-2] < 0) for row in system]
+            assert len(_eliminate(system)) == (
+                signs.count(0) + signs.count(1) * signs.count(-1))
+
+
+def test_eliminate_loses_no_integer_point():
+    """Every integer point of a system satisfies both eliminated systems
+    on its prefix, on random systems in 3 variables."""
+    rng = random.Random(7)
+    points = list(itertools.product(range(-5, 6), repeat=3))
+
+    def holds(rows, point):
+        return all(sum(map(operator.mul, row, point)) <= row[-1] for row in rows)
+
+    for _ in range(60):
+        rows = tuple((*(rng.randint(-4, 4) for _ in range(3)), rng.randint(-6, 12))
+                     for _ in range(rng.randint(2, 6)))
+        mu_rows = _eliminate(rows)
+        lambda_rows = _eliminate(mu_rows)
+        for point in points:
+            if holds(rows, point):
+                assert holds(mu_rows, point[:2]), (rows, point)
+                assert holds(lambda_rows, point[:1]), (rows, point)
+
+
+def test_lambda_ranges_of_the_regions():
+    # As the DEFAULT_BOX comment and the README state.
+    assert [_interval(lambda_rows, ()) for *_, lambda_rows in _REGIONS] == [
+        range(0, 4), range(0, 2), range(1, 4), range(1, 3), range(2, 6)]
 
 
 @pytest.mark.parametrize("box", [

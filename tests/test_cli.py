@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, exit codes, and golden renderings."""
 
+import importlib
 import json
 import os
 import re
@@ -169,15 +170,19 @@ def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
     assert code == 1 and out.endswith("extra: (1,0,2)\n") and err == ""
 
 
-def test_oracle_on_a_huge_box_finishes_quickly():
-    # The search enumerates the delta > 0 set, not the 2*10^27-point box.
+def run_module(*argv):
+    """`python -m dp1toric argv` in a subprocess, on this checkout's src."""
     src = Path(__file__).parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "dp1toric", "oracle", "--lambda", "0", "1000000000",
-         "--mu", "-1000000000", "1000000000", "--nu", "0", "1000000000"],
-        capture_output=True, text=True, env=env, timeout=5)
+    return subprocess.run([sys.executable, "-m", "dp1toric", *argv],
+                          capture_output=True, text=True, env=env, timeout=5)
+
+
+def test_oracle_on_a_huge_box_finishes_quickly():
+    # The search enumerates the delta > 0 set, not the 2*10^27-point box.
+    done = run_module("oracle", "--lambda", "0", "1000000000",
+                      "--mu", "-1000000000", "1000000000", "--nu", "0", "1000000000")
     assert done.returncode == 1
     rows = [line for line in done.stdout.splitlines() if line[:3].strip().isdigit()]
     assert len(rows) == 14
@@ -252,8 +257,11 @@ def golden(name: str) -> str:
      "basis_0_2_3_6_6.json", 0),
     (("oracle", "--f", "plain", "--n", "0", "0", "--l", "0", "0",
       "--m", "-2", "-2"), "oracle_0_-2_0.txt", 1),
+    (("basis", "--", "0", "2", "3", "-1", "0"), "basis_0_2_3_-1_0.txt", 0),
+    (("analyze", "1", "1", "3", "--"), "analyze_1_1_3.txt", 0),
 ], ids=["option-first", "option-between", "equals", "prefix", "prefix-equals",
-        "thresholds-prefix", "basis-between", "oracle-prefixes"])
+        "thresholds-prefix", "basis-between", "oracle-prefixes",
+        "double-dash-first", "double-dash-last"])
 def test_options_anywhere_in_any_spelling(capsys, argv, expected, exit_code):
     assert run(capsys, *argv) == (exit_code, golden(expected), "")
 
@@ -328,6 +336,8 @@ def usage_error(capsys, *argv) -> None:
     ("analyze", "1", "1", "3", "-x"),
     ("normalize", "1", "1", "0", "0", "2", "3", "--format", "json"),
     ("--format", "json", "table1"),
+    ("oracle", "--lambda", "0", "1", "--mu", "0"),
+    ("oracle", "--lambda", "--", "0", "1"),
 ], ids=["no-command", "unknown-command", "missing-positional",
         "missing-positional-6", "extra-positional", "extra-positional-none",
         "not-an-int", "not-an-int-last", "option-not-an-int", "bad-format",
@@ -339,7 +349,8 @@ def usage_error(capsys, *argv) -> None:
         "thresholds-scaled-numerator-over-digit-limit",
         "thresholds-denominator-over-digit-limit",
         "unknown-option", "unknown-short-option", "option-of-another-command",
-        "option-before-command"])
+        "option-before-command", "values-cut-short-at-the-end",
+        "double-dash-as-a-value"])
 def test_usage_errors_exit_2_on_stderr(capsys, argv):
     usage_error(capsys, *argv)
 
@@ -384,3 +395,15 @@ def test_output_matches_golden(capsys, golden, argv, exit_code):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+# --- entry points -----------------------------------------------------------------
+
+def test_console_script_and_module_both_run_main():
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    module, name = re.search(r'^dp1toric = "([\w.]+):(\w+)"$', pyproject,
+                             re.MULTILINE).groups()
+    assert getattr(importlib.import_module(module), name) is main
+    done = run_module("analyze", "1", "1")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: dp1toric analyze ")

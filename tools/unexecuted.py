@@ -10,23 +10,21 @@ minutes.  Run from anywhere: python3 tools/unexecuted.py
 
 import ast
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "dp1toric"
-SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+from code_lines import SRC, docstrings
+
+ROOT = SRC.parent.parent
 
 
 def statements(text: str) -> list[tuple[int, range]]:
     """(line, header lines) of each statement but docstrings.  The header
     of a compound statement runs from its first decorator to the line
     before its body."""
-    nodes = list(ast.walk(ast.parse(text)))
-    docstrings = {id(node.body[0]) for node in nodes if isinstance(node, SCOPES)
-                  and ast.get_docstring(node, clean=False) is not None}
+    tree = ast.parse(text)
+    skipped = set(map(id, docstrings(tree)))
     found = []
-    for node in nodes:
-        if isinstance(node, ast.stmt) and id(node) not in docstrings:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.stmt) and id(node) not in skipped:
             first = min([node.lineno] + [d.lineno for d in
                                          getattr(node, "decorator_list", ())])
             body = getattr(node, "body", None)
