@@ -163,6 +163,14 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     return _top_value(p, h * top, h * below + f * top, d)
 
 
+# 2*(-K_X)^3 = a*lambda + b*mu + c*nu + r as (a, b, c, r): the one place the
+# closed form lives.  `conditions` builds 2*delta and twice the nef threshold
+# on it, in ints.
+TWO_MINUS_K_CUBED = (4, 5, -6, 12)
+
+
 def minus_k_cubed(p: BundleParams) -> Fraction:
-    """Closed form (-K_X)^3 = 2*lambda + (5/2)*mu - 3*nu + 6."""
-    return 2 * p.lam + Fraction(5, 2) * p.mu - 3 * p.nu + 6
+    """Closed form (-K_X)^3 = 2*lambda + (5/2)*mu - 3*nu + 6, the `Fraction`
+    of the integer form `TWO_MINUS_K_CUBED` over 2."""
+    a, b, c, r = TWO_MINUS_K_CUBED
+    return Fraction(a * p.lam + b * p.mu + c * p.nu + r, 2)

@@ -42,7 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .conditions import (_CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel,
-                         RestrictBranch, _decide, _k_status, _nef, _two_delta)
+                         RestrictBranch, _decide, _form_at, _k_status, _nef)
 from .grading import BundleParams
 
 
@@ -223,4 +223,4 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
-    return Fraction(_two_delta(lam, 2 * mu, 3 * mu, case), 2), case
+    return Fraction(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case

@@ -20,24 +20,26 @@ class; otherwise no claim is made.
 Every decision is made once per triplet, in integers, by `_decide`, from
 one table.  Scaling the weight ratios by 6 gives the integers (0,
 6*lambda, 3*mu, 2*nu), so validity, the case and the branch of case (b)
-are the integer rows of `_VALID_ROWS` and `_CASE_ROWS`, and 2*delta is
-the integer linear form `_TWO_DELTA` of the case.
+are the integer rows of `_VALID_ROWS` and `_CASE_ROWS`.
 
-`classify` bounds the oracle's regions by the same rows and forms.  The
-public functions derive their results from that one decision and
-build `Fraction`s only for the values they return; the nef threshold is
-delta - (-K_X)^3.
+Every number of a report is an integer linear form in (lambda, mu, nu):
+2*(-K_X)^3 is `chow.TWO_MINUS_K_CUBED`, twice the nef threshold of each
+case is `_TWO_NEF`, and 2*delta is their sum `_TWO_DELTA`.  The verdicts
+compare these ints (nef < 0, delta <= 0, delta <= d0 as
+d0.denominator * 2*delta <= 2 * d0.numerator), and each value returned is
+one `Fraction` of its form over 2.  `classify` bounds the oracle's
+regions by the same rows and forms.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .chow import minus_k_cubed
+from .chow import TWO_MINUS_K_CUBED
 from .grading import BundleParams, is_dz_movable_on_x
 
 DEFAULT_THRESHOLDS = (Fraction(0), Fraction(1), Fraction(3, 2))
@@ -264,16 +266,19 @@ _CASE_ROWS = (
         (5, 0, -2, 0), (-5, 0, 2, 0),  # 2*nu = 5*lambda
     )),
 )
-# 2*delta = a*lambda + b*mu + c*nu + r per case, as (a, b, c, r): 2*(-K_X)^3
-# = 4*lambda + 5*mu - 6*nu + 12 plus twice the nef threshold of the case
-# (module docstring).  This is the one place the nef formulas live.
-_TWO_DELTA = {CaseLabel.AI: (4, 3, -4, 8), CaseLabel.AII: (2, 4, -4, 8),
-              CaseLabel.B: (4, 3, -4, 8)}
+# Twice the nef threshold, a*lambda + b*mu + c*nu + r per case, as (a, b, c,
+# r) (module docstring).  This is the one place the nef formulas live.
+_TWO_NEF = {CaseLabel.AI: (0, -2, 2, -4), CaseLabel.AII: (-2, -1, 2, -4),
+            CaseLabel.B: (0, -2, 2, -4)}
+# 2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) per case: (4, 3, -4, 8) in (a-i) and
+# (b), (2, 4, -4, 8) in (a-ii).
+_TWO_DELTA = {case: tuple(map(add, TWO_MINUS_K_CUBED, two_nef))
+              for case, two_nef in _TWO_NEF.items()}
 
 
-def _two_delta(lam: int, mu: int, nu: int, case: CaseLabel) -> int:
-    """2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) in the given case."""
-    a, b, c, r = _TWO_DELTA[case]
+def _form_at(form: tuple, lam: int, mu: int, nu: int) -> int:
+    """a*lambda + b*mu + c*nu + r for the form (a, b, c, r)."""
+    a, b, c, r = form
     return a * lam + b * mu + c * nu + r
 
 
@@ -300,7 +305,7 @@ def _decide(lam: int, mu: int, nu: int) -> tuple:
         return flags | _NO_BRANCH, None, None, None
     if flags:
         return flags, None, branch, None
-    return 0, case, branch, _two_delta(lam, mu, nu, case)
+    return 0, case, branch, _form_at(_TWO_DELTA[case], lam, mu, nu)
 
 
 def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityReport:
@@ -323,13 +328,18 @@ def _decide_valid(p: BundleParams) -> tuple[CaseLabel, int]:
     return case, two_delta
 
 
-def _nef(p: BundleParams, two_delta: int) -> Fraction:
-    """nef(X/P^1) = delta - (-K_X)^3."""
-    return Fraction(two_delta, 2) - minus_k_cubed(p)
+def _nef(p: BundleParams, two_delta: int) -> int:
+    """Twice the nef threshold, 2*nef(X/P^1) = 2*delta - 2*(-K_X)^3."""
+    return two_delta - _form_at(TWO_MINUS_K_CUBED, p.lam, p.mu, p.nu)
 
 
-def _k_status(p: BundleParams, nef: Fraction) -> KStatus:
-    if nef < 0:
+def _at_most(two_delta: int, d0: Fraction) -> bool:
+    """delta <= d0, in ints (the denominator of a `Fraction` is positive)."""
+    return d0.denominator * two_delta <= 2 * d0.numerator
+
+
+def _k_status(p: BundleParams, two_nef: int) -> KStatus:
+    if two_nef < 0:
         return KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
     # -K_X = H + (lambda + mu - nu + 2) F lies strictly inside the cone of F
     # and D_z = 2H + mu F when its F-coefficient exceeds wr(z) = mu/2.
@@ -368,7 +378,7 @@ def classify_case(p: BundleParams) -> CaseLabel:
 
 def nef_threshold(p: BundleParams) -> Fraction:
     """Nef threshold of X over P^1: the least r with -K_X + r*F nef."""
-    return _nef(p, _decide_valid(p)[1])
+    return Fraction(_nef(p, _decide_valid(p)[1]), 2)
 
 
 def delta(p: BundleParams) -> Fraction:
@@ -378,12 +388,12 @@ def delta(p: BundleParams) -> Fraction:
 
 def k2_condition(p: BundleParams) -> bool:
     """K^2-condition: (-K_X)^2 not interior to the effective cone, i.e. delta <= 0."""
-    return delta(p) <= 0
+    return _decide_valid(p)[1] <= 0
 
 
 def k3_condition(p: BundleParams, d0: Fraction) -> bool:
     """K^3_d condition: delta <= d0."""
-    return delta(p) <= Fraction(d0)
+    return _at_most(_decide_valid(p)[1], Fraction(d0))
 
 
 def k_status(p: BundleParams) -> KStatus:
@@ -412,30 +422,23 @@ def report(p: BundleParams,
     proven K-failure.
     """
     _require_normalized(p)
-    flags, case, branch, two_delta = _decide(p.lam, p.mu, p.nu)
+    flags, case, branch, two_delta = _decide(*p)
     v = _validity_report(flags, branch)
     if flags:
         return FibrationReport(params=p, validity=v)
-    d = Fraction(two_delta, 2)
-    k_cubed = minus_k_cubed(p)
-    nef = d - k_cubed
-    status = _k_status(p, nef)
-    if d <= 0:
+    two_nef = _nef(p, two_delta)
+    status = _k_status(p, two_nef)
+    if two_delta <= 0:
         verdict = Verdict.SUPERRIGID
     elif status.proven_fails:
         verdict = Verdict.NOT_RIGID_OVER_BASE
     else:  # delta <= 1: importing `classify` checks it on every delta > 0 row
         verdict = Verdict.SUPERRIGID_IF_K_CONDITION
+    # 2*delta - 2*nef = 2*(-K_X)^3, the form `TWO_MINUS_K_CUBED`.
     return FibrationReport(
-        params=p,
-        validity=v,
-        case=case,
-        weight_ratios=WeightRatios.from_params(p),
-        k_cubed=k_cubed,
-        nef_threshold=nef,
-        delta=d,
-        k2_holds=d <= 0,
-        k3_threshold_results={d0: d <= d0 for d0 in map(Fraction, thresholds)},
-        k_status=status,
-        verdict=verdict,
-    )
+        params=p, validity=v, case=case, weight_ratios=WeightRatios.from_params(p),
+        k_cubed=Fraction(two_delta - two_nef, 2), nef_threshold=Fraction(two_nef, 2),
+        delta=Fraction(two_delta, 2), k2_holds=two_delta <= 0,
+        k3_threshold_results={d0: _at_most(two_delta, d0)
+                              for d0 in map(Fraction, thresholds)},
+        k_status=status, verdict=verdict)

@@ -404,5 +404,5 @@ def is_dz_movable_on_x(p: BundleParams) -> bool:
     `base_locus_strata` computes the strata themselves, and the tests check
     this rule against a scan of them.
     """
-    q = normalize(GradingMatrix.from_params(p))
+    q = p if p.is_normalized else normalize(GradingMatrix.from_params(p))
     return q.mu >= 0 and (q.mu >= 2 * q.lam or 2 * q.nu > 3 * q.mu)

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from dp1toric import conditions
+from dp1toric import chow, conditions
 from dp1toric.chow import anticanonical_on_x, minus_k_cubed, triple_on_x
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
@@ -14,7 +14,7 @@ from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  classify_case, delta, k2_condition,
                                  k3_condition, k_status, nef_threshold,
                                  report, validity)
-from dp1toric.grading import F, BundleParams
+from dp1toric.grading import F, BundleParams, is_dz_movable_on_x
 
 Q = Fraction
 
@@ -176,6 +176,29 @@ def test_k2_equivalent_to_k3_zero():
         assert k2_condition(p) == k3_condition(p, Q(0))
 
 
+# Ints, strings, a negative denominator, zero and duplicates, and thresholds
+# far beyond any delta, on both sides of it.
+K3_THRESHOLDS = (0, 1, -2, 3, "6/4", "-1/3", "1/2", Q(3, -2), Q(0), 0, "0", 1,
+                 Q(10**400), Q(-(10**400)), Q(1, 10**400), Q(-1, 10**400))
+
+
+def test_k3_results_compare_in_ints_as_in_fractions():
+    # delta = -7, -1/2, 0, 1/2, 1 and 5/2.
+    signs = set()
+    for triplet in [(3, -7, 20), (0, -3, 0), (0, 0, 2), (2, 3, 6), (0, -2, 0),
+                    (2, 3, 5)]:
+        p = BundleParams(*triplet)
+        rep = report(p, K3_THRESHOLDS)
+        d = rep.delta
+        signs.add((d > 0) - (d < 0))
+        expected = {Q(t): d <= Q(t) for t in K3_THRESHOLDS}
+        assert rep.k3_threshold_results == expected, p
+        assert list(rep.k3_threshold_results) == list(expected), p
+        assert [k3_condition(p, t) for t in K3_THRESHOLDS] == [
+            d <= Q(t) for t in K3_THRESHOLDS], p
+    assert signs == {-1, 0, 1}
+
+
 # --- K-status ---------------------------------------------------------------------
 
 def test_k_status_ample_anticanonical():
@@ -257,11 +280,40 @@ def test_integer_core_matches_rational_formulas_on_grid():
                     fn(p)
             continue
         nef = reference_nef_threshold(p)
+        k = anticanonical_on_x(p)
         assert classify_case(p) is reference_case(p), p
         assert nef_threshold(p) == nef, p
         assert delta(p) == minus_k_cubed(p) + nef, p
+        assert delta(p) == triple_on_x(p, k, k, k) + nef, p
+        assert report(p) == reference_report(p), p
         for value in (nef_threshold(p), delta(p)):
             assert type(value) is Fraction
+
+
+def reference_report(p, thresholds=conditions.DEFAULT_THRESHOLDS):
+    """The report of a valid triplet, built in Fractions: (-K_X)^3 as the
+    product (-K_X)^3 on X, the nef threshold of the case, and every
+    comparison between Fractions."""
+    k = anticanonical_on_x(p)
+    wr = WeightRatios(Q(0), Q(p.lam), Q(p.mu, 2), Q(p.nu, 3))
+    k_cubed = triple_on_x(p, k, k, k)
+    nef = reference_nef_threshold(p)
+    d = k_cubed + nef
+    if nef < 0:
+        status = KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
+    elif k.f > wr.wr_z and is_dz_movable_on_x(p):  # -K_X = H + k.f*F interior
+        status = KStatus.proven(KFailureReason.DZ_MOVABLE_INTERIOR)
+    else:
+        status = KStatus.not_proven()
+    if d <= 0:
+        verdict = Verdict.SUPERRIGID
+    elif status.proven_fails:
+        verdict = Verdict.NOT_RIGID_OVER_BASE
+    else:
+        verdict = Verdict.SUPERRIGID_IF_K_CONDITION
+    return FibrationReport(p, reference_validity(p), reference_case(p), wr,
+                           k_cubed, nef, d, d <= 0,
+                           {Q(t): d <= Q(t) for t in thresholds}, status, verdict)
 
 
 def test_case_table_entries_are_exclusive_and_cover_case_a():
@@ -290,6 +342,27 @@ def test_report_decides_once(monkeypatch):
     assert rep.verdict is Verdict.NOT_RIGID_OVER_BASE
     assert calls["validity"] <= 1
     assert calls["_decide"] == 1
+
+
+def test_report_path_calls_no_minus_k_cubed(monkeypatch):
+    # (-K_X)^3 enters reports as the integer form it shares with
+    # `chow.minus_k_cubed`, never through a call of it.
+    grid = [BundleParams(*t) for t in iproduct(range(4), range(-6, 7), range(9))]
+    valid = [p for p in grid if validity(p).is_valid]
+
+    def values():
+        return ([report(p) for p in grid],
+                [(nef_threshold(p), delta(p), k_status(p)) for p in valid])
+    expected = values()
+
+    def refuse(p):
+        raise AssertionError("minus_k_cubed called on the report path")
+
+    for module in (chow, conditions):
+        if hasattr(module, "minus_k_cubed"):
+            monkeypatch.setattr(module, "minus_k_cubed", refuse)
+    assert values() == expected
+    assert valid
 
 
 def test_report_runs_the_dz_certificate_only_on_its_path(monkeypatch):

@@ -1,8 +1,10 @@
 """List the statements of src/dp1toric that tier-1 never executes.
 
-Runs the tier-1 suite in this process under `sys.settrace`, then prints
-`path:line: statement` for each statement of src/dp1toric/*.py on none of
-whose header lines a line event fired.  Module, class and function
+Reads and parses src/dp1toric/*.py, runs the tier-1 suite in this process
+under `sys.settrace`, then prints `path:line: statement` for each statement
+on none of whose header lines a line event fired.  The sources are read
+before the run, as the suite imports them, so a file edited during the run
+is not reported against lines it no longer has.  Module, class and function
 docstrings are skipped, as in tools/code_lines.py; code that only the
 suite's subprocesses run (the entry points) is listed.  Takes about two
 minutes.  Run from anywhere: python3 tools/unexecuted.py
@@ -61,12 +63,14 @@ def run_tier1() -> dict[str, set[int]]:
 
 
 def main() -> None:
+    texts = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = {path: sorted(statements(text), key=lambda s: s[0])
+             for path, text in texts.items()}
     hit = run_tier1()
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
+    for path, text in texts.items():
         source = text.splitlines()
         lines = hit[str(path)]
-        for line, header in sorted(statements(text), key=lambda s: s[0]):
+        for line, header in found[path]:
             if lines.isdisjoint(header):
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
 
