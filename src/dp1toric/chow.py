@@ -10,6 +10,15 @@ whose values are
 The H^4 value can also be re-derived from the vanishing of the product of
 the four fiber-coordinate divisors, which `derive_h4` does as an
 independent cross-check of the closed form.
+
+Everything is computed in ints, and each returned value is one `Fraction`
+built at the end.  `_coefficients` multiplies classes as integer pairs over
+a common denominator, and `triple_on_x` evaluates the product with the
+hypersurface X = 6H + 2*nu*F collapsed to one integer form:
+
+    (a . b . c)_X = (2*below - (2*lambda + mu)*top) / (2*d)
+
+for (a . b . c) = (top*H^3 + below*H^2*F) / d.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .grading import (BundleParams, DivisorClass, _signed_sum, signed,
-                      torus_divisor_class)
+from .grading import (BundleParams, DivisorClass, _signed_sum, rational,
+                      signed, torus_divisor_class)
 
 
 class DegreeOverflow(ValueError):
@@ -42,7 +51,7 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
     def __new__(cls, coefficients: dict[tuple[int, int], Fraction] | None = None):
         reduced = {}
         for (i, j), q in (coefficients or {}).items():
-            q = Fraction(q)
+            q = rational(q)
             if j >= 2 or q == 0:
                 continue
             if not 0 <= i <= 4 or j < 0:
@@ -68,24 +77,23 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
         return _signed_sum(parts)
 
 
-def _over_common(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(a', b', s) with a = a'/s and b = b'/s, s the lcm of the denominators."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    s = lcm(ad, bd)
-    return an * (s // ad), bn * (s // bd), s
+def _coefficients(classes: list[tuple[Fraction, Fraction]]) -> tuple[int, int, int]:
+    """(top, below, d) with the product of the k classes (h, f) = h*H + f*F
+    equal to (top*H^k + below*H^(k-1)*F) / d modulo F^2 = 0, all ints.
 
-
-def _coefficients(classes: list[DivisorClass]) -> tuple[int, int, int]:
-    """(top, below, d) with the product of the k classes equal to
-    (top*H^k + below*H^(k-1)*F) / d modulo F^2 = 0, all ints.
-
-    Each class is scaled to ints over the lcm of its two denominators, and
-    d is the product of those scales; d = 1 for integral classes.
+    Each class is read as h = h'/s and f = f'/s over one denominator s:
+    the denominator both share, as every integral class does, or else the
+    lcm of the two.  d is the product of those s; d = 1 for integral
+    classes.  One class (a, b) gives (a', b', s), a and b over a common
+    denominator.
     """
     top, below, d = 1, 0, 1
-    for cls in classes:
-        h, f, s = _over_common(cls.h, cls.f)
+    for h, f in classes:
+        h, s = h.as_integer_ratio()
+        f, t = f.as_integer_ratio()
+        if s != t:
+            m = lcm(s, t)
+            h, f, s = h * (m // s), f * (m // t), m
         top, below, d = top * h, below * h + top * f, d * s
     return top, below, d
 
@@ -107,17 +115,14 @@ def product(classes: list[DivisorClass]) -> CycleClass:
     return CycleClass({(k, 0): Fraction(top, d), (k - 1, 1): Fraction(below, d)})
 
 
-def _top_value(p: BundleParams, top: int, below: int, d: int) -> Fraction:
-    """Degree of (top*H^4 + below*H^3*F) / d, by the closed forms of the
-    module docstring: (H^4) = -(6*lambda + 3*mu + 2*nu)/36, (H^3*F) = 1/6."""
-    return Fraction(-top * (6 * p.lam + 3 * p.mu + 2 * p.nu) + 6 * below, 36 * d)
-
-
 def evaluate_top(p: BundleParams, c: CycleClass) -> Fraction:
-    """Degree of a top (degree-4) cycle class on P(lambda, mu, nu)."""
+    """Degree of a top (degree-4) cycle class (top*H^4 + below*H^3*F) / d on
+    P(lambda, mu, nu), by the closed forms of the module docstring:
+    (H^4) = -(6*lambda + 3*mu + 2*nu)/36, (H^3*F) = 1/6."""
     if not c.is_homogeneous(4):
         raise DegreeMismatch(f"top evaluation needs degree 4, got {c}")
-    return _top_value(p, *_over_common(c.coefficient(4, 0), c.coefficient(3, 1)))
+    top, below, d = _coefficients([(c.coefficient(4, 0), c.coefficient(3, 1))])
+    return Fraction(-top * (6 * p.lam + 3 * p.mu + 2 * p.nu) + 6 * below, 36 * d)
 
 
 def derive_h4(p: BundleParams) -> Fraction:
@@ -127,22 +132,18 @@ def derive_h4(p: BundleParams) -> Fraction:
     product vanishes.  Expanding it leaves a linear equation in the unknown
     (H^4) with (H^3 * F) = 1/6 known; this derivation is independent of the
     closed form used by `evaluate_top` and `triple_on_x`.
+
+    With the product equal to (top*H^4 + below*H^3*F) / d, the equation is
+    top*(H^4) + below/6 = 0, so (H^4) = -below / (6*top); d cancels, and
+    top = 1*1*2*3, the product of the H-degrees, is never 0.
     """
-    cyc = product([torus_divisor_class(p, t) for t in "xyzw"])
-    coeff_h4 = cyc.coefficient(4, 0)
-    coeff_h3f = cyc.coefficient(3, 1)
-    # coeff_h4 * (H^4) + coeff_h3f * (1/6) = 0
-    return -coeff_h3f * Fraction(1, 6) / coeff_h4
-
-
-def _x_coefficients(p: BundleParams) -> tuple[int, int]:
-    """(h, f) of the class h*H + f*F = 6H + 2*nu*F of the hypersurface X."""
-    return 6, 2 * p.nu
+    top, below, _ = _coefficients([torus_divisor_class(p, t) for t in "xyzw"])
+    return Fraction(-below, 6 * top)
 
 
 def x_class(p: BundleParams) -> DivisorClass:
     """Class 6H + 2*nu*F of the degree-1 del Pezzo hypersurface."""
-    return DivisorClass(*_x_coefficients(p))
+    return DivisorClass(6, 2 * p.nu)
 
 
 def anticanonical_on_x(p: BundleParams) -> DivisorClass:
@@ -155,12 +156,18 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     """Triple intersection (a . b . c) on the hypersurface X.
 
     Restriction is computed upstairs: (a . b . c)_X = (a . b . c . X)_P.
-    With (a . b . c) = (top*H^3 + below*H^2*F) / d and X = h*H + f*F, the
-    product is (h*top*H^4 + (h*below + f*top)*H^3*F) / d modulo F^2 = 0.
+    With (a . b . c) = (top*H^3 + below*H^2*F) / d and X = 6H + 2*nu*F,
+    the product is (6*top*H^4 + (6*below + 2*nu*top)*H^3*F) / d modulo
+    F^2 = 0.  By the closed forms its degree is
+
+        (-6*top*(6*lambda + 3*mu + 2*nu) + 6*(6*below + 2*nu*top)) / (36*d)
+          = (2*below - (2*lambda + mu)*top) / (2*d):
+
+    the nu terms cancel.  For classes h_i*H + f_i*F that is
+    f_a*h_b*h_c + h_a*f_b*h_c + h_a*h_b*f_c - (lambda + mu/2)*h_a*h_b*h_c.
     """
     top, below, d = _coefficients([a, b, c])
-    h, f = _x_coefficients(p)
-    return _top_value(p, h * top, h * below + f * top, d)
+    return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2 * d)
 
 
 # 2*(-K_X)^3 = a*lambda + b*mu + c*nu + r as (a, b, c, r): the one place the

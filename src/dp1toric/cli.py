@@ -23,9 +23,8 @@ from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
                          KFailureReason, report, to_json)
-from .grading import (BundleParams, DivisorClass, GradingMatrix,
-                      fiber_part_count, monomial_count, monomial_strings,
-                      normalize)
+from .grading import (BundleParams, DivisorClass, GradingMatrix, basis_parts,
+                      basis_strings, fiber_part_count, normalize)
 
 FORMATS = ("plain", "json", "csv", "markdown")
 
@@ -178,26 +177,27 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _check_basis_size(p: BundleParams, cls: DivisorClass) -> None:
-    """Refuse a basis of more than MAX_BASIS_MONOMIALS monomials, or one
-    whose enumeration visits more fiber parts x^c y^d z^e w^g than that,
-    before any of it is built."""
+def _basis(p: BundleParams, cls: DivisorClass) -> list[str]:
+    """monomial_strings(p, cls), refused before any string is built when the
+    basis has more than MAX_BASIS_MONOMIALS monomials, or its enumeration
+    visits more fiber parts x^c y^d z^e w^g than that.  One walk of the
+    fiber parts gives both the count and the strings."""
     if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
                          "fiber monomials x^c*y^d*z^e*w^g to scan")
-    count = monomial_count(p, cls)
+    parts = basis_parts(p, cls)
+    count = sum(r + 1 for r, *_ in parts)
     if count > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
                          f"the {MAX_BASIS_MONOMIALS} that basis lists")
+    return basis_strings(cls, parts)
 
 
 def _cmd_basis(args) -> int:
-    p = BundleParams(args.lam, args.mu, args.nu)
-    cls = DivisorClass(args.h, args.f)
-    _check_basis_size(p, cls)
-    monomials = monomial_strings(p, cls)
+    monomials = _basis(BundleParams(args.lam, args.mu, args.nu),
+                       DivisorClass(args.h, args.f))
     sys.stdout.write(_render(
-        args.format, lambda: "".join(f"{m}\n" for m in monomials),
+        args.format, lambda: "\n".join([*monomials, ""]),
         lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials]),
         lambda: "".join(f"- `{m}`\n" for m in monomials)))  # a bullet list
     return 0

@@ -18,6 +18,7 @@ coordinate strata of base loci.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -85,7 +86,7 @@ class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)]
     __slots__ = ()
 
     def __new__(cls, h, f):
-        return tuple.__new__(cls, (Fraction(h), Fraction(f)))
+        return tuple.__new__(cls, (rational(h), rational(f)))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
@@ -121,6 +122,18 @@ class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)]
         return _signed_sum(terms)
 
 
+def rational(q) -> Fraction:
+    """q as a Fraction: a Fraction as it is, an int, a string such as "3/2"
+    or another exact rational converted.  A float is refused with TypeError:
+    it holds a binary expansion, so 0.1 would become 3602879701896397/2**55."""
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, float):
+        raise TypeError(f"{q!r} is a float; give an exact rational such as "
+                        "an int, a Fraction or a string like '1/10'")
+    return Fraction(q)
+
+
 def signed(q: Fraction) -> str:
     """Rational with an explicit leading sign, e.g. +3/2 or -1."""
     return f"+{q}" if q >= 0 else str(q)
@@ -150,12 +163,8 @@ class ExponentVector(NamedTuple):
         return frozenset(v for v, k in zip(VARIABLES, self) if k > 0)
 
     def __str__(self) -> str:
-        return "*".join(_power(v, k) for v, k in zip(VARIABLES, self) if k) or "1"
-
-
-def _power(v: str, k: int) -> str:
-    """The factor v^k, k >= 1, of a monomial as `str` spells it."""
-    return v if k == 1 else f"{v}^{k}"
+        return "*".join(v if k == 1 else f"{v}^{k}"
+                        for v, k in zip(VARIABLES, self) if k) or "1"
 
 
 class Stratum(NamedTuple("Stratum", [("zero_set", frozenset)])):
@@ -244,31 +253,47 @@ def _fiber_parts(p: BundleParams, cls: DivisorClass):
                        fdeg - p.lam * d - p.mu * e - p.nu * g)
 
 
-def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
-    """[str(m) for m in monomial_basis(p, cls)], built without the
-    ExponentVectors.
+def basis_parts(p: BundleParams, cls: DivisorClass) -> list[tuple[int, ...]]:
+    """(r, c, d, e, g) of each fiber part x^c y^d z^e w^g with residual
+    F-degree r >= 0, in walk order.
+
+    Each gives r + 1 monomials, so one walk of `_fiber_parts` yields both the
+    size of the basis and, through `basis_strings`, the basis itself.
+    """
+    return [(r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0]
+
+
+def basis_strings(cls: DivisorClass, parts: list[tuple[int, ...]]) -> list[str]:
+    """[str(m) for m in monomial_basis(p, cls)] from parts =
+    basis_parts(p, cls), built without the ExponentVectors.
 
     Lexicographic order is by a, then by b = r - a, then by (c, d, e, g).
-    The fiber parts with r >= 0 are sorted once by (r, c, d, e, g); for each
-    a, those with r >= a (a suffix of that order) give the monomials
-    u^a v^(r-a) x^c y^d z^e w^g in order.
+    The parts are sorted once by (r, c, d, e, g); for each a, those with
+    r >= a (a suffix of that order) give the monomials
+    u^a v^(r-a) x^c y^d z^e w^g in order.  Every factor is written with a
+    trailing "*", and the fiber string drops its last one.  When h > 0 the
+    fiber string is never empty, so the u and v factors keep theirs; only
+    h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
-    parts = sorted((r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls)
-                   if r >= 0)
-    fibers = [(r, "*".join(_power(v, k) for v, k in zip(VARIABLES[2:], cdeg) if k))
-              for r, *cdeg in parts]
-    r_max = parts[-1][0] if parts else -1
-    # u and v factors carry a trailing "*", stripped where no factor follows.
-    v_factors = [""] + [_power("v", b) + "*" for b in range(1, r_max + 1)]
-    out = []
-    start = 0
-    for a in range(r_max + 1):
-        while fibers[start][0] < a:
-            start += 1
-        u = _power("u", a) + "*" if a else ""
-        out += [(u + v_factors[r - a] + fiber).rstrip("*") or "1"
-                for r, fiber in fibers[start:]]
-    return out
+    if not parts:
+        return []
+    parts = sorted(parts)
+    h, r_max = int(cls.h), parts[-1][0]
+    # exps[k - 1] follows a variable to the power k >= 1; x[k] is x^k*.
+    exps = ["*", *[f"^{k}*" for k in range(2, max(h, r_max) + 1)]]
+    x, y, z, w = (["", *[s + t for t in exps[:h]]] for s in "xyzw")
+    fibers = [(r, (x[c] + y[d] + z[e] + w[g])[:-1]) for r, c, d, e, g in parts]
+    u, v = (["", *[s + t for t in exps[:r_max]]] for s in "uv")
+    rs = [r for r, _ in fibers]
+    out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
+           for r, fiber in fibers[bisect_left(rs, a):]]
+    return out if h else [m.rstrip("*") or "1" for m in out]
+
+
+def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
+    """[str(m) for m in monomial_basis(p, cls)], built without the
+    ExponentVectors: `basis_strings` of `basis_parts`."""
+    return basis_strings(cls, basis_parts(p, cls))
 
 
 def fiber_part_count(cls: DivisorClass) -> int:

@@ -194,3 +194,57 @@ def test_minus_k_cubed_matches_expansion_on_grid():
         p = BundleParams(lam, mu, nu)
         k = anticanonical_on_x(p)
         assert minus_k_cubed(p) == triple_on_x(p, k, k, k)
+
+
+# Classes whose two entries have different denominators: the integer
+# kernels scale them by the lcm, a branch integral classes never take.
+UNEQUAL = [DivisorClass(Q(1, 2), Q(1, 3)), DivisorClass(Q(7, 3), -2),
+           DivisorClass(Q(-5, 6), Q(3, 4))]
+
+
+def fraction_top_value(p, h4_coeff, h3f_coeff):
+    """Degree of h4_coeff*H^4 + h3f_coeff*H^3*F, in Fraction arithmetic."""
+    return h4_coeff * -Q(6 * p.lam + 3 * p.mu + 2 * p.nu, 36) + h3f_coeff * Q(1, 6)
+
+
+def test_unequal_denominators_match_fraction_arithmetic():
+    p = BundleParams(2, -3, 5)
+    a, b, c = UNEQUAL
+    for classes in ([a], [a, b], [a, b, c], [a, b, c, F], [c, c, b, a]):
+        assert product(classes).coefficients == expand_product(classes), classes
+    # (a . b . c) = top*H^3 + below*H^2*F, then times X = 6H + 2*nu*F.
+    top = a.h * b.h * c.h
+    below = a.f * b.h * c.h + a.h * b.f * c.h + a.h * b.h * c.f
+    expected = fraction_top_value(p, 6 * top, 6 * below + 2 * p.nu * top)
+    assert triple_on_x(p, a, b, c) == expected
+    assert triple_on_x(p, c, a, b) == expected
+    cyc = product([a, b, c, x_class(p)])
+    assert evaluate_top(p, cyc) == expected
+    four = product([a, b, c, a])
+    assert evaluate_top(p, four) == fraction_top_value(
+        p, four.coefficient(4, 0), four.coefficient(3, 1))
+    assert evaluate_top(p, CycleClass({(4, 0): Q(1, 2), (3, 1): Q(1, 3)})) == \
+        fraction_top_value(p, Q(1, 2), Q(1, 3))
+
+
+def test_classes_from_fraction_int_and_string_are_equal_fractions():
+    for h, f in ((Q(3, 2), Q(2)), (Q(3, 2), 2), ("3/2", "2")):
+        cls = DivisorClass(h, f)
+        assert cls == DivisorClass(Q(3, 2), Q(2))
+        assert type(cls.h) is Fraction and type(cls.f) is Fraction
+    for q in (Q(3, 2), "3/2"):
+        cyc = CycleClass({(4, 0): q, (3, 1): 1})
+        assert cyc == CycleClass({(4, 0): Q(3, 2), (3, 1): Q(1)})
+        assert all(type(v) is Fraction for v in cyc.coefficients.values())
+    assert CycleClass({(4, 0): 3}).coefficients == {(4, 0): Q(3)}
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError, match=r"0\.1"):
+        DivisorClass(0.1, 0)
+    with pytest.raises(TypeError, match=r"2\.5"):
+        DivisorClass(1, 2.5)
+    with pytest.raises(TypeError, match=r"0\.5"):
+        DivisorClass(1, 1) * 0.5
+    with pytest.raises(TypeError, match=r"0\.25"):
+        CycleClass({(4, 0): 0.25})

@@ -13,7 +13,7 @@ import pytest
 
 from dp1toric.cli import main
 from dp1toric.conditions import FibrationReport, report
-from dp1toric.grading import BundleParams
+from dp1toric.grading import BundleParams, DivisorClass, monomial_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +218,32 @@ def test_basis_command_json(capsys):
     code, out, _ = run(capsys, "basis", "0", "2", "3", "1", "0",
                        "--format", "json")
     assert code == 0 and json.loads(out) == ["y", "x"]
+
+
+def basis_listed(out, fmt):
+    """The monomials of `basis` output in format fmt."""
+    if fmt == "json":
+        return json.loads(out)
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "monomial"
+        return lines[1:]
+    if fmt == "markdown":
+        assert all(line.startswith("- `") and line.endswith("`") for line in lines)
+        return [line[3:-1] for line in lines]
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ("plain", "json", "csv", "markdown"))
+def test_basis_of_fiber_degree_zero(capsys, fmt):
+    # h = 0: no fiber variable, so the u and v factors end each string.
+    for f, expected in ((3, ["v^3", "u*v^2", "u^2*v", "u^3"]), (0, ["1"])):
+        code, out, _ = run(capsys, "basis", "0", "2", "3", "0", str(f),
+                           "--format", fmt)
+        cls = DivisorClass(0, f)
+        assert code == 0
+        assert basis_listed(out, fmt) == expected == [
+            str(m) for m in monomial_basis(BundleParams(0, 2, 3), cls)]
 
 
 def test_basis_refuses_huge_bases_quickly(capsys):
