@@ -14,10 +14,10 @@ of the table that decides, `conditions._CASE_ROWS`: (a-i), (a-ii), (b) I,
 b*mu + c*nu <= r: lambda >= 0, the table's validity and case rows, and
 2*delta >= 1 read off the case's form in `conditions._TWO_DELTA`.  As at
 most one entry holds at a triplet, the regions are the first-match
-decision of `_decide`.  Integer Fourier-Motzkin elimination of nu, then
-of mu, gives nested bounds lambda -> mu -> nu.  At import, the lattice
-points in between are enumerated over all of Z^3, with no box, and
-`_decide` decides each again; the rows of those it finds valid with
+decision of `conditions._decide`.  Integer Fourier-Motzkin elimination of
+nu, then of mu, gives nested bounds lambda -> mu -> nu.  At import, the
+lattice points in between are enumerated over all of Z^3, with no box,
+and `conditions.report` reports on each; the reports with a case and
 delta > 0 are the oracle rows, the only rows built.  `oracle_search`
 filters them by the box, so it costs the same whatever the box, and the
 reference rows are the oracle rows of the reference triplets.
@@ -42,7 +42,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .conditions import (_CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel,
-                         RestrictBranch, _decide, _form_at, _k_status, _nef)
+                         RestrictBranch, _form_at, report)
 from .grading import BundleParams
 
 
@@ -102,16 +102,12 @@ K2_FAILURE_TRIPLETS = (
 
 
 def _rows(triplets) -> tuple[ClassificationRow, ...]:
-    """The rows of the triplets that `_decide` finds valid with delta > 0,
-    in the order given."""
-    rows = []
-    for lam, mu, nu in triplets:
-        flags, case, _, two_delta = _decide(lam, mu, nu)
-        if not flags and two_delta > 0:
-            p = BundleParams(lam, mu, nu)
-            rows.append(ClassificationRow(p, Fraction(two_delta, 2), case,
-                                          _k_status(p, _nef(p, two_delta)).proven_fails))
-    return tuple(rows)
+    """The rows of the triplets whose `report` has a case and delta > 0, in
+    the order given: each row is read off its report."""
+    reports = (report(BundleParams(*t)) for t in triplets)
+    return tuple(ClassificationRow(r.params, r.delta, r.case,
+                                   r.k_status.proven_fails)
+                 for r in reports if r.case and r.delta > 0)
 
 
 def _eliminate(rows: tuple) -> tuple:
@@ -141,9 +137,9 @@ def _eliminate(rows: tuple) -> tuple:
 
 def _region(case: CaseLabel, branch: RestrictBranch | None,
             case_rows: tuple) -> tuple:
-    """The triplets with delta > 0 in one case (and branch) of `_decide`:
-    (case, branch, rows on (lambda, mu, nu), rows on (lambda, mu), rows on
-    lambda)."""
+    """The triplets with delta > 0 in one case (and branch) of
+    `conditions._decide`: (case, branch, rows on (lambda, mu, nu), rows on
+    (lambda, mu), rows on lambda)."""
     a, b, c, r = _TWO_DELTA[case]
     rows = ((-1, 0, 0, 0), *(row for row, _ in _VALID_ROWS), *case_rows,
             (-a, -b, -c, r - 1))
@@ -175,7 +171,7 @@ def _interval(rows: tuple, prefix: tuple) -> range:
     return range(max(lows), min(highs) + 1)
 
 
-# Every lattice point of every region, decided again by `_rows`.  Enumerated
+# Every lattice point of every region, reported on by `_rows`.  Enumerated
 # from the rows alone, with no box, so importing the module checks that the
 # set with delta > 0 is finite over all of Z^3.
 _ORACLE_ROWS = _rows(sorted(
@@ -203,9 +199,10 @@ def oracle_search(box: SearchBox) -> list[ClassificationRow]:
     """Every normalized triplet in the box passing validity with delta > 0.
 
     Filters the rows of every lattice point of the regions, built at import:
-    each was decided again by `_decide`, and none of the bound derivations
-    behind the reference table enter.  The cost does not depend on the size
-    of the box.  Results are in lexicographic order on (lambda, mu, nu).
+    each was read off the `report` of its triplet, and none of the bound
+    derivations behind the reference table enter.  The cost does not depend
+    on the size of the box.  Results are in lexicographic order on
+    (lambda, mu, nu).
     """
     (llo, lhi), (mlo, mhi), (nlo, nhi) = box
     return [r for lam, mu, nu, r in _ORACLE_INDEX
@@ -219,8 +216,16 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     trichotomy; the extended rule used here is (a-i) when wr(z) <= wr(y)
     and (a-ii) when wr(y) < wr(z), with the corresponding nef-threshold
     formulas.  No exhaustiveness over nonsingular families is claimed.
+
+    mu < 0 is refused: in |6H + 6*mu*F|, x^6, x^5 y, x^4 z and x^3 w
+    would leave the negative F-degrees 6*mu, 6*mu - lambda, 4*mu and 3*mu
+    to u and v, so every member lies in (y, z, w)^2 and is singular along
+    y = z = w = 0.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    if mu < 0:
+        raise ValueError("mu must be nonnegative: for mu < 0 no member of "
+                         "the family is nonsingular")
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
     return Fraction(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case

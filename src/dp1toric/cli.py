@@ -23,14 +23,10 @@ from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
                          KFailureReason, report, to_json)
-from .grading import (BundleParams, DivisorClass, GradingMatrix, basis_parts,
-                      basis_strings, fiber_part_count, normalize)
+from .grading import (BundleParams, DivisorClass, GradingMatrix,
+                      monomial_strings, normalize)
 
 FORMATS = ("plain", "json", "csv", "markdown")
-
-# Largest monomial basis `basis` lists; past it, it refuses with exit 2
-# instead of building the list.
-MAX_BASIS_MONOMIALS = 10**6
 
 ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
 ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
@@ -177,25 +173,9 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _basis(p: BundleParams, cls: DivisorClass) -> list[str]:
-    """monomial_strings(p, cls), refused before any string is built when the
-    basis has more than MAX_BASIS_MONOMIALS monomials, or its enumeration
-    visits more fiber parts x^c y^d z^e w^g than that.  One walk of the
-    fiber parts gives both the count and the strings."""
-    if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
-                         "fiber monomials x^c*y^d*z^e*w^g to scan")
-    parts = basis_parts(p, cls)
-    count = sum(r + 1 for r, *_ in parts)
-    if count > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
-                         f"the {MAX_BASIS_MONOMIALS} that basis lists")
-    return basis_strings(cls, parts)
-
-
 def _cmd_basis(args) -> int:
-    monomials = _basis(BundleParams(args.lam, args.mu, args.nu),
-                       DivisorClass(args.h, args.f))
+    monomials = monomial_strings(BundleParams(args.lam, args.mu, args.nu),
+                                 DivisorClass(args.h, args.f))
     sys.stdout.write(_render(
         args.format, lambda: "\n".join([*monomials, ""]),
         lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials]),

@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chow import TWO_MINUS_K_CUBED
-from .grading import BundleParams, is_dz_movable_on_x
+from .grading import BundleParams, is_dz_movable_on_x, rational
 
 DEFAULT_THRESHOLDS = (Fraction(0), Fraction(1), Fraction(3, 2))
 
@@ -392,8 +392,9 @@ def k2_condition(p: BundleParams) -> bool:
 
 
 def k3_condition(p: BundleParams, d0: Fraction) -> bool:
-    """K^3_d condition: delta <= d0."""
-    return _at_most(_decide_valid(p)[1], Fraction(d0))
+    """K^3_d condition: delta <= d0 (an exact rational; see
+    `grading.rational`)."""
+    return _at_most(_decide_valid(p)[1], rational(d0))
 
 
 def k_status(p: BundleParams) -> KStatus:
@@ -419,7 +420,8 @@ def report(p: BundleParams,
     SuperrigidIfKCondition.  That last one needs delta <= 1, which holds by
     exhaustion: delta > 0 only on the 14 rows `classify` enumerates over
     Z^3, and its import raises unless each of them with delta > 1 has a
-    proven K-failure.
+    proven K-failure.  Each threshold is read by `grading.rational`, so a
+    float raises TypeError.
     """
     _require_normalized(p)
     flags, case, branch, two_delta = _decide(*p)
@@ -440,5 +442,5 @@ def report(p: BundleParams,
         k_cubed=Fraction(two_delta - two_nef, 2), nef_threshold=Fraction(two_nef, 2),
         delta=Fraction(two_delta, 2), k2_holds=two_delta <= 0,
         k3_threshold_results={d0: _at_most(two_delta, d0)
-                              for d0 in map(Fraction, thresholds)},
+                              for d0 in map(rational, thresholds)},
         k_status=status, verdict=verdict)

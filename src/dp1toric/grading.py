@@ -12,8 +12,9 @@ rationals (fractions.Fraction); no floating point is used anywhere.
 
 This module normalizes grading matrices to the canonical (lambda, mu, nu)
 form, assigns divisor classes to the torus-invariant coordinate divisors,
-enumerates monomial bases of integral divisor classes, and computes the
-coordinate strata of base loci.
+enumerates monomial bases of integral divisor classes (`monomial_strings`
+lists one as strings, and refuses one of more than MAX_BASIS_MONOMIALS
+monomials), and computes the coordinate strata of base loci.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ FIBER_VARS = frozenset({"x", "y", "z", "w"})
 
 # H-degrees of u, v, x, y, z, w; fixed by the bundle structure.
 BOTTOM_ROW = (0, 0, 1, 1, 2, 3)
+
+# Largest monomial basis `monomial_strings` lists; past it, it refuses with
+# ValueError instead of building the list.
+MAX_BASIS_MONOMIALS = 10**6
 
 
 class InvalidMatrix(ValueError):
@@ -253,31 +258,34 @@ def _fiber_parts(p: BundleParams, cls: DivisorClass):
                        fdeg - p.lam * d - p.mu * e - p.nu * g)
 
 
-def basis_parts(p: BundleParams, cls: DivisorClass) -> list[tuple[int, ...]]:
-    """(r, c, d, e, g) of each fiber part x^c y^d z^e w^g with residual
-    F-degree r >= 0, in walk order.
+def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
+    """[str(m) for m in monomial_basis(p, cls)], built without the
+    ExponentVectors, or ValueError before any string is built when the basis
+    has more than MAX_BASIS_MONOMIALS monomials, or its enumeration visits
+    more fiber parts x^c y^d z^e w^g than that (`fiber_part_count`, in
+    closed form, before the walk).
 
-    Each gives r + 1 monomials, so one walk of `_fiber_parts` yields both the
-    size of the basis and, through `basis_strings`, the basis itself.
-    """
-    return [(r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0]
-
-
-def basis_strings(cls: DivisorClass, parts: list[tuple[int, ...]]) -> list[str]:
-    """[str(m) for m in monomial_basis(p, cls)] from parts =
-    basis_parts(p, cls), built without the ExponentVectors.
-
-    Lexicographic order is by a, then by b = r - a, then by (c, d, e, g).
-    The parts are sorted once by (r, c, d, e, g); for each a, those with
+    One walk of `_fiber_parts` keeps the parts with residual F-degree
+    r >= 0, sorted by (r, c, d, e, g); each gives r + 1 monomials, so the
+    same parts give the count and then the strings.  Lexicographic order is
+    by a, then by b = r - a, then by (c, d, e, g): for each a, the parts with
     r >= a (a suffix of that order) give the monomials
     u^a v^(r-a) x^c y^d z^e w^g in order.  Every factor is written with a
     trailing "*", and the fiber string drops its last one.  When h > 0 the
     fiber string is never empty, so the u and v factors keep theirs; only
     h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
+    if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
+                         "fiber monomials x^c*y^d*z^e*w^g to scan")
+    parts = sorted((r, c, d, e, g)
+                   for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
+    count = sum(r + 1 for r, *_ in parts)
+    if count > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
+                         f"the {MAX_BASIS_MONOMIALS} that basis lists")
     if not parts:
         return []
-    parts = sorted(parts)
     h, r_max = int(cls.h), parts[-1][0]
     # exps[k - 1] follows a variable to the power k >= 1; x[k] is x^k*.
     exps = ["*", *[f"^{k}*" for k in range(2, max(h, r_max) + 1)]]
@@ -288,12 +296,6 @@ def basis_strings(cls: DivisorClass, parts: list[tuple[int, ...]]) -> list[str]:
     out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
            for r, fiber in fibers[bisect_left(rs, a):]]
     return out if h else [m.rstrip("*") or "1" for m in out]
-
-
-def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
-    """[str(m) for m in monomial_basis(p, cls)], built without the
-    ExponentVectors: `basis_strings` of `basis_parts`."""
-    return basis_strings(cls, basis_parts(p, cls))
 
 
 def fiber_part_count(cls: DivisorClass) -> int:

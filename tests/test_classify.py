@@ -265,8 +265,9 @@ def test_oracle_search_decides_nothing_per_call(box, monkeypatch):
     def refuse(*args):
         raise AssertionError("oracle_search decided a triplet")
 
+    monkeypatch.setattr(classify, "report", refuse)
     for name in ("_decide", "_k_status", "_nef"):
-        monkeypatch.setattr(classify, name, refuse)
+        monkeypatch.setattr(conditions, name, refuse)
     assert oracle_search(box) == expected
     assert (expected == []) == (box.lambda_range[1] < 0)
 
@@ -288,3 +289,11 @@ def test_nonsingular_delta_reference_values():
 def test_nonsingular_delta_rejects_negative_lambda():
     with pytest.raises(ValueError):
         nonsingular_delta(-1, 1)
+
+
+def test_nonsingular_delta_rejects_negative_mu():
+    # Every member of |6H + 6*mu*F| is singular along y = z = w = 0.
+    for lam, mu in ((0, -1), (2, -1), (0, -5)):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            nonsingular_delta(lam, mu)
+    assert nonsingular_delta(0, 0) == (Fraction(4), CaseLabel.AI)  # mu = 0 stays

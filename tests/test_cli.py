@@ -265,6 +265,12 @@ def test_nonsingular_command(capsys):
     assert json.loads(out) == {"delta": "2", "case": "AII"}
 
 
+def test_nonsingular_refuses_negative_mu(capsys):
+    code, out, err = run(capsys, "nonsingular", "0", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "mu must be nonnegative" in err
+
+
 # --- the grammar ------------------------------------------------------------------
 
 def golden(name: str) -> str:

@@ -199,6 +199,20 @@ def test_k3_results_compare_in_ints_as_in_fractions():
     assert signs == {-1, 0, 1}
 
 
+def test_thresholds_are_exact_rationals():
+    p = BundleParams(1, 1, 3)  # delta = 3/2
+    for t in (0.1, 1.5):
+        with pytest.raises(TypeError, match="float"):
+            report(p, (t,))
+        with pytest.raises(TypeError, match="float"):
+            k3_condition(p, t)
+    negative = Q(3, -2)
+    rep = report(p, (2, "3/2", negative))
+    assert rep.k3_threshold_results == {Q(2): True, Q(3, 2): True, Q(-3, 2): False}
+    assert next(k for k in rep.k3_threshold_results if k < 0) is negative
+    assert [k3_condition(p, t) for t in (2, "3/2", negative)] == [True, True, False]
+
+
 # --- K-status ---------------------------------------------------------------------
 
 def test_k_status_ample_anticanonical():

@@ -1,6 +1,7 @@
 """Grading-matrix normalization, monomial bases, and base-locus strata."""
 
 from fractions import Fraction
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -203,6 +204,18 @@ def test_monomial_strings_edge_cases():
     assert monomial_strings(p, DivisorClass(0, -1)) == []
     assert monomial_strings(p, DivisorClass(Fraction(1, 2), 1)) == []
     assert monomial_strings(p, DivisorClass(2, Fraction(1, 3))) == []
+
+
+def test_monomial_strings_refuses_huge_bases_quickly():
+    for p, cls, reason in (
+            (BundleParams(0, 0, 0), DivisorClass(6, 10**8),
+             r"monomials, more than the 1000000 that basis lists"),
+            (BundleParams(1, 1, 1), DivisorClass(10**8, 0),
+             r"more than 1000000 fiber monomials")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=reason):
+            monomial_strings(p, cls)
+        assert time.perf_counter() - start < 5
 
 
 def test_fiber_part_count_matches_the_enumeration_on_grid():
