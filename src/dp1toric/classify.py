@@ -220,12 +220,15 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     mu < 0 is refused: in |6H + 6*mu*F|, x^6, x^5 y, x^4 z and x^3 w
     would leave the negative F-degrees 6*mu, 6*mu - lambda, 4*mu and 3*mu
     to u and v, so every member lies in (y, z, w)^2 and is singular along
-    y = z = w = 0.
+    y = z = w = 0.  So is 6*mu < 5*lambda, by y^6, y^5 x, y^4 z and y^3 w,
+    along x = z = w = 0 (no claim is made for 5*lambda <= 6*mu < 6*lambda).
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if mu < 0:
         raise ValueError("mu must be nonnegative: for mu < 0 no member of "
                          "the family is nonsingular")
+    if 6 * mu < 5 * lam:
+        raise ValueError("6*mu < 5*lambda: no member of the family is nonsingular")
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
     return Fraction(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case

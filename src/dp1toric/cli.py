@@ -13,9 +13,7 @@ The command line is read by one table, `_GRAMMAR`, and `_parse`.
 from __future__ import annotations
 
 import json
-import re
 import sys
-from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
 
@@ -24,7 +22,7 @@ from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
 from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
                          KFailureReason, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix,
-                      monomial_strings, normalize)
+                      monomial_strings, normalize, rational)
 
 FORMATS = ("plain", "json", "csv", "markdown")
 
@@ -198,25 +196,6 @@ def _format_arg(text: str) -> str:
     return text
 
 
-# The decimal exponent of a rational as `Fraction` reads it.  Fraction
-# builds 10**exponent first, so one beyond the digits a report can print is
-# refused before it takes minutes or all memory.
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def _thresholds_arg(text: str) -> tuple[Fraction, ...]:
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    try:
-        for exponent in filter(None, map(_EXPONENT.search, text.split(","))):
-            if abs(int(exponent[1])) > limit:
-                raise ValueError(f"exponent {exponent[1]} exceeds {limit}")
-        thresholds = tuple(map(Fraction, text.split(",")))
-        list(map(str, thresholds))  # as the report prints: ValueError past the limit
-        return thresholds
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad thresholds {text!r}: {exc}") from None
-
-
 _DESCRIPTION = ("Exact invariants and rigidity conditions of degree-1 del Pezzo "
                 "fibrations in toric P(1,1,2,3)-bundles over P^1.")
 
@@ -233,7 +212,8 @@ _GRAMMAR = {
                 "are comma-separated rationals for the K^3_d checks "
                 "(default 0,1,3/2)", _TRIPLET,
                 {"--thresholds": ("thresholds", DEFAULT_THRESHOLDS, 1,
-                                  _thresholds_arg, "THRESHOLDS"), **_FORMAT}),
+                                  lambda text: tuple(map(rational, text.split(","))),
+                                  "THRESHOLDS"), **_FORMAT}),
     "table1": (_cmd_table1, "the reference classification table", (), _FORMAT),
     "oracle": (_cmd_oracle, "brute-force search, diffed against the table", (),
                {"--lambda": ("lambda_range", DEFAULT_BOX.lambda_range, 2, int, "LO HI"),
@@ -302,7 +282,7 @@ def _flag(command: str | None, token: str, flags) -> str:
 def _convert(command: str, name: str, convert, texts: list[str]):
     try:
         values = tuple(map(convert, texts))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         _fail(command, f"argument {name}: {exc}")
     return values[0] if len(values) == 1 else values
 

@@ -176,17 +176,18 @@ class FibrationReport(NamedTuple):
 # of its fields, in field order.  `_TO_JSON` encodes the rest: a triplet as
 # {"lambda", "mu", "nu"}, a Fraction as its reduced string, an enum as its
 # value, a K-status as its string and the K^3_d results as an object; bool,
-# int, str and None are themselves.  `_JSON_FIELDS` names each field's decoder.
+# int, str and None are themselves.  `_JSON_FIELDS` names each field's decoder;
+# `grading.rational` reads a Fraction, so a JSON float raises TypeError.
 _JSON_FIELDS = {
     ValidityReport: {"nu_nonneg": bool, "three_mu_lt_two_nu": bool,
                      "restrictb_branch": RestrictBranch, "is_valid": bool},
-    WeightRatios: dict.fromkeys(("wr_x", "wr_y", "wr_z", "wr_w"), Fraction),
+    WeightRatios: dict.fromkeys(("wr_x", "wr_y", "wr_z", "wr_w"), rational),
     FibrationReport: {
         "params": lambda p: BundleParams(p["lambda"], p["mu"], p["nu"]),
         "validity": ValidityReport, "case": CaseLabel,
-        "weight_ratios": WeightRatios, "k_cubed": Fraction,
-        "nef_threshold": Fraction, "delta": Fraction, "k2_holds": bool,
-        "k3_threshold_results": lambda d: {Fraction(k): ok for k, ok in d.items()},
+        "weight_ratios": WeightRatios, "k_cubed": rational,
+        "nef_threshold": rational, "delta": rational, "k2_holds": bool,
+        "k3_threshold_results": lambda d: {rational(k): ok for k, ok in d.items()},
         "k_status": KStatus.parse, "verdict": Verdict},
 }
 

@@ -19,6 +19,8 @@ monomials), and computes the coordinate strata of base loci.
 
 from __future__ import annotations
 
+import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -130,12 +132,24 @@ class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)]
 def rational(q) -> Fraction:
     """q as a Fraction: a Fraction as it is, an int, a string such as "3/2"
     or another exact rational converted.  A float is refused with TypeError:
-    it holds a binary expansion, so 0.1 would become 3602879701896397/2**55."""
+    it holds a binary expansion, so 0.1 would become 3602879701896397/2**55.
+    It reads every rational from outside: `--thresholds`, the library's
+    arguments and JSON reports.  A string is refused at once with ValueError
+    when its decimal exponent is past the int-string digit limit (`Fraction`
+    would first build 10**exponent) or str() cannot print it (`12e4299`)."""
     if type(q) is Fraction:
         return q
     if isinstance(q, float):
         raise TypeError(f"{q!r} is a float; give an exact rational such as "
                         "an int, a Fraction or a string like '1/10'")
+    if isinstance(q, str):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        # A pattern string, not a module-level re.compile: import compiles nothing.
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", q, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent {exponent[1]} exceeds {limit}")
+        str(q := Fraction(q))  # as a report prints it: ValueError past the limit
+        return q
     return Fraction(q)
 
 
@@ -422,14 +436,15 @@ def is_dz_movable_on_x(p: BundleParams) -> bool:
       2*nu <= 3*mu < 6*lambda.  So the certificate holds in the first two
       cases and fails in the third.
 
-    For lambda < 0, `normalize` gives the same bundle in another gauge
-    (top_row shifted by a multiple of the bottom row, x and y swapped).
-    The degree of a monomial moves with the gauge, so |3 D_z| and |X| keep
-    their monomials and the strata keep their codimension, up to the swap
-    of x and y; the certificate does not change.
+    For lambda < 0 the bundle is the normalized (-lambda, mu - 2*lambda,
+    nu - 3*lambda) in another gauge, with x and y swapped, so monomials and
+    strata correspond; the rule there is mu >= 2*lambda and (mu >= 0 or
+    2*nu > 3*mu).  So on any triplet, with no `normalize`, it holds iff
+
+        mu >= 2*min(0, lambda)  and  (mu >= 2*max(0, lambda)  or  2*nu > 3*mu).
 
     `base_locus_strata` computes the strata themselves, and the tests check
     this rule against a scan of them.
     """
-    q = p if p.is_normalized else normalize(GradingMatrix.from_params(p))
-    return q.mu >= 0 and (q.mu >= 2 * q.lam or 2 * q.nu > 3 * q.mu)
+    lam, mu, nu = p
+    return mu >= 2 * min(0, lam) and (mu >= 2 * max(0, lam) or 2 * nu > 3 * mu)

@@ -297,3 +297,12 @@ def test_nonsingular_delta_rejects_negative_mu():
         with pytest.raises(ValueError, match="mu must be nonnegative"):
             nonsingular_delta(lam, mu)
     assert nonsingular_delta(0, 0) == (Fraction(4), CaseLabel.AI)  # mu = 0 stays
+
+
+def test_nonsingular_delta_rejects_six_mu_below_five_lambda():
+    # Every member of |6H + 6*mu*F| lies in (x, z, w)^2: y^5 x would leave
+    # the F-degree 6*mu - 5*lambda < 0 to u and v.
+    for lam, mu in ((1, 0), (5, 4), (2, 1)):
+        with pytest.raises(ValueError, match="5\\*lambda"):
+            nonsingular_delta(lam, mu)
+    assert nonsingular_delta(6, 5) == (Fraction(1), CaseLabel.AI)

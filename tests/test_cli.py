@@ -271,6 +271,12 @@ def test_nonsingular_refuses_negative_mu(capsys):
     assert err.startswith("error: ") and "mu must be nonnegative" in err
 
 
+def test_nonsingular_refuses_six_mu_below_five_lambda(capsys):
+    code, out, err = run(capsys, "nonsingular", "1", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "6*mu < 5*lambda" in err
+
+
 # --- the grammar ------------------------------------------------------------------
 
 def golden(name: str) -> str:

@@ -1,20 +1,23 @@
 """Validity, case classification, nef thresholds, delta, and verdicts."""
 
 import json
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
 from dp1toric import chow, conditions
-from dp1toric.chow import anticanonical_on_x, minus_k_cubed, triple_on_x
+from dp1toric.chow import (CycleClass, anticanonical_on_x, minus_k_cubed,
+                           triple_on_x)
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
                                  ValidityReport, Verdict, WeightRatios,
                                  classify_case, delta, k2_condition,
                                  k3_condition, k_status, nef_threshold,
                                  report, validity)
-from dp1toric.grading import F, BundleParams, is_dz_movable_on_x
+from dp1toric.grading import (F, BundleParams, DivisorClass, is_dz_movable_on_x,
+                              rational)
 
 Q = Fraction
 
@@ -211,6 +214,40 @@ def test_thresholds_are_exact_rationals():
     assert rep.k3_threshold_results == {Q(2): True, Q(3, 2): True, Q(-3, 2): False}
     assert next(k for k in rep.k3_threshold_results if k < 0) is negative
     assert [k3_condition(p, t) for t in (2, "3/2", negative)] == [True, True, False]
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "12e4299"])
+def test_every_reader_of_a_rational_refuses_what_the_cli_refuses(text):
+    # Fraction would build 10**10000000 for the first, which takes seconds;
+    # the second reads, but str() cannot print it.
+    p = BundleParams(2, 3, 6)
+    data = report(p).to_json_dict()
+    readers = {
+        "rational": lambda: rational(text),
+        "DivisorClass": lambda: DivisorClass(text, 0),
+        "CycleClass": lambda: CycleClass({(4, 0): text}),
+        "report": lambda: report(p, (0, text)),
+        "k3_condition": lambda: k3_condition(p, text),
+        "JSON delta": lambda: FibrationReport.from_json_dict({**data, "delta": text}),
+        "JSON K^3_d key": lambda: FibrationReport.from_json_dict(
+            {**data, "k3_threshold_results": {text: True}}),
+    }
+    for name, read in readers.items():
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            read()
+        assert time.perf_counter() - start < 1, name
+
+
+def test_json_reports_refuse_floats():
+    data = report(BundleParams(2, 3, 6)).to_json_dict()
+    for key, value in (("delta", 0.1), ("k_cubed", 1.5)):
+        with pytest.raises(TypeError, match="float"):
+            FibrationReport.from_json_dict({**data, key: value})
+    with pytest.raises(TypeError, match="float"):
+        FibrationReport.from_json_dict(
+            {**data, "weight_ratios": {**data["weight_ratios"], "wr_z": 1.5}})
+    assert FibrationReport.from_json_dict(data) == report(BundleParams(2, 3, 6))
 
 
 # --- K-status ---------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Measure a change against its parent: 10 seeded pairs of benchmark runs
+per workload, and a summary of the end-to-end metrics.
+
+Usage: python3 tools/pairs.py PARENT CHANGE OUT
+
+PARENT and CHANGE are the roots of two checkouts.  For each workload that
+CHANGE's BENCHMARK.json names and each seed 101-110, the command
+
+    python3 bench/run.py --workload W --seed S --seconds 25 --trace 0
+
+runs once in each checkout, with the checkout root as the working
+directory.  One process runs at a time, and which side runs first
+alternates from seed to seed.  Before every run the checkout's
+src/dp1toric/__pycache__ is deleted, so that the setup_s and cli_cold_ms
+launches of both sides start from the same (empty) bytecode cache.
+
+OUT gets a JSON array with one object per line, in run order:
+{"workload", "seed", "side", "position", "run"}, where side is "parent" or
+"change", position is 1 for the side that ran first and 2 for the other,
+and run is the JSON object that bench/run.py prints last.  Then, for each
+workload and end-to-end metric, stdout gets both medians, the parent's
+quartiles q1-q3 and the number of pairs in which the change is better by
+the metric's `better` direction.  Only the standard library is used.
+"""
+
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = range(101, 111)
+
+
+def bench(root: Path, workload: str, seed: int) -> dict:
+    """The result object of one untraced 25 s run in the checkout root."""
+    shutil.rmtree(root / "src" / "dp1toric" / "__pycache__", ignore_errors=True)
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", "25", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summary(records: list[dict], metrics: list[dict]) -> str:
+    lines = []
+    for workload in dict.fromkeys(r["workload"] for r in records):
+        runs = {(r["side"], r["seed"]): r["run"]["metrics"]
+                for r in records if r["workload"] == workload}
+        seeds = sorted({seed for _, seed in runs})
+        lines.append(f"{workload}:")
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            parent, change = ([runs[side, s][name]["value"] for s in seeds]
+                              for side in ("parent", "change"))
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            before, after = statistics.median(parent), statistics.median(change)
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            lines.append(
+                f"  {name:<16} parent {before:.6g} (q1-q3 {q1:.6g}-{q3:.6g})  "
+                f"change {after:.6g} ({after / before - 1:+.1%})  "
+                f"better in {wins}/{len(seeds)}")
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        sys.stderr.write("usage: python3 tools/pairs.py PARENT CHANGE OUT\n")
+        return 2
+    sides = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    config = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    records = []
+    for workload in (w["name"] for w in config["workloads"]):
+        for i, seed in enumerate(SEEDS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order, 1):
+                run = bench(sides[side], workload, seed)
+                records.append({"workload": workload, "seed": seed, "side": side,
+                                "position": position, "run": run})
+                print(f"{workload} seed {seed} {side}: correct={run['correct']} "
+                      f"failed={run['failed']}", file=sys.stderr)
+    Path(argv[2]).write_text(
+        "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
+    print(summary(records, config["end_to_end"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
