@@ -215,13 +215,24 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     These bundles sit on the boundary wr(z) = wr(w) = mu of the case
     trichotomy; the extended rule used here is (a-i) when wr(z) <= wr(y)
     and (a-ii) when wr(y) < wr(z), with the corresponding nef-threshold
-    formulas.  No exhaustiveness over nonsingular families is claimed.
+    formulas.
 
-    mu < 0 is refused: in |6H + 6*mu*F|, x^6, x^5 y, x^4 z and x^3 w
-    would leave the negative F-degrees 6*mu, 6*mu - lambda, 4*mu and 3*mu
-    to u and v, so every member lies in (y, z, w)^2 and is singular along
-    y = z = w = 0.  So is 6*mu < 5*lambda, by y^6, y^5 x, y^4 z and y^3 w,
-    along x = z = w = 0 (no claim is made for 5*lambda <= 6*mu < 6*lambda).
+    The family is |6H + 6*mu*F|, and it has a nonsingular member exactly
+    when mu >= lambda or 6*mu = 5*lambda; every other pair is refused.
+    Proof: z^3 and w^2 have constant coefficients, so a general member
+    misses x = y = w = 0 and x = y = z = 0, off which the bundle is
+    nonsingular, and by Bertini it is nonsingular off the base locus, which
+    lies in z = w = 0.  If mu < 0, x^6, x^5 y, x^4 z and x^3 w would leave
+    the negative F-degrees 6*mu, 6*mu - lambda, 4*mu and 3*mu to u and v,
+    so every member lies in (y, z, w)^2: singular along y = z = w = 0.  If
+    mu >= 0, x^6 is a section, so the base locus lies in C_y = {x = z = w
+    = 0}, and y^6 empties it when mu >= lambda.  If mu < lambda, y^6, y^4 z
+    and y^3 w would leave 6*(mu - lambda), 4*(mu - lambda) and 3*(mu -
+    lambda) to u and v, so modulo (x, z, w)^2 every member is y^5 x b(u, v)
+    with deg b = 6*mu - 5*lambda.  A member is singular along all of C_y if
+    that degree is negative (no such term) and where b = 0 if it is
+    positive; if it is 0, b is a nonzero constant for a general member,
+    which is then nonsingular.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -230,5 +241,7 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
                          "the family is nonsingular")
     if 6 * mu < 5 * lam:
         raise ValueError("6*mu < 5*lambda: no member of the family is nonsingular")
+    if mu < lam and 6 * mu != 5 * lam:
+        raise ValueError("5*lambda < 6*mu < 6*lambda: no member of the family is nonsingular")
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
     return Fraction(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case

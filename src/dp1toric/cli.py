@@ -210,7 +210,7 @@ _TRIPLET = (("lam", "lambda", 1), ("mu", "mu", 1), ("nu", "nu", 1))
 _GRAMMAR = {
     "analyze": (_cmd_analyze, "full report for one (lambda, mu, nu); THRESHOLDS "
                 "are comma-separated rationals for the K^3_d checks "
-                "(default 0,1,3/2)", _TRIPLET,
+                f"(default {','.join(map(str, DEFAULT_THRESHOLDS))})", _TRIPLET,
                 {"--thresholds": ("thresholds", DEFAULT_THRESHOLDS, 1,
                                   lambda text: tuple(map(rational, text.split(","))),
                                   "THRESHOLDS"), **_FORMAT}),
@@ -282,7 +282,7 @@ def _flag(command: str | None, token: str, flags) -> str:
 def _convert(command: str, name: str, convert, texts: list[str]):
     try:
         values = tuple(map(convert, texts))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         _fail(command, f"argument {name}: {exc}")
     return values[0] if len(values) == 1 else values
 

@@ -168,34 +168,30 @@ class FibrationReport(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationReport":
-        """The report whose `to_json_dict` is data."""
-        return from_json(cls, data)
+        """The report whose `to_json_dict` is data, recomputed: `report` of
+        data's triplet and K^3_d thresholds (read by `grading.rational`),
+        returned only when its own `to_json_dict` equals data.  Otherwise
+        ValueError names the first field that differs, or the keys missing
+        and extra, and a float in a field that differs raises TypeError, as
+        does a triplet value that is not an int (a bool, or None where
+        a key is missing)."""
+        params = data.get("params", {})
+        for key in ("lambda", "mu", "nu"):
+            if type(params.get(key)) is not int:
+                raise TypeError(f"report.params.{key} is {params.get(key)!r}, not an int")
+        rep = report(BundleParams(params["lambda"], params["mu"], params["nu"]),
+                     tuple(map(rational, data.get("k3_threshold_results", ()))))
+        if (expected := rep.to_json_dict()) != data:
+            _refuse(expected, data, "report")
+        return rep
 
 
 # The JSON encoding of the data model has one rule: a record is the object
 # of its fields, in field order.  `_TO_JSON` encodes the rest: a triplet as
 # {"lambda", "mu", "nu"}, a Fraction as its reduced string, an enum as its
 # value, a K-status as its string and the K^3_d results as an object; bool,
-# int, str and None are themselves.  `_JSON_FIELDS` names each field's decoder;
-# `grading.rational` reads a Fraction, so a JSON float raises TypeError.
-_JSON_FIELDS = {
-    ValidityReport: {"nu_nonneg": bool, "three_mu_lt_two_nu": bool,
-                     "restrictb_branch": RestrictBranch, "is_valid": bool},
-    WeightRatios: dict.fromkeys(("wr_x", "wr_y", "wr_z", "wr_w"), rational),
-    FibrationReport: {
-        "params": lambda p: BundleParams(p["lambda"], p["mu"], p["nu"]),
-        "validity": ValidityReport, "case": CaseLabel,
-        "weight_ratios": WeightRatios, "k_cubed": rational,
-        "nef_threshold": rational, "delta": rational, "k2_holds": bool,
-        "k3_threshold_results": lambda d: {rational(k): ok for k, ok in d.items()},
-        "k_status": KStatus.parse, "verdict": Verdict},
-}
-
-
-# The decoders name the fields `to_json` writes, in their order.
-assert all(cls._fields == tuple(fields) for cls, fields in _JSON_FIELDS.items())
-
-
+# int, str and None are themselves.  This is the one description of the
+# format: `FibrationReport.from_json_dict` recomputes a report and compares.
 _TO_JSON = {
     BundleParams: lambda p: {"lambda": p.lam, "mu": p.mu, "nu": p.nu},
     # The methods, not str: a call of str through a name costs more.
@@ -216,15 +212,18 @@ def to_json(value):
     return value if fields is None else dict(zip(fields, map(to_json, value)))
 
 
-def from_json(decode, data):
-    """The value of type (or decoder) decode that `to_json` encoded as data."""
-    if data is None:
-        return None
-    fields = _JSON_FIELDS.get(decode)
-    if fields is None:
-        return decode(data)
-    return decode(**{name: from_json(fields[name], value)
-                     for name, value in data.items()})
+def _refuse(expected, actual, path: str):
+    """Raise, naming the first place where the JSON value actual differs
+    from expected, which it must: ValueError, or TypeError for a float."""
+    if type(expected) is type(actual) is dict:
+        if expected.keys() != actual.keys():
+            raise ValueError(f"{path}: missing keys {sorted(expected.keys() - actual.keys())}"
+                             f", extra keys {sorted(actual.keys() - expected.keys())}")
+        key = next(key for key, value in expected.items() if actual[key] != value)
+        _refuse(expected[key], actual[key], f"{path}.{key}")
+    if type(actual) is float:
+        rational(actual)  # TypeError: a float is no exact rational
+    raise ValueError(f"{path} is {actual!r}, not {expected!r}")
 
 
 # Reasons a triplet is invalid, as the bit flags of a decision.

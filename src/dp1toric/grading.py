@@ -136,7 +136,8 @@ def rational(q) -> Fraction:
     It reads every rational from outside: `--thresholds`, the library's
     arguments and JSON reports.  A string is refused at once with ValueError
     when its decimal exponent is past the int-string digit limit (`Fraction`
-    would first build 10**exponent) or str() cannot print it (`12e4299`)."""
+    would first build 10**exponent), when its denominator is 0 (`1/0`) or
+    when str() cannot print it (`12e4299`)."""
     if type(q) is Fraction:
         return q
     if isinstance(q, float):
@@ -148,7 +149,10 @@ def rational(q) -> Fraction:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", q, re.IGNORECASE)
         if exponent and abs(int(exponent[1])) > limit:
             raise ValueError(f"exponent {exponent[1]} exceeds {limit}")
-        str(q := Fraction(q))  # as a report prints it: ValueError past the limit
+        try:
+            str(q := Fraction(q))  # as a report prints it: ValueError past the limit
+        except ZeroDivisionError:  # "1/0": q is still the text
+            raise ValueError(f"{q!r} has the denominator 0") from None
         return q
     return Fraction(q)
 

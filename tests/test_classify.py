@@ -15,7 +15,7 @@ from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
                                oracle_search)
 from dp1toric.conditions import (CaseLabel, KStatus, RestrictBranch, _decide,
                                  classify_case, delta, k_status, validity)
-from dp1toric.grading import BundleParams
+from dp1toric.grading import BundleParams, DivisorClass, monomial_basis
 
 Q = Fraction
 
@@ -306,3 +306,49 @@ def test_nonsingular_delta_rejects_six_mu_below_five_lambda():
         with pytest.raises(ValueError, match="5\\*lambda"):
             nonsingular_delta(lam, mu)
     assert nonsingular_delta(6, 5) == (Fraction(1), CaseLabel.AI)
+
+
+def test_nonsingular_delta_rejects_six_mu_between_five_and_six_lambda():
+    # Modulo (x, z, w)^2 every member is y^5 x b(u, v) with deg b > 0, so it
+    # is singular where b = 0 on x = z = w = 0.
+    for lam, mu in ((7, 6), (8, 7), (12, 11)):
+        with pytest.raises(ValueError, match="6\\*mu < 6\\*lambda"):
+            nonsingular_delta(lam, mu)
+    assert nonsingular_delta(6, 5) == (Fraction(1), CaseLabel.AI)
+    assert nonsingular_delta(12, 10) == (Fraction(-2), CaseLabel.AI)
+    assert nonsingular_delta(1, 1) == (Fraction(3), CaseLabel.AI)
+
+
+def general_member_is_nonsingular_along(lam: int, mu: int, t: int) -> bool:
+    """Whether a general member of |6H + 6*mu*F| on P(lambda, 2*mu, 3*mu)
+    is nonsingular along the curve where fiber coordinate t (2 for x, 3
+    for y) is the only one not 0, by its monomials: t^6 is one (the curve
+    is not in the base locus), or the terms linear in the other three
+    have coefficients in u, v with no common zero: one of degree 0, or two."""
+    linear = set()
+    for e in monomial_basis(BundleParams(lam, 2 * mu, 3 * mu), DivisorClass(6, 6 * mu)):
+        fiber = e[2:]
+        others = sum(fiber) - fiber[t - 2]
+        if others == 0:
+            return True
+        if others == 1:
+            if e.a + e.b == 0:
+                return True
+            linear.add(fiber)
+    return len(linear) >= 2
+
+
+def test_nonsingular_delta_answers_exactly_where_the_monomials_allow():
+    # The base locus lies in the curves x = z = w = 0 and y = z = w = 0, as
+    # z^3 and w^2 have constant coefficients (see `nonsingular_delta`).
+    answered = set()
+    for lam, mu in itertools.product(range(9), range(-2, 10)):
+        expected = all(general_member_is_nonsingular_along(lam, mu, t) for t in (2, 3))
+        try:
+            nonsingular_delta(lam, mu)
+        except ValueError:
+            assert not expected, (lam, mu)
+        else:
+            assert expected, (lam, mu)
+            answered.add((lam, mu))
+    assert {(0, 0), (1, 1), (6, 5), (2, 5)} <= answered and (7, 6) not in answered

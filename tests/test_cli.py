@@ -74,6 +74,14 @@ def test_analyze_json_round_trips(capsys):
         assert parsed == report(BundleParams(*map(int, triplet)))
 
 
+def test_every_json_report_golden_round_trips():
+    goldens = sorted(GOLDEN.glob("analyze_*.json"))
+    assert len(goldens) == 5
+    for path in goldens:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert FibrationReport.from_json_dict(data).to_json_dict() == data, path.name
+
+
 def test_analyze_rejects_unnormalized_lambda(capsys):
     code, _, err = run(capsys, "analyze", "-1", "0", "3")
     assert code == 2
@@ -275,6 +283,13 @@ def test_nonsingular_refuses_six_mu_below_five_lambda(capsys):
     code, out, err = run(capsys, "nonsingular", "1", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "6*mu < 5*lambda" in err
+
+
+def test_nonsingular_refuses_six_mu_between_five_and_six_lambda(capsys):
+    for lam, mu in (("7", "6"), ("8", "7"), ("12", "11")):
+        code, out, err = run(capsys, "nonsingular", lam, mu)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "6*mu < 6*lambda" in err
 
 
 # --- the grammar ------------------------------------------------------------------

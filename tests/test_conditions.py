@@ -250,6 +250,60 @@ def test_json_reports_refuse_floats():
     assert FibrationReport.from_json_dict(data) == report(BundleParams(2, 3, 6))
 
 
+def test_every_reader_of_a_rational_refuses_a_zero_denominator():
+    p = BundleParams(2, 3, 6)
+    data = report(p).to_json_dict()
+    readers = {
+        "rational": lambda: rational("1/0"),
+        "DivisorClass": lambda: DivisorClass("1/0", 0),
+        "report": lambda: report(p, (0, "1/0")),
+        "k3_condition": lambda: k3_condition(p, "1/0"),
+        "JSON K^3_d key": lambda: FibrationReport.from_json_dict(
+            {**data, "k3_threshold_results": {"1/0": True}}),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match="'1/0'"):
+            read()
+
+
+def test_json_reports_are_read_by_recomputing_them():
+    p = BundleParams(2, 3, 6)  # delta = 1/2
+    data = report(p).to_json_dict()
+    flipped = {**data["k3_threshold_results"], "0": True}
+    refused = [
+        ({**data, "delta": "2"}, "report.delta is '2', not '1/2'"),
+        ({**data, "verdict": "Superrigid"},
+         "report.verdict is 'Superrigid', not 'SuperrigidIfKCondition'"),
+        ({**data, "k3_threshold_results": flipped},
+         "report.k3_threshold_results.0 is True, not False"),
+        ({**data, "delta": "2/4"}, "report.delta is '2/4', not '1/2'"),
+        ({**data, "trace": []}, "report: missing keys [], extra keys ['trace']"),
+        ({key: value for key, value in data.items() if key != "k_status"},
+         "report: missing keys ['k_status'], extra keys []"),
+        ({**data, "params": {**data["params"], "rho": 0}},
+         "report.params: missing keys [], extra keys ['rho']"),
+        ({**data, "k3_threshold_results": {"0": False, "1": True, "3/2": True,
+                                           "2/4": True}},
+         "report.k3_threshold_results: missing keys ['1/2'], extra keys ['2/4']"),
+        ({**data, "validity": "valid"}, "report.validity is 'valid', not {"),
+    ]
+    for bad, message in refused:
+        with pytest.raises(ValueError) as exc:
+            FibrationReport.from_json_dict(bad)
+        assert str(exc.value).startswith(message)
+        assert "'weight_ratios'" not in str(exc.value)  # not the whole dict
+    for value in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match=f"report.params.lambda is {value!r}"):
+            FibrationReport.from_json_dict({**data, "params": {**data["params"],
+                                                               "lambda": value}})
+    with pytest.raises(TypeError, match="report.params.nu is None"):
+        FibrationReport.from_json_dict({**data, "params": {"lambda": 2, "mu": 3}})
+    invalid = report(BundleParams(2, 0, 1)).to_json_dict()
+    with pytest.raises(ValueError, match="missing keys \\[\\], extra keys \\['case'\\]"):
+        FibrationReport.from_json_dict({**invalid, "case": "AI"})
+    assert FibrationReport.from_json_dict(data) == report(p)
+
+
 # --- K-status ---------------------------------------------------------------------
 
 def test_k_status_ample_anticanonical():

@@ -20,7 +20,9 @@ OUT gets a JSON array with one object per line, in run order:
 and run is the JSON object that bench/run.py prints last.  Then, for each
 workload and end-to-end metric, stdout gets both medians, the parent's
 quartiles q1-q3 and the number of pairs in which the change is better by
-the metric's `better` direction.  Only the standard library is used.
+the metric's `better` direction.  If a run fails, its stderr is printed,
+OUT gets the records of the runs before it, and the exit status is 1.
+Only the standard library is used.
 """
 
 import json
@@ -33,14 +35,18 @@ from pathlib import Path
 SEEDS = range(101, 111)
 
 
-def bench(root: Path, workload: str, seed: int) -> dict:
-    """The result object of one untraced 25 s run in the checkout root."""
+def bench(root: Path, workload: str, seed: int) -> subprocess.CompletedProcess:
+    """One untraced 25 s run in the checkout root, its output captured."""
     shutil.rmtree(root / "src" / "dp1toric" / "__pycache__", ignore_errors=True)
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", "25", "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+        cwd=root, capture_output=True, text=True)
+
+
+def write(path: str, records: list[dict]) -> None:
+    Path(path).write_text(
+        "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
 
 
 def summary(records: list[dict], metrics: list[dict]) -> str:
@@ -75,13 +81,18 @@ def main(argv: list[str]) -> int:
         for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order, 1):
-                run = bench(sides[side], workload, seed)
+                done = bench(sides[side], workload, seed)
+                if done.returncode != 0:
+                    sys.stderr.write(f"{workload} seed {seed} {side} exited "
+                                     f"{done.returncode}:\n{done.stderr}")
+                    write(argv[2], records)
+                    return 1
+                run = json.loads(done.stdout.splitlines()[-1])
                 records.append({"workload": workload, "seed": seed, "side": side,
                                 "position": position, "run": run})
                 print(f"{workload} seed {seed} {side}: correct={run['correct']} "
                       f"failed={run['failed']}", file=sys.stderr)
-    Path(argv[2]).write_text(
-        "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
+    write(argv[2], records)
     print(summary(records, config["end_to_end"]))
     return 0
 
