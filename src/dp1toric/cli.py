@@ -6,15 +6,16 @@ completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
-format asked for.
+format asked for.  JSON is written by this module's own `indent=2` writer,
+`_json`, whose text equals `json.dumps(value, indent=2)`.
 The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
@@ -30,7 +31,6 @@ ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
 ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
 ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
 _TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
-_JSON = json.JSONEncoder(indent=2)  # json.dumps would build one per call
 
 
 def _render(fmt: str, plain, payload, table, markdown=None) -> str:
@@ -41,11 +41,38 @@ def _render(fmt: str, plain, payload, table, markdown=None) -> str:
     if fmt == "plain":
         return plain()
     if fmt == "json":
-        return _JSON.encode(payload()) + "\n"
+        return _json(payload()) + "\n"
     if fmt == "csv":
         header, rows = table()
         return "\n".join(map(",".join, (header, *rows))) + "\n"
     return markdown() if markdown else _markdown(*table())
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The text of the JSON value as `json.dumps(value, indent=2)` writes it,
+    pad being the newline and indent of value's own line.  value is built
+    of dicts with str keys, lists, str, int, bool and None, matched by exact
+    type, so that True is written true, never 1; any other type, 1.0 (which
+    equals True) included, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if kind is list:
+        inner = pad + "  "
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
+    raise TypeError(f"{kind.__name__} {value!r} is not written as JSON")
 
 
 def _markdown(header, rows) -> str:

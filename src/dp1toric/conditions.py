@@ -170,19 +170,19 @@ class FibrationReport(NamedTuple):
     def from_json_dict(cls, data: dict) -> "FibrationReport":
         """The report whose `to_json_dict` is data, recomputed: `report` of
         data's triplet and K^3_d thresholds (read by `grading.rational`),
-        returned only when its own `to_json_dict` equals data.  Otherwise
-        ValueError names the first field that differs, or the keys missing
-        and extra, and a float in a field that differs raises TypeError, as
-        does a triplet value that is not an int (a bool, or None where
-        a key is missing)."""
+        returned only when its own `to_json_dict` equals data, with the
+        same type at every leaf (so 0 is not false).  Otherwise ValueError
+        names the first field that differs, or the keys missing and extra,
+        and a float in a field that differs raises TypeError, as does a
+        triplet value that is not an int (a bool, or None where a key is
+        missing)."""
         params = data.get("params", {})
         for key in ("lambda", "mu", "nu"):
             if type(params.get(key)) is not int:
                 raise TypeError(f"report.params.{key} is {params.get(key)!r}, not an int")
         rep = report(BundleParams(params["lambda"], params["mu"], params["nu"]),
                      tuple(map(rational, data.get("k3_threshold_results", ()))))
-        if (expected := rep.to_json_dict()) != data:
-            _refuse(expected, data, "report")
+        _check(rep.to_json_dict(), data, "report")
         return rep
 
 
@@ -212,18 +212,24 @@ def to_json(value):
     return value if fields is None else dict(zip(fields, map(to_json, value)))
 
 
-def _refuse(expected, actual, path: str):
+def _check(expected, actual, path: str) -> None:
     """Raise, naming the first place where the JSON value actual differs
-    from expected, which it must: ValueError, or TypeError for a float."""
+    from expected in a value or in the type of a leaf (`==` alone takes 0
+    for false and 1.0 for true): ValueError, or TypeError for a float."""
     if type(expected) is type(actual) is dict:
         if expected.keys() != actual.keys():
             raise ValueError(f"{path}: missing keys {sorted(expected.keys() - actual.keys())}"
                              f", extra keys {sorted(actual.keys() - expected.keys())}")
-        key = next(key for key, value in expected.items() if actual[key] != value)
-        _refuse(expected[key], actual[key], f"{path}.{key}")
-    if type(actual) is float:
-        rational(actual)  # TypeError: a float is no exact rational
-    raise ValueError(f"{path} is {actual!r}, not {expected!r}")
+        # Equal leaves are passed over here, so that a path is built only
+        # for an object or a difference.
+        for key, value in expected.items():
+            other = actual[key]
+            if type(value) is dict or type(value) is not type(other) or value != other:
+                _check(value, other, f"{path}.{key}")
+    elif type(expected) is not type(actual) or expected != actual:
+        if type(actual) is float:
+            rational(actual)  # TypeError: a float is no exact rational
+        raise ValueError(f"{path} is {actual!r}, not {expected!r}")
 
 
 # Reasons a triplet is invalid, as the bit flags of a decision.

@@ -7,12 +7,16 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from dp1toric.cli import main
-from dp1toric.conditions import FibrationReport, report
+from dp1toric.classify import DEFAULT_BOX, classify_k2_failures, oracle_search
+from dp1toric.cli import _json, main, render_report, render_rows
+from dp1toric.conditions import (CaseLabel, FibrationReport, KFailureReason,
+                                 report, to_json)
 from dp1toric.grading import BundleParams, DivisorClass, monomial_basis
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,6 +84,60 @@ def test_every_json_report_golden_round_trips():
     for path in goldens:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert FibrationReport.from_json_dict(data).to_json_dict() == data, path.name
+
+
+# --- the JSON writer ------------------------------------------------------------
+
+STDLIB_JSON = json.JSONEncoder(indent=2)
+
+
+def test_json_reports_are_written_as_the_standard_library_writes_them():
+    # lambda in [0,4], mu in [-10,10], nu in [-1,17]: invalid triplets, the
+    # three cases and the 8 triplets on the D_z certificate path.
+    grid = set(product(range(5), range(-10, 11), range(-1, 18)))
+    assert {(0, -3, 0), (0, -2, 0), (0, -1, 1), (1, -4, 0), (1, -2, 1), (1, 0, 2),
+            (1, 1, 3), (2, 3, 5)} <= grid
+    cases, certified = set(), set()
+    for p in sorted(grid):
+        rep = report(BundleParams(*p))
+        assert render_report(rep, "json") == STDLIB_JSON.encode(rep.to_json_dict()) + "\n"
+        cases.add(rep.case)
+        if rep.k_status and rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR:
+            certified.add(p)
+    assert cases == {None, *CaseLabel}
+    assert certified == {(1, 0, 2), (1, 1, 3), (2, 3, 5)}
+    thresholds = (10 ** 60, -3, Fraction(-7, 3), Fraction(1, 10 ** 40))
+    rep = report(BundleParams(2, 3, 6), thresholds)
+    assert render_report(rep, "json") == STDLIB_JSON.encode(rep.to_json_dict()) + "\n"
+    assert '"-7/3": false' in render_report(rep, "json")
+
+
+def test_json_rows_bases_and_deltas_are_written_as_the_standard_library_writes_them(
+        capsys):
+    for rows in (classify_k2_failures(), oracle_search(DEFAULT_BOX), []):
+        assert render_rows(rows, "json") == STDLIB_JSON.encode(
+            list(map(to_json, rows))) + "\n"
+    # Each of these outputs is the stdlib's text of the value it parses to.
+    for argv, value in ((("oracle", "--lambda", "5", "10"), []),
+                        (("basis", "0", "2", "3", "-1", "0"), []),
+                        (("basis", "0", "2", "3", "6", "6"), None),
+                        (("nonsingular", "1", "1"), {"delta": "3", "case": "AI"})):
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert out == STDLIB_JSON.encode(json.loads(out)) + "\n"
+        assert value is None or json.loads(out) == value
+
+
+def test_json_strings_are_escaped_as_the_standard_library_escapes_them():
+    value = {"a \"quote\"": ["back\\slash", "\x00\x1f\n\t\x7f", "δ_X, λ", "\U0001d53b"],
+             "nested": [{}, [], {"k": [None, True, False, 0, -2 ** 70]}]}
+    assert _json(value) == STDLIB_JSON.encode(value)
+
+
+def test_the_json_writer_refuses_every_other_type():
+    assert (_json(True), _json(1), _json(False), _json(0)) == ("true", "1", "false", "0")
+    for value in (1.0, 0.5, Fraction(1, 2), (1, 2), [1.0], {"delta": Fraction(1)}):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 def test_analyze_rejects_unnormalized_lambda(capsys):

@@ -304,6 +304,26 @@ def test_json_reports_are_read_by_recomputing_them():
     assert FibrationReport.from_json_dict(data) == report(p)
 
 
+def test_json_reports_compare_the_type_of_every_leaf():
+    data = report(BundleParams(2, 3, 6)).to_json_dict()  # k2_holds is false
+    k3 = data["k3_threshold_results"]  # {"0": false, "1": true, "3/2": true}
+    refused = [
+        ({**data, "k2_holds": 0}, "report.k2_holds is 0, not False"),
+        ({**data, "k3_threshold_results": {**k3, "1": 1}},
+         "report.k3_threshold_results.1 is 1, not True"),
+        ({**data, "validity": {**data["validity"], "restrictb_branch": 0}},
+         "report.validity.restrictb_branch is 0, not None"),
+    ]
+    for bad, message in refused:
+        with pytest.raises(ValueError) as exc:
+            FibrationReport.from_json_dict(bad)
+        assert str(exc.value) == message
+    for bad in ({**data, "validity": {**data["validity"], "is_valid": 1.0}},
+                {**data, "k3_threshold_results": {**k3, "1": 1.0}}):
+        with pytest.raises(TypeError, match="float"):
+            FibrationReport.from_json_dict(bad)
+
+
 # --- K-status ---------------------------------------------------------------------
 
 def test_k_status_ample_anticanonical():
