@@ -7,7 +7,8 @@ the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
 format asked for.  JSON is written by this module's own `indent=2` writer,
-`_json`, whose text equals `json.dumps(value, indent=2)`.
+`_json`, whose text equals `json.dumps(value, indent=2)`; it writes a list
+of strings that need no escape, such as a monomial basis, with one join.
 The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
@@ -53,7 +54,9 @@ def _json(value, pad: str = "\n") -> str:
     pad being the newline and indent of value's own line.  value is built
     of dicts with str keys, lists, str, int, bool and None, matched by exact
     type, so that True is written true, never 1; any other type, 1.0 (which
-    equals True) included, raises TypeError."""
+    equals True) included, raises TypeError.  A list of str items none of
+    which needs an escape, such as a monomial basis, is written with one
+    join; every other list item by item."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -64,6 +67,13 @@ def _json(value, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if kind is list:
         inner = pad + "  "
+        if set(map(type, value)) == {str}:
+            # Escaping goes character by character, so when one pass over
+            # all the items adds only its two quotes, no item needs one.
+            joined = "".join(value)
+            if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+                sep = '",' + inner + '"'
+                return "[" + inner + '"' + sep.join(value) + '"' + pad + "]"
         items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if kind is bool:
@@ -203,8 +213,8 @@ def _cmd_basis(args) -> int:
                                  DivisorClass(args.h, args.f))
     sys.stdout.write(_render(
         args.format, lambda: "\n".join([*monomials, ""]),
-        lambda: monomials, lambda: (("monomial",), [(m,) for m in monomials]),
-        lambda: "".join(f"- `{m}`\n" for m in monomials)))  # a bullet list
+        lambda: monomials, lambda: (("monomial",), zip(monomials)),
+        lambda: "- `" + "`\n- `".join(monomials) + "`\n" if monomials else ""))  # bullets
     return 0
 
 

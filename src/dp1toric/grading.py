@@ -37,6 +37,11 @@ BOTTOM_ROW = (0, 0, 1, 1, 2, 3)
 # ValueError instead of building the list.
 MAX_BASIS_MONOMIALS = 10**6
 
+# The factors s^k* of each variable s that `_powers` keeps for the process:
+# _POWERS[s][k] for k < _POWER_TABLE_SIZE, built on demand.
+_POWER_TABLE_SIZE = 1024
+_POWERS = dict.fromkeys(VARIABLES, ("",))
+
 
 class InvalidMatrix(ValueError):
     """Grading matrix does not present a P(1,1,2,3)-bundle over P^1."""
@@ -289,7 +294,10 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     by a, then by b = r - a, then by (c, d, e, g): for each a, the parts with
     r >= a (a suffix of that order) give the monomials
     u^a v^(r-a) x^c y^d z^e w^g in order.  Every factor is written with a
-    trailing "*", and the fiber string drops its last one.  When h > 0 the
+    trailing "*", and the fiber string drops its last one.  The factors
+    s^k* are read from a per-process table of each variable (`_powers`),
+    which keeps exponents below _POWER_TABLE_SIZE; a basis with a larger
+    exponent builds its factors for that call only.  When h > 0 the
     fiber string is never empty, so the u and v factors keep theirs; only
     h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
@@ -305,15 +313,30 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     if not parts:
         return []
     h, r_max = int(cls.h), parts[-1][0]
-    # exps[k - 1] follows a variable to the power k >= 1; x[k] is x^k*.
-    exps = ["*", *[f"^{k}*" for k in range(2, max(h, r_max) + 1)]]
-    x, y, z, w = (["", *[s + t for t in exps[:h]]] for s in "xyzw")
+    x, y, z, w = (_powers(s, h) for s in "xyzw")
     fibers = [(r, (x[c] + y[d] + z[e] + w[g])[:-1]) for r, c, d, e, g in parts]
-    u, v = (["", *[s + t for t in exps[:r_max]]] for s in "uv")
+    u, v = (_powers(s, r_max) for s in "uv")
     rs = [r for r, _ in fibers]
     out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
            for r, fiber in fibers[bisect_left(rs, a):]]
     return out if h else [m.rstrip("*") or "1" for m in out]
+
+
+def _powers(s: str, n: int) -> tuple[str, ...]:
+    """The factors s^k* for k = 0, 1, ..., n at least: "", "s*", "s^2*", ...
+
+    From the table _POWERS when n < _POWER_TABLE_SIZE; the table grows by
+    assigning a new, longer tuple, never in place, so a thread reading it
+    sees one whole version.  For larger n the factors are built per call,
+    so that no basis pins them for the process.
+    """
+    table = _POWERS[s]
+    if n < len(table):
+        return table
+    powers = ("", s + "*", *[f"{s}^{k}*" for k in range(2, n + 1)])
+    if n < _POWER_TABLE_SIZE:
+        _POWERS[s] = powers
+    return powers
 
 
 def fiber_part_count(cls: DivisorClass) -> int:

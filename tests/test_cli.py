@@ -17,7 +17,8 @@ from dp1toric.classify import DEFAULT_BOX, classify_k2_failures, oracle_search
 from dp1toric.cli import _json, main, render_report, render_rows
 from dp1toric.conditions import (CaseLabel, FibrationReport, KFailureReason,
                                  report, to_json)
-from dp1toric.grading import BundleParams, DivisorClass, monomial_basis
+from dp1toric.grading import (BundleParams, DivisorClass, monomial_basis,
+                              monomial_strings)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,9 +134,23 @@ def test_json_strings_are_escaped_as_the_standard_library_escapes_them():
     assert _json(value) == STDLIB_JSON.encode(value)
 
 
+def test_json_string_lists_are_written_as_the_standard_library_writes_them():
+    # A list of plain str items takes one join; a list where one item needs
+    # an escape, a mixed list and the empty list go item by item.
+    monomials = ["y^6", "u*v*x^2*z^2", "u^12*w^2", "1"]
+    lists = [monomials, [""], ["", ""], ["u*v"], ["a", 1, None], [], [[], ["x"]]]
+    for escaped in ('"', "\\", "\n", "\x01", "\x7f", "é", "\U0001d53b"):
+        lists += [[*monomials, "x" + escaped], [escaped], [escaped, "y"]]
+    for value in lists:
+        assert _json(value) == STDLIB_JSON.encode(value), value
+        assert _json({"basis": value}) == STDLIB_JSON.encode({"basis": value}), value
+
+
 def test_the_json_writer_refuses_every_other_type():
     assert (_json(True), _json(1), _json(False), _json(0)) == ("true", "1", "false", "0")
-    for value in (1.0, 0.5, Fraction(1, 2), (1, 2), [1.0], {"delta": Fraction(1)}):
+    text = type("Text", (str,), {})  # a str subclass, in a list of str or not
+    for value in (1.0, 0.5, Fraction(1, 2), (1, 2), [1.0], {"delta": Fraction(1)},
+                  [text("x")], ["y", text("x")], [text("\n")]):
         with pytest.raises(TypeError):
             _json(value)
 
@@ -310,6 +325,21 @@ def test_basis_of_fiber_degree_zero(capsys, fmt):
         assert code == 0
         assert basis_listed(out, fmt) == expected == [
             str(m) for m in monomial_basis(BundleParams(0, 2, 3), cls)]
+
+
+def test_basis_lists_monomial_strings_in_every_format(capsys):
+    # h = -1 gives the empty basis, h = 0 monomials in u and v alone.
+    for lam, mu, nu, h in product((0, 2), (-2, 3), (1, 4), (-1, 0, 1, 3)):
+        monomials = monomial_strings(BundleParams(lam, mu, nu), DivisorClass(h, 2 * nu))
+        lines = "".join(m + "\n" for m in monomials)
+        texts = {"plain": lines, "json": STDLIB_JSON.encode(monomials) + "\n",
+                 "csv": "monomial\n" + lines,
+                 "markdown": "".join(f"- `{m}`\n" for m in monomials)}
+        for fmt, text in texts.items():
+            code, out, _ = run(capsys, "basis", str(lam), str(mu), str(nu), str(h),
+                               str(2 * nu), "--format", fmt)
+            assert code == 0 and out == text, (lam, mu, nu, h, fmt)
+            assert basis_listed(out, fmt) == monomials
 
 
 def test_basis_refuses_huge_bases_quickly(capsys):

@@ -1,11 +1,14 @@
 """Grading-matrix normalization, monomial bases, and base-locus strata."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import sys
 import time
 from itertools import product as iproduct
 
 import pytest
 
+from dp1toric import grading
 from dp1toric.grading import (BOTTOM_ROW, VARIABLES, F, H, BundleParams,
                               DivisorClass, EmptyLinearSystem, ExponentVector,
                               GradingMatrix, InvalidMatrix, Stratum, _fiber_parts,
@@ -204,6 +207,47 @@ def test_monomial_strings_edge_cases():
     assert monomial_strings(p, DivisorClass(0, -1)) == []
     assert monomial_strings(p, DivisorClass(Fraction(1, 2), 1)) == []
     assert monomial_strings(p, DivisorClass(2, Fraction(1, 3))) == []
+
+
+def fresh_power_table(monkeypatch):
+    monkeypatch.setattr(grading, "_POWERS", dict.fromkeys(VARIABLES, ("",)))
+
+
+def assert_power_table_is_bounded_and_right():
+    for s, table in grading._POWERS.items():
+        assert len(table) <= grading._POWER_TABLE_SIZE
+        built = ("", f"{s}*", *(f"{s}^{k}*" for k in range(2, len(table))))
+        assert table == built[:len(table)]
+
+
+def test_monomial_strings_past_the_power_table(monkeypatch):
+    fresh_power_table(monkeypatch)
+    p, cls = BundleParams(0, 0, 0), DivisorClass(0, 3000)
+    assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)]
+    assert grading._POWERS["u"] == ("",)  # 3000 is past the table: built per call
+    p, cls = BundleParams(1, 1, 3), DivisorClass(2, 600)
+    assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)]
+    assert len(grading._POWERS["u"]) == 601
+    assert_power_table_is_bounded_and_right()
+
+
+def test_monomial_strings_in_threads_equal_them_in_one(monkeypatch):
+    # Exponents grow from 0 past the table's bound, so the threads grow it.
+    p = BundleParams(1, 2, 3)
+    classes = [DivisorClass(h, f) for f in range(0, 1300, 100) for h in (0, 2, 4)]
+    fresh_power_table(monkeypatch)
+    expected = [monomial_strings(p, cls) for cls in classes]
+    fresh_power_table(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so the threads interleave inside `_powers`
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda cls: monomial_strings(p, cls), classes,
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert_power_table_is_bounded_and_right()
 
 
 def test_monomial_strings_refuses_huge_bases_quickly():
