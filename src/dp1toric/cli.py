@@ -9,7 +9,11 @@ All output goes through one renderer, `_render`, which builds only the
 format asked for.  JSON is written by this module's own `indent=2` writer,
 `_json`, whose text equals `json.dumps(value, indent=2)`; it writes a list
 of strings that need no escape, such as a monomial basis, with one join.
-The command line is read by one table, `_GRAMMAR`, and `_parse`.
+The command line is read by one table, `_GRAMMAR`, and `_parse`, whose
+per-command defaults and positional metavars are built from it at import.
+`oracle` diffs its rows against the reference triplets, whose `missing:`
+lines are also built at import, so a call formats only its own rows and
+extra triplets; it writes each stream once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ FORMATS = ("plain", "json", "csv", "markdown")
 ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
 ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
 ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
+_ROWS_PLAIN_LINE = "%3s  %-15s %5s  %-6s %s\n"
+_ROWS_PLAIN_HEAD = _ROWS_PLAIN_LINE % ROWS_PLAIN_HEADER
 _TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
 
 
@@ -102,18 +108,19 @@ def _bool(b: bool) -> str:
 
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
-    def cells():  # of the plain and the markdown table
-        return [(str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
-                for i, (p, d, case, k) in enumerate(rows, 1)]
     return _render(
         fmt,
-        lambda: "".join(map("%3s  %-15s %5s  %-6s %s\n".__mod__,
-                            (ROWS_PLAIN_HEADER, *cells()))),
+        lambda: _ROWS_PLAIN_HEAD + "".join([
+            _ROWS_PLAIN_LINE % (i, _triplet(p), d, _TABLE_LABELS[case],
+                                "no" if k else "")
+            for i, (p, d, case, k) in enumerate(rows, 1)]),
         lambda: list(map(to_json, rows)),
         lambda: (ROWS_CSV_HEADER, [
             (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
             for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
-        lambda: _markdown(ROWS_MD_HEADER, cells()))
+        lambda: _markdown(ROWS_MD_HEADER, [
+            (str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
+            for i, (p, d, case, k) in enumerate(rows, 1)]))
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
@@ -184,21 +191,29 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-# The triplets of the reference table, as the oracle diffs them.
-_TABLE1 = frozenset(r.params for r in classify_k2_failures())
+# The triplets of the reference table, as the oracle diffs them, in order,
+# each with the diff line that reports it missing.
+_TABLE1 = {p: f"missing: {_triplet(p)}"
+           for p in sorted(r.params for r in classify_k2_failures())}
 
 
 def _cmd_oracle(args) -> int:
     rows = oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))
-    sys.stdout.write(render_rows(rows, args.format))
     found = {r.params for r in rows}
-    diff = [f"{kind}: {_triplet(p)}" for kind, triplets in (
-        ("missing", _TABLE1 - found), ("extra", found - _TABLE1))
-        for p in sorted(triplets)]
+    # rows are sorted and hold each triplet once, so the extra lines are
+    # in order as they come.
+    diff = [line for p, line in _TABLE1.items() if p not in found]
+    diff += [f"extra: {_triplet(r.params)}" for r in rows if r.params not in _TABLE1]
+    status = "\n".join(["DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1",
+                        *diff, ""])
+    text = render_rows(rows, args.format)
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
-    print("DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1", *diff,
-          sep="\n", file=sys.stdout if args.format == "plain" else sys.stderr)
+    if args.format == "plain":
+        sys.stdout.write(text + status)
+    else:
+        sys.stdout.write(text)
+        sys.stderr.write(status)
     return 1 if diff else 0
 
 
@@ -267,16 +282,22 @@ _GRAMMAR = {
                     _TRIPLET[:2], _FORMAT),
 }
 _HELP = ("-h", "--help")
+# Per command, the defaults of its options and the metavars of its
+# positionals, one per value.
+_DEFAULTS = {command: {spec[0]: spec[1] for spec in options.values()}
+             for command, (_, _, _, options) in _GRAMMAR.items()}
+_METAVARS = {command: tuple(metavar for _, metavar, count in positionals
+                             for _ in range(count))
+             for command, (_, _, positionals, _) in _GRAMMAR.items()}
 
 
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: dp1toric [-h] {%s} ..." % ",".join(_GRAMMAR)
-    _, _, positionals, options = _GRAMMAR[command]
+    options = _GRAMMAR[command][3]
     return " ".join(["usage: dp1toric", command, "[-h]",
                      *(f"[{flag} {spec[4]}]" for flag, spec in options.items()),
-                     *(metavar for _, metavar, count in positionals
-                       for _ in range(count))])
+                     *_METAVARS[command]])
 
 
 def _help(command: str | None) -> None:
@@ -338,7 +359,7 @@ def _parse(argv: list[str]) -> tuple:
     if command not in _GRAMMAR:
         _fail(None, f"invalid choice: {command!r} (choose from {', '.join(_GRAMMAR)})")
     handler, _, positionals, options = _GRAMMAR[command]
-    values = {spec[0]: spec[1] for spec in options.values()}
+    values = _DEFAULTS[command].copy()
     tokens = []  # the positionals
     for token in rest:
         if not _is_option(token):
@@ -357,7 +378,7 @@ def _parse(argv: list[str]) -> tuple:
             _fail(command, f"argument {flag}: expected {nargs} argument"
                   + "s" * (nargs > 1))
         values[dest] = _convert(command, flag, convert, given)
-    names = [metavar for _, metavar, count in positionals for _ in range(count)]
+    names = _METAVARS[command]
     if len(tokens) < len(names):
         _fail(command, "the following arguments are required: "
               + ", ".join(names[len(tokens):]))

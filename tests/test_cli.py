@@ -13,10 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from dp1toric.classify import DEFAULT_BOX, classify_k2_failures, oracle_search
+from dp1toric import cli
+from dp1toric.classify import (DEFAULT_BOX, SearchBox, classify_k2_failures,
+                               oracle_search)
 from dp1toric.cli import _json, main, render_report, render_rows
-from dp1toric.conditions import (CaseLabel, FibrationReport, KFailureReason,
-                                 report, to_json)
+from dp1toric.conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
+                                 KFailureReason, report, to_json)
 from dp1toric.grading import (BundleParams, DivisorClass, monomial_basis,
                               monomial_strings)
 
@@ -249,6 +251,86 @@ def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
         assert err.count("missing:") == 12 and err.count("\n") == 13
     code, out, err = run(capsys, "oracle")
     assert code == 1 and out.endswith("extra: (1,0,2)\n") and err == ""
+
+
+def oracle_reference(box, fmt):
+    """(exit code, stdout, stderr) of `oracle` on box in format fmt, by the
+    rule: the rows found, then the sorted set differences of their triplets
+    and the reference table's."""
+    rows = oracle_search(box)
+    found = {r.params for r in rows}
+    table = {r.params for r in classify_k2_failures()}
+    diff = [f"{kind}: ({p.lam},{p.mu},{p.nu})" for kind, triplets in (
+        ("missing", table - found), ("extra", found - table))
+        for p in sorted(triplets)]
+    status = "\n".join(["DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1",
+                        *diff]) + "\n"
+    text = render_rows(rows, fmt)
+    out, err = (text + status, "") if fmt == "plain" else (text, status)
+    return 1 if diff else 0, out, err
+
+
+def test_oracle_diffs_as_the_sorted_set_differences(capsys):
+    # Empty boxes (13 missing), the default box (14 rows), a box of (1,0,2)
+    # alone, boxes of some table triplets, and lambda past 5.
+    lambdas = ((0, 0), (0, 1), (1, 1), (2, 4), (4, 4), (5, 10), (0, 10), (3, 12))
+    mus = ((-30, 30), (0, 0), (-2, 1), (2, 6))
+    nus = ((0, 30), (2, 2), (0, 4), (5, 10))
+    kinds = set()
+    for ranges in product(lambdas, mus, nus):
+        box = SearchBox(*ranges)
+        argv = ["oracle"] + [text for flag, (lo, hi) in zip(
+            ("--lambda", "--mu", "--nu"), ranges) for text in (flag, str(lo), str(hi))]
+        for fmt in ALL_FORMATS:
+            expected = oracle_reference(box, fmt)
+            assert run(capsys, *argv, "--format", fmt) == expected, (box, fmt)
+        kinds.add(tuple(r.params for r in oracle_search(box)))
+    assert () in kinds and ((1, 0, 2),) in kinds
+    assert tuple(r.params for r in oracle_search(DEFAULT_BOX)) in kinds
+
+
+def test_oracle_exits_0_when_the_rows_match_the_table(capsys, monkeypatch):
+    # Every box holding the 13 reference triplets also holds (1,0,2), so
+    # the match is seen against a table of the search's own 14 triplets.
+    monkeypatch.setattr(cli, "_TABLE1", {
+        r.params: "missing: (%s,%s,%s)" % r.params for r in oracle_search(DEFAULT_BOX)})
+    for fmt in ALL_FORMATS:
+        code, out, err = run(capsys, "oracle", "--format", fmt)
+        assert code == 0
+        rows = render_rows(oracle_search(DEFAULT_BOX), fmt)
+        if fmt == "plain":
+            assert (out, err) == (rows + "MATCHES TABLE 1\n", "")
+        else:
+            assert (out, err) == (rows, "MATCHES TABLE 1\n")
+    code, out, _ = run(capsys, "oracle", "--lambda", "0", "0", "--mu", "-2", "-2")
+    assert code == 1 and "missing: (1,0,2)" in out
+
+
+def test_oracle_formats_only_its_own_rows_and_extra_triplets(capsys, monkeypatch):
+    calls = []
+    triplet = cli._triplet
+    monkeypatch.setattr(cli, "_triplet", lambda p: calls.append(p) or triplet(p))
+    code, out, _ = run(capsys, "oracle", "--lambda", "5", "10")
+    assert code == 1 and out.count("missing:") == 13 and calls == []
+    code, _, _ = run(capsys, "oracle")
+    found = [r.params for r in oracle_search(DEFAULT_BOX)]
+    assert code == 1 and sorted(calls) == sorted(found + [(1, 0, 2)])
+
+
+def test_parse_starts_every_call_from_the_defaults():
+    _, args = cli._parse(["oracle", "--lambda", "0", "3"])
+    assert args.lambda_range == (0, 3)
+    _, args = cli._parse(["oracle"])
+    assert (args.lambda_range, args.mu_range, args.nu_range) == DEFAULT_BOX
+    _, args = cli._parse(["analyze", "1", "1", "3", "--thresholds", "1"])
+    assert args.thresholds == (Fraction(1),)
+    _, args = cli._parse(["analyze", "1", "1", "3"])
+    assert args.thresholds == DEFAULT_THRESHOLDS
+    args.thresholds, args.format, args.extra = (Fraction(2),), "json", True
+    vars(args).clear()
+    _, again = cli._parse(["analyze", "1", "1", "3"])
+    assert vars(again) == {"thresholds": DEFAULT_THRESHOLDS, "format": "plain",
+                           "lam": 1, "mu": 1, "nu": 3}
 
 
 def run_module(*argv):
