@@ -7,13 +7,8 @@ the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
 format asked for.  JSON is written by this module's own `indent=2` writer,
-`_json`, whose text equals `json.dumps(value, indent=2)`; it writes a list
-of strings that need no escape, such as a monomial basis, with one join.
-The command line is read by one table, `_GRAMMAR`, and `_parse`, whose
-per-command defaults and positional metavars are built from it at import.
-`oracle` diffs its rows against the reference triplets, whose `missing:`
-lines are also built at import, so a call formats only its own rows and
-extra triplets; it writes each stream once.
+`_json`, whose text equals `json.dumps(value, indent=2)`.
+The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
 from __future__ import annotations
@@ -107,20 +102,21 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _row_cells(rows: list[ClassificationRow]) -> list[tuple]:
+    """The plain and markdown cells of each row."""
+    return [(str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
+            for i, (p, d, case, k) in enumerate(rows, 1)]
+
+
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
     return _render(
         fmt,
-        lambda: _ROWS_PLAIN_HEAD + "".join([
-            _ROWS_PLAIN_LINE % (i, _triplet(p), d, _TABLE_LABELS[case],
-                                "no" if k else "")
-            for i, (p, d, case, k) in enumerate(rows, 1)]),
+        lambda: _ROWS_PLAIN_HEAD + "".join([_ROWS_PLAIN_LINE % c for c in _row_cells(rows)]),
         lambda: list(map(to_json, rows)),
         lambda: (ROWS_CSV_HEADER, [
             (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
             for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
-        lambda: _markdown(ROWS_MD_HEADER, [
-            (str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
-            for i, (p, d, case, k) in enumerate(rows, 1)]))
+        lambda: _markdown(ROWS_MD_HEADER, _row_cells(rows)))
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:

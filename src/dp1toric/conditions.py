@@ -130,20 +130,10 @@ class KStatus(NamedTuple("KStatus", [("proven_fails", bool),
             return f"ProvenFails({self.reason.value})"
         return "NotProvenToFail"
 
-    @classmethod
-    def parse(cls, text: str) -> "KStatus":
-        """The K-status whose `str` is text."""
-        status = _BY_STRING.get(text)
-        if status is None:
-            raise ValueError(f"unrecognized K-status {text!r}")
-        return status
 
-
-# The three K-statuses, built once: `_k_status` hands them out per triplet,
-# and `KStatus.parse` looks them up by their strings.
+# The three K-statuses, built once: `_k_status` hands them out per triplet.
 _NOT_PROVEN = KStatus(False)
 _PROVEN = {reason: KStatus(True, reason) for reason in KFailureReason}
-_BY_STRING = {str(s): s for s in (_NOT_PROVEN, *_PROVEN.values())}
 
 
 class FibrationReport(NamedTuple):

@@ -20,9 +20,11 @@ OUT gets a JSON array with one object per line, in run order:
 and run is the JSON object that bench/run.py prints last.  Then, for each
 workload and end-to-end metric, stdout gets both medians, the parent's
 quartiles q1-q3 and the number of pairs in which the change is better by
-the metric's `better` direction.  If a run fails, its stderr is printed,
-OUT gets the records of the runs before it, and the exit status is 1.
-Only the standard library is used.
+the metric's `better` direction.  Last, stdout gets each side's line
+total of src/dp1toric/*.py (as `wc -l` counts) and code-line total (as
+tools/code_lines.py counts), and the change's delta of each.  If a run
+fails, its stderr is printed, OUT gets the records of the runs before it,
+and the exit status is 1.  Only the standard library is used.
 """
 
 import json
@@ -31,6 +33,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from code_lines import code_lines
 
 SEEDS = range(101, 111)
 
@@ -70,6 +74,19 @@ def summary(records: list[dict], metrics: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def sizes(sides: dict[str, Path]) -> str:
+    """Each side's src/dp1toric/*.py line and code-line totals, and the
+    change's deltas."""
+    lines = []
+    for label, count in (("lines", lambda t: t.count("\n")), ("code lines", code_lines)):
+        parent, change = (sum(count(p.read_text(encoding="utf-8"))
+                              for p in (root / "src" / "dp1toric").glob("*.py"))
+                          for root in (sides["parent"], sides["change"]))
+        lines.append(f"src/dp1toric {label:<10} parent {parent}  change {change} "
+                     f"({change - parent:+d})")
+    return "\n".join(lines)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         sys.stderr.write("usage: python3 tools/pairs.py PARENT CHANGE OUT\n")
@@ -94,6 +111,7 @@ def main(argv: list[str]) -> int:
                       f"failed={run['failed']}", file=sys.stderr)
     write(argv[2], records)
     print(summary(records, config["end_to_end"]))
+    print(sizes(sides))
     return 0
 
 
