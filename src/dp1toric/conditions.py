@@ -163,10 +163,13 @@ class FibrationReport(NamedTuple):
         returned only when its own `to_json_dict` equals data, with the
         same type at every leaf (so 0 is not false).  Otherwise ValueError
         names the first field that differs, or the keys missing and extra,
-        and a float in a field that differs raises TypeError, as does a
-        triplet value that is not an int (a bool, or None where a key is
-        missing)."""
-        params = data.get("params", {})
+        and a float in a field that differs raises TypeError, as do data or
+        its params that are not an object and a triplet value that is not an
+        int (a bool, or None where a key is missing)."""
+        params = data.get("params", {}) if type(data) is dict else data
+        for path, value in ("report", data), ("report.params", params):
+            if type(value) is not dict:
+                raise TypeError(f"{path} is {value!r}, not an object")
         for key in ("lambda", "mu", "nu"):
             if type(params.get(key)) is not int:
                 raise TypeError(f"report.params.{key} is {params.get(key)!r}, not an int")
@@ -210,12 +213,8 @@ def _check(expected, actual, path: str) -> None:
         if expected.keys() != actual.keys():
             raise ValueError(f"{path}: missing keys {sorted(expected.keys() - actual.keys())}"
                              f", extra keys {sorted(actual.keys() - expected.keys())}")
-        # Equal leaves are passed over here, so that a path is built only
-        # for an object or a difference.
         for key, value in expected.items():
-            other = actual[key]
-            if type(value) is dict or type(value) is not type(other) or value != other:
-                _check(value, other, f"{path}.{key}")
+            _check(value, actual[key], f"{path}.{key}")
     elif type(expected) is not type(actual) or expected != actual:
         if type(actual) is float:
             rational(actual)  # TypeError: a float is no exact rational

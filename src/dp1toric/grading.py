@@ -308,7 +308,9 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
                    for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
     count = sum(r + 1 for r, *_ in parts)
     if count > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"|{cls}| on {p} has {count} monomials, more than "
+        # str() prints every int below 10**640: no digit limit is set lower.
+        shown = count if count < 10**640 else "10^640 or more"
+        raise ValueError(f"|{cls}| on {p} has {shown} monomials, more than "
                          f"the {MAX_BASIS_MONOMIALS} that basis lists")
     if not parts:
         return []
@@ -370,11 +372,14 @@ def monomial_count(p: BundleParams, cls: DivisorClass) -> int:
 
 
 def _support_masks(p: BundleParams, cls: DivisorClass) -> set[int]:
-    """The distinct supports of the monomials of bidegree (cls.f, cls.h), as
-    bit masks (bit i for VARIABLES[i]), without listing the monomials.
+    """The supports of the monomials of bidegree (cls.f, cls.h) that decide
+    the base locus, as bit masks (bit i for VARIABLES[i]), without listing
+    the monomials.
 
     A fiber part with residual r gives the supports of u^a v^(r-a): none
-    from u and v when r = 0, else u alone, v alone, and both when r >= 2.
+    from u and v when r = 0, else u alone and v alone.  The support with
+    both (0 < a < r) is left out: it contains the other two, and a zero set
+    that meets a support meets every support that contains it.
     """
     masks = set()
     for c, d, e, g, r in _fiber_parts(p, cls):
@@ -384,8 +389,6 @@ def _support_masks(p: BundleParams, cls: DivisorClass) -> set[int]:
         elif r > 0:
             masks.add(fiber | 1)  # u^r
             masks.add(fiber | 2)  # v^r
-            if r >= 2:
-                masks.add(fiber | 3)  # u^a v^(r-a) with 0 < a < r
     return masks
 
 
@@ -407,8 +410,8 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
 
     A stratum V(Z) lies in the base locus exactly when every basis monomial
     contains a variable of Z.  The allowed zero sets are walked by size, as
-    bit masks against the distinct monomial supports, and a set is kept
-    when it meets every support and contains no set kept before it; so the
+    bit masks against the monomial supports, and a set is kept when it
+    meets every support and contains no set kept before it; so the
     inclusion-minimal zero sets are returned, by size and then in
     coordinate order.  Raises EmptyLinearSystem when |cls| has no sections.
     """

@@ -426,6 +426,8 @@ def test_basis_lists_monomial_strings_in_every_format(capsys):
 
 def test_basis_refuses_huge_bases_quickly(capsys):
     for argv, reason in ((("0", "0", "0", "6", "100000000"), "monomials"),
+                         (("0", "0", "0", "6", "1" + "0" * 4299),
+                          "10^640 or more monomials, more than the 1000000"),
                          (("1", "1", "1", "100000000", "0"), "fiber monomials")):
         start = time.perf_counter()
         code, out, err = run(capsys, "basis", *argv)

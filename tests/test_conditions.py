@@ -298,6 +298,14 @@ def test_json_reports_are_read_by_recomputing_them():
                                                                "lambda": value}})
     with pytest.raises(TypeError, match="report.params.nu is None"):
         FibrationReport.from_json_dict({**data, "params": {"lambda": 2, "mu": 3}})
+    for bad, message in (([], "report is [], not an object"),
+                         ("x", "report is 'x', not an object"),
+                         (None, "report is None, not an object"),
+                         ({"params": []}, "report.params is [], not an object"),
+                         ({"params": None}, "report.params is None, not an object")):
+        with pytest.raises(TypeError) as exc:
+            FibrationReport.from_json_dict(bad)
+        assert str(exc.value) == message
     invalid = report(BundleParams(2, 0, 1)).to_json_dict()
     with pytest.raises(ValueError, match="missing keys \\[\\], extra keys \\['case'\\]"):
         FibrationReport.from_json_dict({**invalid, "case": "AI"})

@@ -254,6 +254,9 @@ def test_monomial_strings_refuses_huge_bases_quickly():
     for p, cls, reason in (
             (BundleParams(0, 0, 0), DivisorClass(6, 10**8),
              r"monomials, more than the 1000000 that basis lists"),
+            # A count that str() cannot print under the default digit limit.
+            (BundleParams(0, 0, 0), DivisorClass(6, 10**4299),
+             r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
             (BundleParams(1, 1, 1), DivisorClass(10**8, 0),
              r"more than 1000000 fiber monomials")):
         start = time.perf_counter()

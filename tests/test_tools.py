@@ -1,0 +1,84 @@
+"""The measuring scripts under tools/: the pair summary and line totals that
+tools/pairs.py prints, and the code-line count of tools/code_lines.py.
+
+tools/ is put on sys.path, as running a script from it would.
+"""
+
+import statistics
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+
+from code_lines import code_lines  # noqa: E402
+from pairs import sizes, summary  # noqa: E402
+
+LOWER = {"name": "latency_p50_ms", "better": "lower"}
+HIGHER = {"name": "ops_per_s", "better": "higher"}
+
+
+def records(parent: list, change: list) -> list[dict]:
+    """One workload's runs: seed i of each side reads parent[i] or change[i]
+    for every metric."""
+    return [{"workload": "w", "seed": seed, "side": side,
+             "run": {"metrics": {m["name"]: {"value": value} for m in (LOWER, HIGHER)}}}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, value in enumerate(values, 101)]
+
+
+def wins(text: str) -> list[str]:
+    return [line.rsplit("better in ", 1)[1] for line in text.splitlines()[1:]]
+
+
+def test_a_tie_is_a_win_for_neither_side():
+    text = summary(records([1, 2, 3, 4], [1, 2, 3, 4]), [LOWER, HIGHER])
+    assert wins(text) == ["0/4", "0/4"]
+
+
+def test_better_follows_the_metrics_direction():
+    # The change is lower in three pairs, higher in one and tied in one.
+    text = summary(records([5, 5, 5, 5, 5], [4, 3, 6, 5, 1]), [LOWER, HIGHER])
+    assert wins(text) == ["3/5", "1/5"]
+
+
+def test_quartiles_are_the_parents():
+    parent = [10, 13, 11, 17, 12, 19, 14, 15, 16, 18]
+    text = summary(records(parent, [20] * 10), [HIGHER])
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert f"parent 14.5 (q1-q3 {q1:.6g}-{q3:.6g})" in text
+    assert "change 20 (+37.9%)" in text
+
+
+def test_sizes_counts_newlines_as_wc_does(tmp_path):
+    for side, texts in (("parent", ["a = 1\nb = 2\n", "\n\n"]),
+                        ("change", ["a = 1\nb = 2", "# c\n"])):
+        src = tmp_path / side / "src" / "dp1toric"
+        src.mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (src / f"m{i}.py").write_text(text)
+    lines, code = sizes({side: tmp_path / side for side in ("parent", "change")}).splitlines()
+    # "b = 2" ends no line for wc -l, though it is a code line.
+    assert lines.split() == ["src/dp1toric", "lines", "parent", "4", "change", "2", "(-2)"]
+    assert code.split() == ["src/dp1toric", "code", "lines", "parent", "2", "change", "2",
+                            "(+0)"]
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    text = '''"""Module docstring,
+over two lines."""
+
+# A comment.
+import os
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        x = 1  # code, with a comment
+        "a string statement that is not a docstring"
+        return x
+'''
+    # import, class, def, x = 1, the string statement and return.
+    assert code_lines(text) == 6
