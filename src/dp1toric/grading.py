@@ -173,6 +173,15 @@ def _signed_sum(terms) -> str:
     return "".join(terms).removeprefix("+") or "0"
 
 
+def _shown(value, name: str) -> str:
+    """str(value) for a refusal, or name when str() refuses one of its
+    numbers for having more digits than the int-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return name
+
+
 H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
 
@@ -302,7 +311,7 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
     if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"|{cls}| has more than {MAX_BASIS_MONOMIALS} "
+        raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
                          "fiber monomials x^c*y^d*z^e*w^g to scan")
     parts = sorted((r, c, d, e, g)
                    for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
@@ -310,8 +319,8 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     if count > MAX_BASIS_MONOMIALS:
         # str() prints every int below 10**640: no digit limit is set lower.
         shown = count if count < 10**640 else "10^640 or more"
-        raise ValueError(f"|{cls}| on {p} has {shown} monomials, more than "
-                         f"the {MAX_BASIS_MONOMIALS} that basis lists")
+        raise ValueError(f"|{_shown(cls, 'D')}| on {_shown(p, 'the bundle')} has {shown} "
+                         f"monomials, more than the {MAX_BASIS_MONOMIALS} that basis lists")
     if not parts:
         return []
     h, r_max = int(cls.h), parts[-1][0]
@@ -371,57 +380,45 @@ def monomial_count(p: BundleParams, cls: DivisorClass) -> int:
     return sum(max(0, r + 1) for *_, r in _fiber_parts(p, cls))
 
 
-def _support_masks(p: BundleParams, cls: DivisorClass) -> set[int]:
-    """The supports of the monomials of bidegree (cls.f, cls.h) that decide
-    the base locus, as bit masks (bit i for VARIABLES[i]), without listing
-    the monomials.
-
-    A fiber part with residual r gives the supports of u^a v^(r-a): none
-    from u and v when r = 0, else u alone and v alone.  The support with
-    both (0 < a < r) is left out: it contains the other two, and a zero set
-    that meets a support meets every support that contains it.
-    """
-    masks = set()
-    for c, d, e, g, r in _fiber_parts(p, cls):
-        fiber = (c > 0) << 2 | (d > 0) << 3 | (e > 0) << 4 | (g > 0) << 5
-        if r == 0:
-            masks.add(fiber)
-        elif r > 0:
-            masks.add(fiber | 1)  # u^r
-            masks.add(fiber | 2)  # v^r
-    return masks
-
-
 def _is_irrelevant(zero_set: frozenset[str]) -> bool:
     return BASE_VARS <= zero_set or FIBER_VARS <= zero_set
 
 
-# Every zero set that the irrelevant ideal allows, as (bit mask, set) with
-# bit i for VARIABLES[i]: by size, and sets of one size in coordinate order.
+# The zero sets that `base_locus_strata` walks, the 15 proper subsets of
+# (x, y, z, w), as (bit mask, stratum) with bit i for the i-th of them: by
+# size, and sets of one size in coordinate order.
 _ZERO_SETS = tuple(
-    (sum(1 << i for i in indices), zero_set)
-    for k in range(len(VARIABLES) + 1)
-    for indices in combinations(range(len(VARIABLES)), k)
-    if not _is_irrelevant(zero_set := frozenset(VARIABLES[i] for i in indices)))
+    (sum(1 << i for i in indices), Stratum(frozenset("xyzw"[i] for i in indices)))
+    for k in range(4) for indices in combinations(range(4), k))
 
 
 def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     """Minimal coordinate strata covering the base locus of |cls|.
 
     A stratum V(Z) lies in the base locus exactly when every basis monomial
-    contains a variable of Z.  The allowed zero sets are walked by size, as
-    bit masks against the monomial supports, and a set is kept when it
-    meets every support and contains no set kept before it; so the
-    inclusion-minimal zero sets are returned, by size and then in
-    coordinate order.  Raises EmptyLinearSystem when |cls| has no sections.
+    contains a variable of Z.  Every minimal Z lies in the fiber coordinates
+    x, y, z, w.  An allowed Z holds at most one of u and v.  A fiber part
+    m = x^c y^d z^e w^g with residual r > 0 gives the monomials u^r m and
+    v^r m, so Z meets both only if it meets the support of m; a part with
+    r = 0 gives m alone.  So Z without u and v meets every monomial too,
+    and the supports that decide the base locus are those of the fiber
+    parts with r >= 0.
+
+    The 15 fiber zero sets are walked by size, as bit masks against those
+    supports, and a set is kept when it meets every support and contains
+    no set kept before it; so the inclusion-minimal zero sets are returned,
+    by size and then in coordinate order.  Raises EmptyLinearSystem when
+    |cls| has no sections.
     """
-    supports = _support_masks(p, cls)
+    supports = {(c > 0) | (d > 0) << 1 | (e > 0) << 2 | (g > 0) << 3
+                for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0}
     if not supports:
-        raise EmptyLinearSystem(f"|{cls}| has no sections on {p}")
+        raise EmptyLinearSystem(f"|{_shown(cls, 'D')}| has no sections on "
+                                f"{_shown(p, 'the bundle')}")
     kept = []  # (mask, stratum)
-    for z, zero_set in _ZERO_SETS:
+    for z, stratum in _ZERO_SETS:
         if all(z & s for s in supports) and all(m & z != m for m, _ in kept):
-            kept.append((z, Stratum(zero_set)))
+            kept.append((z, stratum))
     return [stratum for _, stratum in kept]
 
 
@@ -445,9 +442,10 @@ def is_dz_movable_on_x(p: BundleParams) -> bool:
     |3 D_z| = |6H + 3*mu*F| are z^3, always; x^6 (u,v)^(3mu) when mu >= 0;
     y^6 (u,v)^(3mu - 6lambda) when mu >= 2*lambda; w^2 (u,v)^(3mu - 2nu)
     when 2*nu <= 3*mu.  w^2 is itself a section of |X|.  Here (u,v)^r
-    stands for u^r and v^r, and no stratum contains both u and v, so each
-    of these sections puts one of its fiber variables in every base
-    stratum; by z^3, z lies in every one.
+    stands for u^a v^(r-a).  The strata lie in the fiber coordinates and
+    meet the fiber support of every section (`base_locus_strata`), so each
+    of these sections puts one of its fiber variables in every stratum; by
+    z^3, z lies in every one.
 
     - mu < 0: a section without z is x^c y^d w^g (u,v)^r with F-degree
       lambda*d + nu*g <= 3*mu < 0, so it contains w and nu < 0.  If

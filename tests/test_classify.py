@@ -118,6 +118,8 @@ def test_oracle_high_lambda_box_is_empty():
 def test_oracle_box_stability():
     # Inflating the default box by 10 in every direction adds no rows.
     assert oracle_search(DEFAULT_BOX) == oracle_search(DEFAULT_BOX.inflated(10))
+    # Inflation keeps lambda and nu at 0 or above.
+    assert SearchBox((2, 3), (0, 0), (1, 1)).inflated(5) == SearchBox((0, 8), (-5, 5), (0, 6))
 
 
 def test_oracle_matches_reference_table():

@@ -452,9 +452,10 @@ def test_nonsingular_refuses_negative_mu(capsys):
 
 
 def test_nonsingular_refuses_six_mu_below_five_lambda(capsys):
-    code, out, err = run(capsys, "nonsingular", "1", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "6*mu < 5*lambda" in err
+    for lam, mu in (("1", "0"), ("5", "4")):
+        code, out, err = run(capsys, "nonsingular", lam, mu)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "6*mu < 5*lambda" in err
 
 
 def test_nonsingular_refuses_six_mu_between_five_and_six_lambda(capsys):
@@ -522,9 +523,10 @@ def test_help_goes_to_stdout_and_exits_0(capsys, argv):
             assert f"  {name}" in out
 
 
-def usage_error(capsys, *argv) -> None:
+def usage_error(capsys, *argv) -> str:
     """Run argv, which must be a usage error: SystemExit(2), a usage line
-    and a `dp1toric[ <cmd>]: error: ` line on stderr, nothing on stdout."""
+    and a `dp1toric[ <cmd>]: error: ` line on stderr, nothing on stdout.
+    Returns the error line."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out, err = capsys.readouterr()
@@ -532,6 +534,7 @@ def usage_error(capsys, *argv) -> None:
     lines = err.splitlines()
     assert lines[0].startswith("usage: dp1toric")
     assert re.match(r"dp1toric( [a-z0-9]+)?: error: \S", lines[-1])
+    return lines[-1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -563,6 +566,7 @@ def usage_error(capsys, *argv) -> None:
     ("--format", "json", "table1"),
     ("oracle", "--lambda", "0", "1", "--mu", "0"),
     ("oracle", "--lambda", "--", "0", "1"),
+    ("analyze", "-", "0", "0"),
 ], ids=["no-command", "unknown-command", "missing-positional",
         "missing-positional-6", "extra-positional", "extra-positional-none",
         "not-an-int", "not-an-int-last", "option-not-an-int", "bad-format",
@@ -575,9 +579,16 @@ def usage_error(capsys, *argv) -> None:
         "thresholds-denominator-over-digit-limit",
         "unknown-option", "unknown-short-option", "option-of-another-command",
         "option-before-command", "values-cut-short-at-the-end",
-        "double-dash-as-a-value"])
+        "double-dash-as-a-value", "lone-dash-as-a-value"])
 def test_usage_errors_exit_2_on_stderr(capsys, argv):
     usage_error(capsys, *argv)
+
+
+def test_usage_errors_count_the_values_of_an_option(capsys):
+    assert usage_error(capsys, "oracle", "--lambda", "0") == (
+        "dp1toric oracle: error: argument --lambda: expected 2 arguments")
+    assert usage_error(capsys, "table1", "--format") == (
+        "dp1toric table1: error: argument --format: expected 1 argument")
 
 
 # --- every output, byte for byte --------------------------------------------------

@@ -71,6 +71,8 @@ def test_normalize_rejects_malformed_matrices():
         normalize(GradingMatrix((1, 2, 0, 0, 2, 3)))
     with pytest.raises(InvalidMatrix):
         normalize(GradingMatrix((1, 1, 0, 0, 2, 3), (0, 0, 1, 1, 2, 2)))
+    with pytest.raises(InvalidMatrix):
+        normalize(GradingMatrix((2, 1, 0, 0, 2, 3)))
 
 
 def test_normalize_idempotent():
@@ -258,7 +260,14 @@ def test_monomial_strings_refuses_huge_bases_quickly():
             (BundleParams(0, 0, 0), DivisorClass(6, 10**4299),
              r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
             (BundleParams(1, 1, 1), DivisorClass(10**8, 0),
-             r"more than 1000000 fiber monomials")):
+             r"more than 1000000 fiber monomials"),
+            # A class or a bundle that str() cannot print.
+            (BundleParams(0, 0, 0), DivisorClass(6, 10**5000),
+             r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
+            (BundleParams(0, 0, 0), DivisorClass(10**5000, 0),
+             r"more than 1000000 fiber monomials"),
+            (BundleParams(0, 0, -10**5000), DivisorClass(6, 0),
+             r"has 10\^640 or more monomials, more than the 1000000 that basis lists")):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=reason):
             monomial_strings(p, cls)
@@ -328,10 +337,13 @@ def test_dz_certificate_matches_set_scan_on_grid():
         p = BundleParams(lam, mu, nu)
         hypersurface = [m.support()
                         for m in monomial_basis(p, DivisorClass(6, 2 * nu))]
+        dz3 = 3 * torus_divisor_class(p, "z")
+        strata = reference_strata(p, dz3)
         expected = all(
             s.codim >= 2 and any(h.isdisjoint(s.zero_set) for h in hypersurface)
-            for s in reference_strata(p, 3 * torus_divisor_class(p, "z")))
+            for s in strata)
         assert is_dz_movable_on_x(p) == expected, p
+        assert base_locus_strata(p, dz3) == strata, p
 
 
 def test_strata_of_three_dz_on_1_1_3():
@@ -358,8 +370,12 @@ def test_trivial_class_has_no_base_locus():
 
 
 def test_empty_linear_system_raises():
-    with pytest.raises(EmptyLinearSystem):
-        base_locus_strata(BundleParams(0, 2, 3), DivisorClass(-1, 0))
+    # The last two name a class or a bundle that str() cannot print.
+    for p, cls in ((BundleParams(0, 2, 3), DivisorClass(-1, 0)),
+                   (BundleParams(0, 0, 0), DivisorClass(6, -10**5000)),
+                   (BundleParams(0, 0, 10**5000), DivisorClass(1, -1))):
+        with pytest.raises(EmptyLinearSystem):
+            base_locus_strata(p, cls)
 
 
 def test_strata_form_antichain_without_irrelevant_sets():
