@@ -13,14 +13,14 @@ of the table that decides, `conditions._CASE_ROWS`: (a-i), (a-ii), (b) I,
 (b) II and (b) III.  Each region is a system of integer rows a*lambda +
 b*mu + c*nu <= r: lambda >= 0, the table's validity and case rows, and
 2*delta >= 1 read off the case's form in `conditions._TWO_DELTA`.  As at
-most one entry holds at a triplet, the regions are the first-match
-decision of `conditions._decide`.  Integer Fourier-Motzkin elimination of
-nu, then of mu, gives nested bounds lambda -> mu -> nu.  At import, the
-lattice points in between are enumerated over all of Z^3, with no box,
-and `conditions.report` reports on each; the reports with a case and
-delta > 0 are the oracle rows, the only rows built.  `oracle_search`
-filters them by the box, so it costs the same whatever the box, and the
-reference rows are the oracle rows of the reference triplets.
+most one entry holds at a valid triplet with lambda >= 0, the regions are
+the first-match decision of `conditions._decide`.  Integer Fourier-Motzkin
+elimination of nu, then of mu, gives nested bounds lambda -> mu -> nu.  At
+import, the lattice points in between are enumerated over all of Z^3,
+with no box, and `conditions.report` reports on each; the reports with a
+case and delta > 0 are the oracle rows, the only rows built.
+`oracle_search` filters them by the box, so it costs the same whatever the
+box, and the reference rows are the oracle rows of the reference triplets.
 
 Every import checks, and raises unless:
 - no region leaves a variable unbounded, so the set with delta > 0 is

@@ -163,18 +163,20 @@ class FibrationReport(NamedTuple):
         returned only when its own `to_json_dict` equals data, with the
         same type at every leaf (so 0 is not false).  Otherwise ValueError
         names the first field that differs, or the keys missing and extra,
-        and a float in a field that differs raises TypeError, as do data or
-        its params that are not an object and a triplet value that is not an
-        int (a bool, or None where a key is missing)."""
-        params = data.get("params", {}) if type(data) is dict else data
-        for path, value in ("report", data), ("report.params", params):
+        and a float in a field that differs raises TypeError, as do data, its
+        params or its k3_threshold_results that are not an object and a
+        triplet value that is not an int (a bool, or None where a key is
+        missing)."""
+        fields = data if type(data) is dict else {}
+        params, k3 = fields.get("params", {}), fields.get("k3_threshold_results", {})
+        for path, value in ("", data), (".params", params), (".k3_threshold_results", k3):
             if type(value) is not dict:
-                raise TypeError(f"{path} is {value!r}, not an object")
+                raise TypeError(f"report{path} is {value!r}, not an object")
         for key in ("lambda", "mu", "nu"):
             if type(params.get(key)) is not int:
                 raise TypeError(f"report.params.{key} is {params.get(key)!r}, not an int")
         rep = report(BundleParams(params["lambda"], params["mu"], params["nu"]),
-                     tuple(map(rational, data.get("k3_threshold_results", ()))))
+                     tuple(map(rational, k3)))
         _check(rep.to_json_dict(), data, "report")
         return rep
 
@@ -233,9 +235,18 @@ _VALID_ROWS = (
     ((0, 0, -1, 0), _NU_NEGATIVE),  # nu >= 0
     ((0, 3, -2, -1), _MU_NOT_BELOW),  # 3*mu <= 2*nu - 1
 )
-# (case, branch, rows) per case and branch of case (b).  At most one entry
-# holds at a triplet, and the (a-i) and (a-ii) entries together hold
-# exactly where 6*lambda <= 2*nu, so that only case (b) can match no entry.
+# (case, branch, rows) per case and branch of case (b).  The (a-i) and
+# (a-ii) entries together hold exactly where 6*lambda <= 2*nu, so only case
+# (b) can match no entry, and first match (`_decide`) tries II and III only
+# where 2*nu < 6*lambda.  So their rows leave out that case-(b) row.  It
+# also follows in the regions of `classify` (lambda >= 0, validity and the
+# entry), over the integers: in II, 2*nu = 4*lambda + mu and 3*mu <= 2*nu -
+# 1 give 2*nu <= 6*lambda - 1; in III, 2*nu = 5*lambda < 4*lambda + mu and
+# 3*mu <= 2*nu - 1 give lambda < mu < 5*lambda/3, so lambda > 0 and 2*nu <
+# 6*lambda.  I keeps the row, as without it I holds in case (a) as well.
+# So at most one entry holds at a valid triplet with lambda >= 0.  Entries
+# may overlap elsewhere, as (a-ii) and III at the invalid (0, 1, 0), where
+# first match answers (a-ii).
 _CASE_ROWS = (
     (CaseLabel.AI, None, (
         (6, 0, -2, 0),  # 6*lambda <= 2*nu: case (a)
@@ -251,18 +262,32 @@ _CASE_ROWS = (
         (4, 1, -2, 0),  # 4*lambda + mu <= 2*nu
     )),
     (CaseLabel.B, RestrictBranch.II, (
-        (-6, 0, 2, -1),
         (-5, 0, 2, -1),  # 2*nu < 5*lambda
         (4, 1, -2, 0), (-4, -1, 2, 0),  # 2*nu = 4*lambda + mu
     )),
     (CaseLabel.B, RestrictBranch.III, (
-        (-6, 0, 2, -1),
         (-4, -1, 2, -1),  # 2*nu < 4*lambda + mu
         (5, 0, -2, 0), (-5, 0, 2, 0),  # 2*nu = 5*lambda
     )),
 )
 # Twice the nef threshold, a*lambda + b*mu + c*nu + r per case, as (a, b, c,
 # r) (module docstring).  This is the one place the nef formulas live.
+#
+# Proof from the Cox ring, at every valid triplet with lambda >= 0.  N =
+# -K_X + nef*F is D_y = H + lambda*F in (a-i) and (b), and D_z/2 = H +
+# (mu/2)*F in (a-ii).  N is nef: |2N| has the sections y^2,
+# x^2*(u,v)^(2*lambda) and z*(u,v)^(2*lambda - mu) in (a-i) and (b), where
+# mu <= 2*lambda (3*mu <= 6*lambda, or 3*mu < 2*nu < 6*lambda), and |D_z|
+# has z, x^2*(u,v)^mu and y^2*(u,v)^(mu - 2*lambda) in (a-ii), where mu >
+# 2*lambda >= 0.  So the base locus of |2N| is the curve C_w = {x = y = z =
+# 0}.  X misses C_w: w^2, of residual F-degree 0, is the one monomial of |X|
+# = |6H + 2*nu*F| in w alone, so it has a constant coefficient.  So |2N| is
+# base-point free on X.  N is sharp: C = X.D_x.D_z in (a-i) and (b), and
+# X.D_x.D_y in (a-ii), is a curve of X, as w^2 keeps X from containing {x =
+# z = 0} or {x = y = 0}, and N.C = 0 < F.C (`chow.triple_on_x`).  So -K_X +
+# r*F = N - (nef - r)*F is negative on C for every r < nef.  In case (b), X
+# contains C_y = {x = z = w = 0}, since y^6 would need 2*nu >= 6*lambda, and
+# C = 2*C_y, with H.C_y = -lambda, F.C_y = 1 and -K_X.C_y = -nef.
 _TWO_NEF = {CaseLabel.AI: (0, -2, 2, -4), CaseLabel.AII: (-2, -1, 2, -4),
             CaseLabel.B: (0, -2, 2, -4)}
 # 2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) per case: (4, 3, -4, 8) in (a-i) and
@@ -285,6 +310,10 @@ def _decide(lam: int, mu: int, nu: int) -> tuple:
     holds, flags get `_NO_BRANCH`.  flags is 0 for a valid triplet, which
     gets its case and 2*delta; an invalid one gets None for both.  branch
     is set whenever a branch matches in case (b), valid or not.
+
+    First match decides where entries overlap.  The (a) entries come first
+    and hold exactly where 6*lambda <= 2*nu, so II and III, whose rows leave
+    out 2*nu < 6*lambda, are only tried where that row holds anyway.
     """
     flags = 0
     for (a, b, c, r), flag in _VALID_ROWS:

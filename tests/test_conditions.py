@@ -1,23 +1,26 @@
 """Validity, case classification, nef thresholds, delta, and verdicts."""
 
 import json
+import sys
 import time
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from dp1toric import chow, conditions
 from dp1toric.chow import (CycleClass, anticanonical_on_x, minus_k_cubed,
                            triple_on_x)
+from dp1toric.classify import _eliminate, _interval
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
                                  ValidityReport, Verdict, WeightRatios,
                                  classify_case, delta, k2_condition,
                                  k3_condition, k_status, nef_threshold,
                                  report, validity)
-from dp1toric.grading import (F, BundleParams, DivisorClass, is_dz_movable_on_x,
-                              rational)
+from dp1toric.grading import (F, BundleParams, DivisorClass, Stratum,
+                              base_locus_strata, is_dz_movable_on_x, rational,
+                              torus_divisor_class)
 
 Q = Fraction
 
@@ -129,6 +132,25 @@ def test_nef_threshold_shared_formula_for_ai_and_b():
             assert nef_threshold(p) == -p.mu + p.nu - 2
 
 
+def test_nef_threshold_from_the_cox_ring():
+    """-K_X + r*F is nef exactly when r >= nef (the proof in the `_TWO_NEF`
+    comment): N = -K_X + nef*F is D_y in (a-i) and (b) and D_z/2 in (a-ii),
+    |2N| has the base locus C_w = {x = y = z = 0}, which X misses, and N.C
+    = 0 < F.C for C = X.D_x.D_z, or X.D_x.D_y in (a-ii)."""
+    c_w = [Stratum(frozenset("xyz"))]
+    checked = 0
+    for p in valid_box(7, 16, 24):
+        d_x, d_y, d_z = (torus_divisor_class(p, t) for t in "xyz")
+        in_a_ii = classify_case(p) is CaseLabel.AII
+        n = anticanonical_on_x(p) + nef_threshold(p) * F
+        assert n == (d_z * Q(1, 2) if in_a_ii else d_y), p
+        assert base_locus_strata(p, 2 * n) == c_w, p
+        c = d_y if in_a_ii else d_z
+        assert triple_on_x(p, n, d_x, c) == 0 < triple_on_x(p, F, d_x, c), p
+        checked += 1
+    assert checked == 3454
+
+
 def test_delta_examples():
     assert delta(BundleParams(0, -2, 0)) == 1
     assert delta(BundleParams(2, 3, 5)) == Q(5, 2)
@@ -216,7 +238,7 @@ def test_thresholds_are_exact_rationals():
     assert [k3_condition(p, t) for t in (2, "3/2", negative)] == [True, True, False]
 
 
-@pytest.mark.parametrize("text", ["1e10000000", "12e4299"])
+@pytest.mark.parametrize("text", ["1e10000000", "12e4299", "0e4301"])
 def test_every_reader_of_a_rational_refuses_what_the_cli_refuses(text):
     # Fraction would build 10**10000000 for the first, which takes seconds;
     # the second reads, but str() cannot print it.
@@ -237,6 +259,20 @@ def test_every_reader_of_a_rational_refuses_what_the_cli_refuses(text):
         with pytest.raises(ValueError):
             read()
         assert time.perf_counter() - start < 1, name
+
+
+def test_rational_reads_exponents_up_to_the_digit_limit():
+    assert rational("0e4300") == 0
+    with pytest.raises(ValueError, match="exponent 4301 exceeds 4300"):
+        rational("0e4301")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: the check falls back to the default
+    try:
+        assert rational("1e1") == 10
+        with pytest.raises(ValueError, match="exponent 4301 exceeds 4300"):
+            rational("0e4301")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_json_reports_refuse_floats():
@@ -302,7 +338,10 @@ def test_json_reports_are_read_by_recomputing_them():
                          ("x", "report is 'x', not an object"),
                          (None, "report is None, not an object"),
                          ({"params": []}, "report.params is [], not an object"),
-                         ({"params": None}, "report.params is None, not an object")):
+                         ({"params": None}, "report.params is None, not an object"),
+                         *(({**data, "k3_threshold_results": value},
+                            f"report.k3_threshold_results is {value!r}, not an object")
+                           for value in (5, None, 1.5, True, []))):
         with pytest.raises(TypeError) as exc:
             FibrationReport.from_json_dict(bad)
         assert str(exc.value) == message
@@ -450,14 +489,28 @@ def reference_report(p, thresholds=conditions.DEFAULT_THRESHOLDS):
 
 
 def test_case_table_entries_are_exclusive_and_cover_case_a():
-    """At most one `_CASE_ROWS` entry holds at a triplet, and the (a-i) and
-    (a-ii) entries together hold exactly where 6*lambda <= 2*nu.  First
-    match in `_decide` and the regions of `classify`, each read on its own,
-    agree only because of this."""
+    """At most one `_CASE_ROWS` entry holds at a valid triplet with lambda
+    >= 0, and the (a-i) and (a-ii) entries together hold exactly where
+    6*lambda <= 2*nu.  First match in `_decide` and the regions of
+    `classify`, each read on its own, agree only because of this.
+
+    Exclusivity is proven over Z^3: for each of the 10 pairs of entries,
+    the system of lambda >= 0, the validity rows and the rows of both
+    entries has no lattice point, by the elimination that bounds the
+    regions; `_interval` raises if it leaves a variable unbounded."""
+    valid = [row for row, _ in conditions._VALID_ROWS]
+    pairs = list(combinations(conditions._CASE_ROWS, 2))
+    assert len(pairs) == 10
+    for (case, branch, rows), (other, other_branch, other_rows) in pairs:
+        system = ((-1, 0, 0, 0), *valid, *rows, *other_rows)
+        mu_rows = _eliminate(system)
+        points = [(lam, mu, nu) for lam in _interval(_eliminate(mu_rows), ())
+                  for mu in _interval(mu_rows, (lam,))
+                  for nu in _interval(system, (lam, mu))]
+        assert points == [], (case, branch, other, other_branch, points)
     for lam, mu, nu in iproduct(range(13), range(-30, 31), range(-3, 41)):
         holding = [case for case, _, rows in conditions._CASE_ROWS
                    if all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)]
-        assert len(holding) <= 1, (lam, mu, nu, holding)
         in_case_a = holding != [] and holding[0] is not CaseLabel.B
         assert in_case_a == (6 * lam <= 2 * nu), (lam, mu, nu)
 

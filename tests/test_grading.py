@@ -252,10 +252,15 @@ def test_monomial_strings_in_threads_equal_them_in_one(monkeypatch):
     assert_power_table_is_bounded_and_right()
 
 
-def test_monomial_strings_refuses_huge_bases_quickly():
+def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
     for p, cls, reason in (
             (BundleParams(0, 0, 0), DivisorClass(6, 10**8),
              r"monomials, more than the 1000000 that basis lists"),
+            # The largest count printed in full, 640 nines, and the first not.
+            (BundleParams(0, 0, 0), DivisorClass(0, 10**640 - 2),
+             rf"has {'9' * 640} monomials, more than the 1000000 that basis lists"),
+            (BundleParams(0, 0, 0), DivisorClass(0, 10**640 - 1),
+             r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
             # A count that str() cannot print under the default digit limit.
             (BundleParams(0, 0, 0), DivisorClass(6, 10**4299),
              r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
@@ -272,6 +277,11 @@ def test_monomial_strings_refuses_huge_bases_quickly():
         with pytest.raises(ValueError, match=reason):
             monomial_strings(p, cls)
         assert time.perf_counter() - start < 5
+    # At the bound: a basis of exactly MAX_BASIS_MONOMIALS monomials is listed.
+    monkeypatch.setattr(grading, "MAX_BASIS_MONOMIALS", 10)
+    assert len(monomial_strings(BundleParams(0, 0, 0), DivisorClass(0, 9))) == 10
+    with pytest.raises(ValueError, match="has 11 monomials, more than the 10 that"):
+        monomial_strings(BundleParams(0, 0, 0), DivisorClass(0, 10))
 
 
 def test_fiber_part_count_matches_the_enumeration_on_grid():
