@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .grading import (BundleParams, DivisorClass, _signed_sum, rational,
-                      signed, torus_divisor_class)
+from .grading import (BOTTOM_ROW, BundleParams, DivisorClass, GradingMatrix,
+                      _signed_sum, rational, signed)
 
 
 class DegreeOverflow(ValueError):
@@ -77,9 +77,11 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
         return _signed_sum(parts)
 
 
-def _coefficients(classes: list[tuple[Fraction, Fraction]]) -> tuple[int, int, int]:
+def _coefficients(classes) -> tuple[int, int, int]:
     """(top, below, d) with the product of the k classes (h, f) = h*H + f*F
     equal to (top*H^k + below*H^(k-1)*F) / d modulo F^2 = 0, all ints.
+    classes is an iterable of pairs (h, f) of Fractions or ints, such as
+    `DivisorClass`es or the integer columns of a grading matrix.
 
     Each class is read as h = h'/s and f = f'/s over one denominator s:
     the denominator both share, as every integral class does, or else the
@@ -133,11 +135,16 @@ def derive_h4(p: BundleParams) -> Fraction:
     (H^4) with (H^3 * F) = 1/6 known; this derivation is independent of the
     closed form used by `evaluate_top` and `triple_on_x`.
 
+    The class of D_s is the column (deg_H, deg_F) of s in the grading
+    matrix (`torus_divisor_class`), so the four factors are read as integer
+    pairs straight off the x, y, z and w columns, with no class built.
     With the product equal to (top*H^4 + below*H^3*F) / d, the equation is
-    top*(H^4) + below/6 = 0, so (H^4) = -below / (6*top); d cancels, and
-    top = 1*1*2*3, the product of the H-degrees, is never 0.
+    top*(H^4) + below/6 = 0, so (H^4) = -below / (6*top); d = 1 for these
+    integral classes, and top = 1*1*2*3, the product of the H-degrees, is
+    never 0.
     """
-    top, below, _ = _coefficients([torus_divisor_class(p, t) for t in "xyzw"])
+    columns = zip(BOTTOM_ROW[2:], GradingMatrix.from_params(p).top_row[2:])
+    top, below, _ = _coefficients(columns)
     return Fraction(-below, 6 * top)
 
 
@@ -166,7 +173,7 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     the nu terms cancel.  For classes h_i*H + f_i*F that is
     f_a*h_b*h_c + h_a*f_b*h_c + h_a*h_b*f_c - (lambda + mu/2)*h_a*h_b*h_c.
     """
-    top, below, d = _coefficients([a, b, c])
+    top, below, d = _coefficients((a, b, c))
     return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2 * d)
 
 

@@ -7,7 +7,9 @@ the oracle search does not match the reference table, 2 on usage errors.
 
 All output goes through one renderer, `_render`, which builds only the
 format asked for.  JSON is written by this module's own `indent=2` writer,
-`_json`, whose text equals `json.dumps(value, indent=2)`.
+`_json`, whose text equals `json.dumps(value, indent=2)`; it escapes strings
+with CPython's `_json` accelerator, the function `json.encoder` uses, so that
+no command imports the json package.
 The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
@@ -15,8 +17,12 @@ from __future__ import annotations
 
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+
+try:  # the function json.encoder re-exports, without importing json
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
@@ -69,12 +75,13 @@ def _json(value, pad: str = "\n") -> str:
     if kind is list:
         inner = pad + "  "
         if set(map(type, value)) == {str}:
-            # Escaping goes character by character, so when one pass over
-            # all the items adds only its two quotes, no item needs one.
-            joined = "".join(value)
-            if len(encode_basestring_ascii(joined)) == len(joined) + 2:
-                sep = '",' + inner + '"'
-                return "[" + inner + '"' + sep.join(value) + '"' + pad + "]"
+            # Escaping goes character by character, and each separator
+            # '",' + inner + '"' gains exactly three escapes (two quotes and
+            # one newline); so when one pass over the joined text adds only
+            # those and its own two quotes, no item needs one.
+            text = ('",' + inner + '"').join(value)
+            if len(encode_basestring_ascii(text)) == len(text) + 3 * len(value) - 1:
+                return "[" + inner + '"' + text + '"' + pad + "]"
         items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if kind is bool:

@@ -13,8 +13,9 @@ rationals (fractions.Fraction); no floating point is used anywhere.
 This module normalizes grading matrices to the canonical (lambda, mu, nu)
 form, assigns divisor classes to the torus-invariant coordinate divisors,
 enumerates monomial bases of integral divisor classes (`monomial_strings`
-lists one as strings, and refuses one of more than MAX_BASIS_MONOMIALS
-monomials), and computes the coordinate strata of base loci.
+lists one as strings; it and `monomial_basis` refuse one of more than
+MAX_BASIS_MONOMIALS monomials), and computes the coordinate strata of base
+loci.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 VARIABLES = ("u", "v", "x", "y", "z", "w")
@@ -33,14 +35,18 @@ FIBER_VARS = frozenset({"x", "y", "z", "w"})
 # H-degrees of u, v, x, y, z, w; fixed by the bundle structure.
 BOTTOM_ROW = (0, 0, 1, 1, 2, 3)
 
-# Largest monomial basis `monomial_strings` lists; past it, it refuses with
-# ValueError instead of building the list.
+# Largest monomial basis `monomial_strings` and `monomial_basis` list; past
+# it, they refuse with ValueError instead of building the list.
 MAX_BASIS_MONOMIALS = 10**6
 
 # The factors s^k* of each variable s that `_powers` keeps for the process:
 # _POWERS[s][k] for k < _POWER_TABLE_SIZE, built on demand.
 _POWER_TABLE_SIZE = 1024
 _POWERS = dict.fromkeys(VARIABLES, ("",))
+# The same bound serves the fiber parts that `_fibers` keeps: _FIBERS[h] for
+# each H-degree h with at most _POWER_TABLE_SIZE of them (h <= 29), built on
+# demand.
+_FIBERS = {}
 
 
 class InvalidMatrix(ValueError):
@@ -292,16 +298,19 @@ def _fiber_parts(p: BundleParams, cls: DivisorClass):
 
 def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     """[str(m) for m in monomial_basis(p, cls)], built without the
-    ExponentVectors, or ValueError before any string is built when the basis
-    has more than MAX_BASIS_MONOMIALS monomials, or its enumeration visits
-    more fiber parts x^c y^d z^e w^g than that (`fiber_part_count`, in
-    closed form, before the walk).
+    ExponentVectors, or ValueError before any of its strings is built when
+    the basis has more than MAX_BASIS_MONOMIALS monomials, or its enumeration
+    visits more fiber parts x^c y^d z^e w^g than that (`_refuse_huge`).
 
-    One walk of `_fiber_parts` keeps the parts with residual F-degree
-    r >= 0, sorted by (r, c, d, e, g); each gives r + 1 monomials, so the
-    same parts give the count and then the strings.  Lexicographic order is
-    by a, then by b = r - a, then by (c, d, e, g): for each a, the parts with
-    r >= a (a suffix of that order) give the monomials
+    The fiber parts with residual F-degree r = f - lambda*d - mu*e - nu*g
+    >= 0 are kept, sorted by (r, c, d, e, g); each gives r + 1 monomials,
+    so the same parts give the count and then the strings.  When h has at
+    most _POWER_TABLE_SIZE parts (h <= 29), they come spelt from the
+    per-process table `_fibers`, in (c, d, e, g) order, and one stable sort
+    on r orders the kept ones; past that, one walk of `_fiber_parts` gives
+    them, and only the kept ones are spelt, for this call.  Lexicographic
+    order is by a, then by b = r - a, then by (c, d, e, g): for each a, the
+    parts with r >= a (a suffix of that order) give the monomials
     u^a v^(r-a) x^c y^d z^e w^g in order.  Every factor is written with a
     trailing "*", and the fiber string drops its last one.  The factors
     s^k* are read from a per-process table of each variable (`_powers`),
@@ -310,27 +319,64 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     fiber string is never empty, so the u and v factors keep theirs; only
     h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
-    if fiber_part_count(cls) > MAX_BASIS_MONOMIALS:
+    n = fiber_part_count(cls)
+    _refuse_huge(p, cls, n)
+    if not n:
+        return []
+    h, f = int(cls.h), int(cls.f)
+    if n <= _POWER_TABLE_SIZE:
+        lam, mu, nu = p
+        parts = [(r, fiber) for d, e, g, fiber in _fibers(h)
+                 for r in [f - lam * d - mu * e - nu * g] if r >= 0]
+        parts.sort(key=itemgetter(0))
+    else:
+        parts = sorted((r, c, d, e, g)
+                       for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
+    rs = [part[0] for part in parts]
+    _refuse_huge(p, cls, n, len(rs) + sum(rs))
+    if not parts:
+        return []
+    if n > _POWER_TABLE_SIZE:
+        x, y, z, w = (_powers(s, h) for s in "xyzw")
+        parts = [(r, (x[c] + y[d] + z[e] + w[g])[:-1]) for r, c, d, e, g in parts]
+    r_max = rs[-1]
+    u, v = (_powers(s, r_max) for s in "uv")
+    out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
+           for r, fiber in parts[bisect_left(rs, a):]]
+    return out if h else [m.rstrip("*") or "1" for m in out]
+
+
+def _refuse_huge(p: BundleParams, cls: DivisorClass, parts: int, count: int = 0) -> None:
+    """ValueError when parts, the number of fiber parts of the basis of
+    |cls| (`fiber_part_count`, in closed form, before the walk), or count,
+    its number of monomials, is more than MAX_BASIS_MONOMIALS: the two
+    refusals of `monomial_strings` and `monomial_basis`.  Neither formats
+    an int too long to print."""
+    if parts > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
                          "fiber monomials x^c*y^d*z^e*w^g to scan")
-    parts = sorted((r, c, d, e, g)
-                   for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
-    count = sum(r + 1 for r, *_ in parts)
     if count > MAX_BASIS_MONOMIALS:
         # str() prints every int below 10**640: no digit limit is set lower.
         shown = count if count < 10**640 else "10^640 or more"
         raise ValueError(f"|{_shown(cls, 'D')}| on {_shown(p, 'the bundle')} has {shown} "
                          f"monomials, more than the {MAX_BASIS_MONOMIALS} that basis lists")
-    if not parts:
-        return []
-    h, r_max = int(cls.h), parts[-1][0]
-    x, y, z, w = (_powers(s, h) for s in "xyzw")
-    fibers = [(r, (x[c] + y[d] + z[e] + w[g])[:-1]) for r, c, d, e, g in parts]
-    u, v = (_powers(s, r_max) for s in "uv")
-    rs = [r for r, _ in fibers]
-    out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
-           for r, fiber in fibers[bisect_left(rs, a):]]
-    return out if h else [m.rstrip("*") or "1" for m in out]
+
+
+def _fibers(h: int) -> tuple[tuple[int, int, int, str], ...]:
+    """(d, e, g, "x^c*y^d*z^e*w^g") for each fiber part of H-degree h, in
+    (c, d, e, g) order, for an h with at most _POWER_TABLE_SIZE parts.
+
+    From the table _FIBERS, which gets h's entry on first use by assigning
+    one whole tuple, never in place, so a thread reading it sees one whole
+    version.
+    """
+    fibers = _FIBERS.get(h)
+    if fibers is None:
+        x, y, z, w = (_powers(s, h) for s in "xyzw")
+        fibers = tuple((d, e, g, (x[c] + y[d] + z[e] + w[g])[:-1]) for c, d, e, g, _
+                       in sorted(_fiber_parts(BundleParams(0, 0, 0), DivisorClass(h, 0))))
+        _FIBERS[h] = fibers
+    return fibers
 
 
 def _powers(s: str, n: int) -> tuple[str, ...]:
@@ -365,10 +411,16 @@ def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
 
     Empty for classes with negative or non-integral entries that admit no
     monomials.  Each fiber part splits its residual F-degree over a and b.
+    Refuses with the ValueError of `monomial_strings` a class with more
+    than MAX_BASIS_MONOMIALS fiber parts, before the walk, or monomials,
+    before any ExponentVector is built.
     """
+    n = fiber_part_count(cls)
+    _refuse_huge(p, cls, n)
+    parts = [part for part in _fiber_parts(p, cls) if part[4] >= 0]
+    _refuse_huge(p, cls, n, len(parts) + sum(part[4] for part in parts))
     return sorted(ExponentVector(a, r - a, c, d, e, g)
-                  for c, d, e, g, r in _fiber_parts(p, cls)
-                  for a in range(r + 1))
+                  for c, d, e, g, r in parts for a in range(r + 1))
 
 
 def monomial_count(p: BundleParams, cls: DivisorClass) -> int:

@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, exit codes, and golden renderings."""
 
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -146,6 +147,25 @@ def test_json_string_lists_are_written_as_the_standard_library_writes_them():
     for value in lists:
         assert _json(value) == STDLIB_JSON.encode(value), value
         assert _json({"basis": value}) == STDLIB_JSON.encode({"basis": value}), value
+        assert _json([{"basis": value}]) == STDLIB_JSON.encode([{"basis": value}]), value
+
+
+def test_json_is_written_the_same_without_the_json_accelerator(monkeypatch):
+    # cli's source run again, as dp1toric._cli_again, where `_json` cannot
+    # be imported and json.encoder is imported afresh: it escapes with the
+    # pure-Python function of json.encoder.
+    monkeypatch.setitem(sys.modules, "_json", None)
+    monkeypatch.setattr(json, "encoder", json.encoder)  # restored afterwards
+    monkeypatch.delitem(sys.modules, "json.encoder")
+    spec = importlib.util.spec_from_file_location("dp1toric._cli_again", cli.__file__)
+    again = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(again)
+    assert again.encode_basestring_ascii is not cli.encode_basestring_ascii
+    assert again.encode_basestring_ascii.__module__ == "json.encoder"
+    escaped = ["x\"", "back\\slash", "\x00\x1f\n\t\x7f", "δ_X, λ", "\U0001d53b"]
+    for value in (["y^6", "u*v*x^2*z^2", "1"], escaped, {"basis": escaped, "k": [None, 1]},
+                  report(BundleParams(2, 3, 6)).to_json_dict()):
+        assert again._json(value) == json.dumps(value, indent=2), value
 
 
 def test_the_json_writer_refuses_every_other_type():

@@ -213,6 +213,7 @@ def test_monomial_strings_edge_cases():
 
 def fresh_power_table(monkeypatch):
     monkeypatch.setattr(grading, "_POWERS", dict.fromkeys(VARIABLES, ("",)))
+    monkeypatch.setattr(grading, "_FIBERS", {})
 
 
 def assert_power_table_is_bounded_and_right():
@@ -220,6 +221,40 @@ def assert_power_table_is_bounded_and_right():
         assert len(table) <= grading._POWER_TABLE_SIZE
         built = ("", f"{s}*", *(f"{s}^{k}*" for k in range(2, len(table))))
         assert table == built[:len(table)]
+
+
+def assert_fiber_table_is_bounded_and_right():
+    for h, table in grading._FIBERS.items():
+        parts = sorted((c, d, e, g) for c, d, e, g, _ in
+                       _fiber_parts(BundleParams(0, 0, 0), DivisorClass(h, 0)))
+        assert len(parts) <= grading._POWER_TABLE_SIZE
+        assert table == tuple((d, e, g, str(ev(c=c, d=d, e=e, f=g)) if h else "")
+                              for c, d, e, g in parts), h
+    assert sum(map(len, grading._FIBERS.values())) <= 8175
+
+
+def test_fiber_table_holds_each_small_h_degree_once(monkeypatch):
+    fresh_power_table(monkeypatch)
+    p = BundleParams(1, 2, 3)
+    for h in range(-1, 35):
+        for f in (-1, 0, 7):
+            monomial_strings(p, DivisorClass(h, f))
+    assert sorted(grading._FIBERS) == list(range(30))  # 29 has 950 parts, 30 has 1041
+    assert len(grading._FIBERS[6]) == 23 and grading._FIBERS[0] == ((0, 0, 0, ""),)
+    table = grading._FIBERS[6]
+    monomial_strings(BundleParams(2, 3, 5), DivisorClass(6, 10))
+    assert grading._FIBERS[6] is table  # read, not built again
+    assert_fiber_table_is_bounded_and_right()
+
+
+def test_monomial_strings_past_the_fiber_table(monkeypatch):
+    fresh_power_table(monkeypatch)
+    for p in (BundleParams(0, 0, 0), BundleParams(1, -1, 2), BundleParams(2, 3, 5)):
+        for h, f in iproduct(range(30, 35), (-2, 1, 3)):
+            cls = DivisorClass(h, f)
+            assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)]
+    assert monomial_strings(BundleParams(1, 1, 1), DivisorClass(120, 0)) == ["x^120"]
+    assert grading._FIBERS == {}
 
 
 def test_monomial_strings_past_the_power_table(monkeypatch):
@@ -234,14 +269,16 @@ def test_monomial_strings_past_the_power_table(monkeypatch):
 
 
 def test_monomial_strings_in_threads_equal_them_in_one(monkeypatch):
-    # Exponents grow from 0 past the table's bound, so the threads grow it.
+    # Exponents and H-degrees grow from 0 past the tables' bound, so the
+    # threads grow both tables.
     p = BundleParams(1, 2, 3)
     classes = [DivisorClass(h, f) for f in range(0, 1300, 100) for h in (0, 2, 4)]
+    classes += [DivisorClass(h, h) for h in range(35)]
     fresh_power_table(monkeypatch)
     expected = [monomial_strings(p, cls) for cls in classes]
     fresh_power_table(monkeypatch)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # so the threads interleave inside `_powers`
+    sys.setswitchinterval(1e-6)  # so the threads interleave inside the tables
     try:
         with ThreadPoolExecutor(4) as pool:
             got = list(pool.map(lambda cls: monomial_strings(p, cls), classes,
@@ -250,6 +287,8 @@ def test_monomial_strings_in_threads_equal_them_in_one(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == expected
     assert_power_table_is_bounded_and_right()
+    assert_fiber_table_is_bounded_and_right()
+    assert sorted(grading._FIBERS) == list(range(30))
 
 
 def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
@@ -273,15 +312,17 @@ def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
              r"more than 1000000 fiber monomials"),
             (BundleParams(0, 0, -10**5000), DivisorClass(6, 0),
              r"has 10\^640 or more monomials, more than the 1000000 that basis lists")):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=reason):
-            monomial_strings(p, cls)
-        assert time.perf_counter() - start < 5
+        for basis in (monomial_strings, monomial_basis):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=reason):
+                basis(p, cls)
+            assert time.perf_counter() - start < 5
     # At the bound: a basis of exactly MAX_BASIS_MONOMIALS monomials is listed.
     monkeypatch.setattr(grading, "MAX_BASIS_MONOMIALS", 10)
-    assert len(monomial_strings(BundleParams(0, 0, 0), DivisorClass(0, 9))) == 10
-    with pytest.raises(ValueError, match="has 11 monomials, more than the 10 that"):
-        monomial_strings(BundleParams(0, 0, 0), DivisorClass(0, 10))
+    for basis in (monomial_strings, monomial_basis):
+        assert len(basis(BundleParams(0, 0, 0), DivisorClass(0, 9))) == 10
+        with pytest.raises(ValueError, match="has 11 monomials, more than the 10 that"):
+            basis(BundleParams(0, 0, 0), DivisorClass(0, 10))
 
 
 def test_fiber_part_count_matches_the_enumeration_on_grid():
