@@ -18,7 +18,10 @@ hypersurface X = 6H + 2*nu*F collapsed to one integer form:
 
     (a . b . c)_X = (2*below - (2*lambda + mu)*top) / (2*d)
 
-for (a . b . c) = (top*H^3 + below*H^2*F) / d.
+for (a . b . c) = (top*H^3 + below*H^2*F) / d.  For integral classes,
+which are all the classes the library builds (H, F, the torus classes,
+-K_X and X), d = 1 and `triple_on_x` multiplies the six integer entries
+in one step; other classes go through `_coefficients`.
 """
 
 from __future__ import annotations
@@ -172,7 +175,22 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
 
     the nu terms cancel.  For classes h_i*H + f_i*F that is
     f_a*h_b*h_c + h_a*f_b*h_c + h_a*h_b*f_c - (lambda + mu/2)*h_a*h_b*h_c.
+
+    The six entries are read as integer ratios once.  When all six
+    denominators are 1, as for every class the library builds, top and
+    below are those two integer products and d = 1; any other class is
+    scaled to a common denominator by `_coefficients`.
     """
+    ha, sa = a.h.as_integer_ratio()
+    fa, ta = a.f.as_integer_ratio()
+    hb, sb = b.h.as_integer_ratio()
+    fb, tb = b.f.as_integer_ratio()
+    hc, sc = c.h.as_integer_ratio()
+    fc, tc = c.f.as_integer_ratio()
+    if sa == ta == sb == tb == sc == tc == 1:
+        top = ha * hb * hc
+        below = fa * hb * hc + ha * fb * hc + ha * hb * fc
+        return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2)
     top, below, d = _coefficients((a, b, c))
     return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2 * d)
 

@@ -410,17 +410,24 @@ def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
     """All monomials of bidegree (cls.f, cls.h), in lexicographic order.
 
     Empty for classes with negative or non-integral entries that admit no
-    monomials.  Each fiber part splits its residual F-degree over a and b.
-    Refuses with the ValueError of `monomial_strings` a class with more
-    than MAX_BASIS_MONOMIALS fiber parts, before the walk, or monomials,
-    before any ExponentVector is built.
+    monomials.  Each fiber part splits its residual F-degree r over a and
+    b = r - a.  Refuses with the ValueError of `monomial_strings` a class
+    with more than MAX_BASIS_MONOMIALS fiber parts, before the walk, or
+    monomials, before any ExponentVector is built.
+
+    The vectors are built in order, as `monomial_strings` builds its
+    strings: the kept parts sorted by (r, c, d, e, g), and for each a the
+    suffix of them with r >= a.
     """
     n = fiber_part_count(cls)
     _refuse_huge(p, cls, n)
-    parts = [part for part in _fiber_parts(p, cls) if part[4] >= 0]
-    _refuse_huge(p, cls, n, len(parts) + sum(part[4] for part in parts))
-    return sorted(ExponentVector(a, r - a, c, d, e, g)
-                  for c, d, e, g, r in parts for a in range(r + 1))
+    parts = sorted((r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
+    rs = [part[0] for part in parts]
+    _refuse_huge(p, cls, n, len(rs) + sum(rs))
+    if not parts:
+        return []
+    return [ExponentVector(a, r - a, c, d, e, g) for a in range(rs[-1] + 1)
+            for r, c, d, e, g in parts[bisect_left(rs, a):]]
 
 
 def monomial_count(p: BundleParams, cls: DivisorClass) -> int:

@@ -139,11 +139,16 @@ def test_json_strings_are_escaped_as_the_standard_library_escapes_them():
 
 def test_json_string_lists_are_written_as_the_standard_library_writes_them():
     # A list of plain str items takes one join; a list where one item needs
-    # an escape, a mixed list and the empty list go item by item.
+    # an escape, a mixed list and the empty list go item by item.  " " and
+    # "~", the ends of the printable ASCII range, need no escape; "\x1f",
+    # "\x7f", "\x80" and "\u2028" just past either end do.  In 'é"' and
+    # '\u2028""' the extra UTF-8 bytes balance the quotes' count.
     monomials = ["y^6", "u*v*x^2*z^2", "u^12*w^2", "1"]
-    lists = [monomials, [""], ["", ""], ["u*v"], ["a", 1, None], [], [[], ["x"]]]
-    for escaped in ('"', "\\", "\n", "\x01", "\x7f", "é", "\U0001d53b"):
-        lists += [[*monomials, "x" + escaped], [escaped], [escaped, "y"]]
+    lists = [monomials, [""], ["", ""], ["u*v"], ["a", 1, None], [], [[], ["x"]],
+             ['é"'], [*monomials, '\u2028""']]
+    for char in (" ", "~", '"', "\\", "\n", "\x01", "\x1f", "\x7f", "\x80", "é",
+                 "\u2028", "\U0001d53b"):
+        lists += [[*monomials, "x" + char], [char], [char, "y"]]
     for value in lists:
         assert _json(value) == STDLIB_JSON.encode(value), value
         assert _json({"basis": value}) == STDLIB_JSON.encode({"basis": value}), value
@@ -430,16 +435,21 @@ def test_basis_of_fiber_degree_zero(capsys, fmt):
 
 
 def test_basis_lists_monomial_strings_in_every_format(capsys):
-    # h = -1 gives the empty basis, h = 0 monomials in u and v alone.
-    for lam, mu, nu, h in product((0, 2), (-2, 3), (1, 4), (-1, 0, 1, 3)):
-        monomials = monomial_strings(BundleParams(lam, mu, nu), DivisorClass(h, 2 * nu))
+    # h = -1 gives the empty basis, h = 0 monomials in u and v alone.  h = 30
+    # has 1,041 fiber parts, past the per-process table, so its strings come
+    # from the walk: on (0,0,0) with f = 0 every part has r = 0 (1,041
+    # monomials), and on (2,3,5) with f = 20, r runs from 0 to 20 (616).
+    cases = [(lam, mu, nu, h, 2 * nu)
+             for lam, mu, nu, h in product((0, 2), (-2, 3), (1, 4), (-1, 0, 1, 3))]
+    for lam, mu, nu, h, f in cases + [(0, 0, 0, 30, 0), (2, 3, 5, 30, 20)]:
+        monomials = monomial_strings(BundleParams(lam, mu, nu), DivisorClass(h, f))
         lines = "".join(m + "\n" for m in monomials)
         texts = {"plain": lines, "json": STDLIB_JSON.encode(monomials) + "\n",
                  "csv": "monomial\n" + lines,
                  "markdown": "".join(f"- `{m}`\n" for m in monomials)}
         for fmt, text in texts.items():
             code, out, _ = run(capsys, "basis", str(lam), str(mu), str(nu), str(h),
-                               str(2 * nu), "--format", fmt)
+                               str(f), "--format", fmt)
             assert code == 0 and out == text, (lam, mu, nu, h, fmt)
             assert basis_listed(out, fmt) == monomials
 

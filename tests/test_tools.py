@@ -49,6 +49,39 @@ def test_quartiles_are_the_parents():
     assert "change 20 (+37.9%)" in text
 
 
+def marks(text: str) -> list[str]:
+    """The mark before "better in" on each metric line, "" for none."""
+    return [line.rsplit("better in ", 1)[0].split(")  ")[-1].strip()
+            for line in text.splitlines()[1:]]
+
+
+def test_a_gain_is_nine_of_ten_pairs_beyond_the_parents_spread():
+    parent = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1-q3 about 11.75-17.25
+    change = [p + 8 for p in parent[:9]] + [0]  # median 21.5, better in 9/10
+    text = summary(records(parent, change), [LOWER, HIGHER])
+    assert marks(text) == ["", "gain"] and wins(text) == ["1/10", "9/10"]
+    # 9/10 better, but the medians differ by less than the spread.
+    change = [p + 1 for p in parent[:9]] + [0]
+    assert marks(summary(records(parent, change), [HIGHER])) == [""]
+
+
+def test_eight_of_ten_pairs_is_no_gain():
+    parent = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    change = [p + 20 for p in parent[:8]] + [0, 0]
+    text = summary(records(parent, change), [HIGHER])
+    assert marks(text) == [""] and wins(text) == ["8/10"]
+
+
+def test_worse_is_a_median_past_the_metrics_bound():
+    parent = [10] * 10
+    for change, mark in (([12.4] * 10, ""), ([12.6] * 10, "worse")):
+        text = summary(records(parent, change), [{**LOWER, "bound": 0.25}])
+        assert marks(text) == [mark]
+    for change, mark in (([7.6] * 10, ""), ([7.4] * 10, "worse")):
+        text = summary(records(parent, change), [{**HIGHER, "bound": 0.25}])
+        assert marks(text) == [mark]
+
+
 def test_sizes_counts_newlines_as_wc_does(tmp_path):
     for side, texts in (("parent", ["a = 1\nb = 2\n", "\n\n"]),
                         ("change", ["a = 1\nb = 2", "# c\n"])):

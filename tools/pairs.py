@@ -20,14 +20,19 @@ OUT gets a JSON array with one object per line, in run order:
 and run is the JSON object that bench/run.py prints last.  Then, for each
 workload and end-to-end metric, stdout gets both medians, the parent's
 quartiles q1-q3 and the number of pairs in which the change is better by
-the metric's `better` direction.  Last, stdout gets each side's line
-total of src/dp1toric/*.py (as `wc -l` counts) and code-line total (as
-tools/code_lines.py counts), and the change's delta of each.  If a run
-fails, its stderr is printed, OUT gets the records of the runs before it,
-and the exit status is 1.  Only the standard library is used.
+the metric's `better` direction.  That count is marked `gain` when it is
+at least 9/10 and the medians differ, in the better direction, by more
+than the parent's q3 - q1, and `worse` when the change's median is worse
+than the parent's by more than the metric's relative `bound`.  Last,
+stdout gets each side's line total of src/dp1toric/*.py (as `wc -l`
+counts) and code-line total (as tools/code_lines.py counts), and the
+change's delta of each.  If a run fails, its stderr is printed, OUT gets
+the records of the runs before it, and the exit status is 1.  Only the
+standard library is used.
 """
 
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -67,10 +72,16 @@ def summary(records: list[dict], metrics: list[dict]) -> str:
             q1, _, q3 = statistics.quantiles(parent, n=4)
             before, after = statistics.median(parent), statistics.median(change)
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            if 10 * wins >= 9 * len(seeds) and sign * (after - before) > q3 - q1:
+                mark = "gain  "
+            elif -sign * (after / before - 1) > metric.get("bound", math.inf):
+                mark = "worse  "
+            else:
+                mark = ""
             lines.append(
                 f"  {name:<16} parent {before:.6g} (q1-q3 {q1:.6g}-{q3:.6g})  "
                 f"change {after:.6g} ({after / before - 1:+.1%})  "
-                f"better in {wins}/{len(seeds)}")
+                f"{mark}better in {wins}/{len(seeds)}")
     return "\n".join(lines)
 
 
