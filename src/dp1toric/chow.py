@@ -11,23 +11,22 @@ The H^4 value can also be re-derived from the vanishing of the product of
 the four fiber-coordinate divisors, which `derive_h4` does as an
 independent cross-check of the closed form.
 
-Everything is computed in ints, and each returned value is one `Fraction`
-built at the end.  `_coefficients` multiplies classes as integer pairs over
-a common denominator, and `triple_on_x` evaluates the product with the
-hypersurface X = 6H + 2*nu*F collapsed to one integer form:
+`_top_below` multiplies classes by the rule F^2 = 0, in ints on integer
+pairs and in `Fraction`s on `DivisorClass`es, and each returned value is a
+`Fraction`.  `triple_on_x` evaluates the product with the hypersurface
+X = 6H + 2*nu*F collapsed to one form:
 
-    (a . b . c)_X = (2*below - (2*lambda + mu)*top) / (2*d)
+    (a . b . c)_X = (2*below - (2*lambda + mu)*top) / 2
 
-for (a . b . c) = (top*H^3 + below*H^2*F) / d.  For integral classes,
-which are all the classes the library builds (H, F, the torus classes,
--K_X and X), d = 1 and `triple_on_x` multiplies the six integer entries
-in one step; other classes go through `_coefficients`.
+for (a . b . c) = top*H^3 + below*H^2*F.  It multiplies the six entries
+in ints for integral classes, which are all the classes the library
+builds (H, F, the torus classes, -K_X and X), and in `Fraction`s
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .grading import (BOTTOM_ROW, BundleParams, DivisorClass, GradingMatrix,
@@ -80,27 +79,15 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
         return _signed_sum(parts)
 
 
-def _coefficients(classes) -> tuple[int, int, int]:
-    """(top, below, d) with the product of the k classes (h, f) = h*H + f*F
-    equal to (top*H^k + below*H^(k-1)*F) / d modulo F^2 = 0, all ints.
-    classes is an iterable of pairs (h, f) of Fractions or ints, such as
-    `DivisorClass`es or the integer columns of a grading matrix.
-
-    Each class is read as h = h'/s and f = f'/s over one denominator s:
-    the denominator both share, as every integral class does, or else the
-    lcm of the two.  d is the product of those s; d = 1 for integral
-    classes.  One class (a, b) gives (a', b', s), a and b over a common
-    denominator.
-    """
-    top, below, d = 1, 0, 1
+def _top_below(classes) -> tuple[int, int] | tuple[Fraction, Fraction]:
+    """(top, below) with the product of the k classes (h, f) = h*H + f*F
+    equal to top*H^k + below*H^(k-1)*F modulo F^2 = 0.  classes is an
+    iterable of pairs (h, f), ints or Fractions alike, such as
+    `DivisorClass`es or the integer columns of a grading matrix."""
+    top, below = 1, 0
     for h, f in classes:
-        h, s = h.as_integer_ratio()
-        f, t = f.as_integer_ratio()
-        if s != t:
-            m = lcm(s, t)
-            h, f, s = h * (m // s), f * (m // t), m
-        top, below, d = top * h, below * h + top * f, d * s
-    return top, below, d
+        top, below = top * h, below * h + top * f
+    return top, below
 
 
 def product(classes: list[DivisorClass]) -> CycleClass:
@@ -108,26 +95,25 @@ def product(classes: list[DivisorClass]) -> CycleClass:
 
     Only the terms with at most one F survive, so the product is
     (prod h_i)*H^k + (sum_j f_j * prod_{i != j} h_i)*H^(k-1)*F; both
-    coefficients are accumulated factor by factor in ints, and each becomes
-    one `Fraction` over the common denominator.
+    coefficients are accumulated factor by factor by `_top_below`.
     """
     if len(classes) == 0:
         raise ValueError("empty product")
     if len(classes) > 4:
         raise DegreeOverflow(f"{len(classes)} factors exceed the dimension 4")
-    top, below, d = _coefficients(classes)
+    top, below = _top_below(classes)
     k = len(classes)
-    return CycleClass({(k, 0): Fraction(top, d), (k - 1, 1): Fraction(below, d)})
+    return CycleClass({(k, 0): top, (k - 1, 1): below})
 
 
 def evaluate_top(p: BundleParams, c: CycleClass) -> Fraction:
-    """Degree of a top (degree-4) cycle class (top*H^4 + below*H^3*F) / d on
+    """Degree of a top (degree-4) cycle class top*H^4 + below*H^3*F on
     P(lambda, mu, nu), by the closed forms of the module docstring:
     (H^4) = -(6*lambda + 3*mu + 2*nu)/36, (H^3*F) = 1/6."""
     if not c.is_homogeneous(4):
         raise DegreeMismatch(f"top evaluation needs degree 4, got {c}")
-    top, below, d = _coefficients([(c.coefficient(4, 0), c.coefficient(3, 1))])
-    return Fraction(-top * (6 * p.lam + 3 * p.mu + 2 * p.nu) + 6 * below, 36 * d)
+    return (c.coefficient(3, 1) / 6
+            - c.coefficient(4, 0) * (6 * p.lam + 3 * p.mu + 2 * p.nu) / 36)
 
 
 def derive_h4(p: BundleParams) -> Fraction:
@@ -141,13 +127,12 @@ def derive_h4(p: BundleParams) -> Fraction:
     The class of D_s is the column (deg_H, deg_F) of s in the grading
     matrix (`torus_divisor_class`), so the four factors are read as integer
     pairs straight off the x, y, z and w columns, with no class built.
-    With the product equal to (top*H^4 + below*H^3*F) / d, the equation is
-    top*(H^4) + below/6 = 0, so (H^4) = -below / (6*top); d = 1 for these
-    integral classes, and top = 1*1*2*3, the product of the H-degrees, is
-    never 0.
+    With the product equal to top*H^4 + below*H^3*F, in ints, the equation
+    is top*(H^4) + below/6 = 0, so (H^4) = -below / (6*top); top = 1*1*2*3,
+    the product of the H-degrees, is never 0.
     """
     columns = zip(BOTTOM_ROW[2:], GradingMatrix.from_params(p).top_row[2:])
-    top, below, _ = _coefficients(columns)
+    top, below = _top_below(columns)
     return Fraction(-below, 6 * top)
 
 
@@ -166,20 +151,20 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     """Triple intersection (a . b . c) on the hypersurface X.
 
     Restriction is computed upstairs: (a . b . c)_X = (a . b . c . X)_P.
-    With (a . b . c) = (top*H^3 + below*H^2*F) / d and X = 6H + 2*nu*F,
-    the product is (6*top*H^4 + (6*below + 2*nu*top)*H^3*F) / d modulo
-    F^2 = 0.  By the closed forms its degree is
+    With (a . b . c) = top*H^3 + below*H^2*F and X = 6H + 2*nu*F, the
+    product is 6*top*H^4 + (6*below + 2*nu*top)*H^3*F modulo F^2 = 0.  By
+    the closed forms its degree is
 
-        (-6*top*(6*lambda + 3*mu + 2*nu) + 6*(6*below + 2*nu*top)) / (36*d)
-          = (2*below - (2*lambda + mu)*top) / (2*d):
+        (-6*top*(6*lambda + 3*mu + 2*nu) + 6*(6*below + 2*nu*top)) / 36
+          = (2*below - (2*lambda + mu)*top) / 2:
 
     the nu terms cancel.  For classes h_i*H + f_i*F that is
     f_a*h_b*h_c + h_a*f_b*h_c + h_a*h_b*f_c - (lambda + mu/2)*h_a*h_b*h_c.
 
     The six entries are read as integer ratios once.  When all six
     denominators are 1, as for every class the library builds, top and
-    below are those two integer products and d = 1; any other class is
-    scaled to a common denominator by `_coefficients`.
+    below are those two products in ints; otherwise the six entries are
+    the `Fraction`s themselves, and the same products run on them.
     """
     ha, sa = a.h.as_integer_ratio()
     fa, ta = a.f.as_integer_ratio()
@@ -187,12 +172,11 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
     fb, tb = b.f.as_integer_ratio()
     hc, sc = c.h.as_integer_ratio()
     fc, tc = c.f.as_integer_ratio()
-    if sa == ta == sb == tb == sc == tc == 1:
-        top = ha * hb * hc
-        below = fa * hb * hc + ha * fb * hc + ha * hb * fc
-        return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2)
-    top, below, d = _coefficients((a, b, c))
-    return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2 * d)
+    if not sa == ta == sb == tb == sc == tc == 1:
+        ha, fa, hb, fb, hc, fc = a.h, a.f, b.h, b.f, c.h, c.f
+    top = ha * hb * hc
+    below = fa * hb * hc + ha * fb * hc + ha * hb * fc
+    return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2)
 
 
 # 2*(-K_X)^3 = a*lambda + b*mu + c*nu + r as (a, b, c, r): the one place the

@@ -15,7 +15,8 @@ form, assigns divisor classes to the torus-invariant coordinate divisors,
 enumerates monomial bases of integral divisor classes (`monomial_strings`
 lists one as strings; it and `monomial_basis` refuse one of more than
 MAX_BASIS_MONOMIALS monomials), and computes the coordinate strata of base
-loci.
+loci.  No public function here walks more than MAX_BASIS_MONOMIALS fiber
+parts.
 """
 
 from __future__ import annotations
@@ -350,8 +351,9 @@ def _refuse_huge(p: BundleParams, cls: DivisorClass, parts: int, count: int = 0)
     """ValueError when parts, the number of fiber parts of the basis of
     |cls| (`fiber_part_count`, in closed form, before the walk), or count,
     its number of monomials, is more than MAX_BASIS_MONOMIALS: the two
-    refusals of `monomial_strings` and `monomial_basis`.  Neither formats
-    an int too long to print."""
+    refusals of `monomial_strings` and `monomial_basis`, the first of which
+    `monomial_count` and `base_locus_strata` make too.  Neither formats an
+    int too long to print."""
     if parts > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
                          "fiber monomials x^c*y^d*z^e*w^g to scan")
@@ -434,8 +436,11 @@ def monomial_count(p: BundleParams, cls: DivisorClass) -> int:
     """len(monomial_basis(p, cls)), in closed form, without building the basis.
 
     A fiber part with residual F-degree r >= 0 gives r + 1 monomials, so the
-    count is the sum of max(0, r + 1) over the fiber parts.
+    count is the sum of max(0, r + 1) over the fiber parts.  Refuses with
+    the ValueError of `monomial_strings` a class with more than
+    MAX_BASIS_MONOMIALS fiber parts, before the walk.
     """
+    _refuse_huge(p, cls, fiber_part_count(cls))
     return sum(max(0, r + 1) for *_, r in _fiber_parts(p, cls))
 
 
@@ -467,8 +472,10 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     supports, and a set is kept when it meets every support and contains
     no set kept before it; so the inclusion-minimal zero sets are returned,
     by size and then in coordinate order.  Raises EmptyLinearSystem when
-    |cls| has no sections.
+    |cls| has no sections, and the ValueError of `monomial_strings`, before
+    the walk, when it has more than MAX_BASIS_MONOMIALS fiber parts.
     """
+    _refuse_huge(p, cls, fiber_part_count(cls))
     supports = {(c > 0) | (d > 0) << 1 | (e > 0) << 2 | (g > 0) << 3
                 for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0}
     if not supports:

@@ -114,6 +114,23 @@ def test_triple_on_x_equals_the_generic_path():
         assert triple_on_x(p, a, b, c) == evaluate_top(p, product([a, b, c, x_class(p)]))
 
 
+def test_evaluate_top_by_the_derived_h4_on_non_integral_products():
+    # An independent route to the degree: top*(H^4) + below*(H^3*F), with
+    # top and below from the term-by-term expansion and (H^4) from the
+    # vanishing product of the fiber divisors.
+    rng = random.Random(20184)
+    checked = 0
+    while checked < 500:
+        p = BundleParams(rng.randint(-4, 6), rng.randint(-10, 10), rng.randint(-6, 12))
+        classes = [DivisorClass(random_entry(rng), random_entry(rng)) for _ in range(4)]
+        terms = expand_product(classes)
+        if all(q.denominator == 1 for q in terms.values()):
+            continue
+        top, below = terms.get((4, 0), Q(0)), terms.get((3, 1), Q(0))
+        assert evaluate_top(p, product(classes)) == top * derive_h4(p) + below / 6, classes
+        checked += 1
+
+
 def test_evaluate_top_reference_values():
     h4 = product([H] * 4)
     assert evaluate_top(BundleParams(0, -2, 0), h4) == Q(1, 6)
@@ -196,8 +213,8 @@ def test_minus_k_cubed_matches_expansion_on_grid():
         assert minus_k_cubed(p) == triple_on_x(p, k, k, k)
 
 
-# Classes whose two entries have different denominators: the integer
-# kernels scale them by the lcm, a branch integral classes never take.
+# Classes whose two entries have different denominators, multiplied in
+# Fractions, a path integral classes never take.
 UNEQUAL = [DivisorClass(Q(1, 2), Q(1, 3)), DivisorClass(Q(7, 3), -2),
            DivisorClass(Q(-5, 6), Q(3, 4))]
 

@@ -325,6 +325,27 @@ def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
             basis(BundleParams(0, 0, 0), DivisorClass(0, 10))
 
 
+def test_count_and_strata_refuse_huge_classes_quickly(monkeypatch):
+    # Past MAX_BASIS_MONOMIALS fiber parts (h >= 327) both refuse before the
+    # walk, which would take hours at h = 10**8.
+    assert (fiber_part_count(DivisorClass(326, 0)) <= grading.MAX_BASIS_MONOMIALS
+            < fiber_part_count(DivisorClass(327, 0)))
+    for cls in (DivisorClass(10**8, 0), DivisorClass(10**5000, 0)):
+        for scan in (monomial_count, base_locus_strata):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=r"more than 1000000 fiber monomials"):
+                scan(BundleParams(1, 1, 1), cls)
+            assert time.perf_counter() - start < 1
+    # At the bound: h = 6 has 23 fiber parts and h = 7 has 31.
+    monkeypatch.setattr(grading, "MAX_BASIS_MONOMIALS", 23)
+    p = BundleParams(0, 0, 0)
+    assert monomial_count(p, DivisorClass(6, 0)) == 23
+    assert base_locus_strata(p, DivisorClass(6, 0)) == []
+    for scan in (monomial_count, base_locus_strata):
+        with pytest.raises(ValueError, match=r"\|7H\| has more than 23 fiber"):
+            scan(p, DivisorClass(7, 0))
+
+
 def test_fiber_part_count_matches_the_enumeration_on_grid():
     for h in range(-2, 40):
         for f, p in ((0, BundleParams(0, 0, 0)), (Fraction(1, 2), BundleParams(1, 2, 3)),

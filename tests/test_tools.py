@@ -17,12 +17,15 @@ LOWER = {"name": "latency_p50_ms", "better": "lower"}
 HIGHER = {"name": "ops_per_s", "better": "higher"}
 
 
-def records(parent: list, change: list) -> list[dict]:
+def records(parent: list, change: list, failed: tuple = (0, 0)) -> list[dict]:
     """One workload's runs: seed i of each side reads parent[i] or change[i]
-    for every metric."""
+    for every metric; each run attempts 100 ops, of which failed[0] (parent)
+    or failed[1] (change) fail."""
     return [{"workload": "w", "seed": seed, "side": side,
-             "run": {"metrics": {m["name"]: {"value": value} for m in (LOWER, HIGHER)}}}
-            for side, values in (("parent", parent), ("change", change))
+             "run": {"attempted": 100, "failed": fails,
+                     "metrics": {m["name"]: {"value": value} for m in (LOWER, HIGHER)}}}
+            for side, values, fails in (("parent", parent, failed[0]),
+                                        ("change", change, failed[1]))
             for seed, value in enumerate(values, 101)]
 
 
@@ -63,6 +66,19 @@ def test_a_gain_is_nine_of_ten_pairs_beyond_the_parents_spread():
     # 9/10 better, but the medians differ by less than the spread.
     change = [p + 1 for p in parent[:9]] + [0]
     assert marks(summary(records(parent, change), [HIGHER])) == [""]
+
+
+def test_the_header_gives_each_sides_failed_and_attempted_ops():
+    text = summary(records([1, 2, 3], [1, 2, 3], failed=(0, 2)), [HIGHER])
+    assert text.splitlines()[0] == "w: failed/attempted ops parent 0/300  change 6/300"
+
+
+def test_a_larger_failed_share_withholds_the_gain():
+    parent = [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]
+    change = [p + 8 for p in parent]
+    for failed, mark in (((0, 0), "gain"), ((1, 1), "gain"), ((0, 1), ""), ((1, 2), "")):
+        text = summary(records(parent, change, failed), [HIGHER])
+        assert marks(text) == [mark] and wins(text) == ["10/10"], failed
 
 
 def test_eight_of_ten_pairs_is_no_gain():

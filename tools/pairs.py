@@ -18,11 +18,13 @@ OUT gets a JSON array with one object per line, in run order:
 {"workload", "seed", "side", "position", "run"}, where side is "parent" or
 "change", position is 1 for the side that ran first and 2 for the other,
 and run is the JSON object that bench/run.py prints last.  Then, for each
-workload and end-to-end metric, stdout gets both medians, the parent's
+workload, stdout gets each side's totals of failed and attempted ops over
+its runs, and for each end-to-end metric both medians, the parent's
 quartiles q1-q3 and the number of pairs in which the change is better by
 the metric's `better` direction.  That count is marked `gain` when it is
-at least 9/10 and the medians differ, in the better direction, by more
-than the parent's q3 - q1, and `worse` when the change's median is worse
+at least 9/10, the medians differ, in the better direction, by more than
+the parent's q3 - q1, and the change failed no larger share of its ops
+than the parent; it is marked `worse` when the change's median is worse
 than the parent's by more than the metric's relative `bound`.  Last,
 stdout gets each side's line total of src/dp1toric/*.py (as `wc -l`
 counts) and code-line total (as tools/code_lines.py counts), and the
@@ -61,18 +63,23 @@ def write(path: str, records: list[dict]) -> None:
 def summary(records: list[dict], metrics: list[dict]) -> str:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in records):
-        runs = {(r["side"], r["seed"]): r["run"]["metrics"]
+        runs = {(r["side"], r["seed"]): r["run"]
                 for r in records if r["workload"] == workload}
         seeds = sorted({seed for _, seed in runs})
-        lines.append(f"{workload}:")
+        (fp, ap), (fc, ac) = ([sum(runs[side, s][key] for s in seeds)
+                               for key in ("failed", "attempted")]
+                              for side in ("parent", "change"))
+        lines.append(f"{workload}: failed/attempted ops parent {fp}/{ap}  change {fc}/{ac}")
         for metric in metrics:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            parent, change = ([runs[side, s][name]["value"] for s in seeds]
+            parent, change = ([runs[side, s]["metrics"][name]["value"] for s in seeds]
                               for side in ("parent", "change"))
             q1, _, q3 = statistics.quantiles(parent, n=4)
             before, after = statistics.median(parent), statistics.median(change)
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-            if 10 * wins >= 9 * len(seeds) and sign * (after - before) > q3 - q1:
+            # fc/ac <= fp/ap, the failed shares compared without dividing.
+            if (10 * wins >= 9 * len(seeds) and sign * (after - before) > q3 - q1
+                    and fc * ap <= fp * ac):
                 mark = "gain  "
             elif -sign * (after / before - 1) > metric.get("bound", math.inf):
                 mark = "worse  "
