@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chow import TWO_MINUS_K_CUBED
-from .grading import BundleParams, is_dz_movable_on_x, rational
+from .grading import BundleParams, _shown, is_dz_movable_on_x, rational
 
 DEFAULT_THRESHOLDS = (Fraction(0), Fraction(1), Fraction(3, 2))
 
@@ -340,7 +340,7 @@ def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityRepor
 
 def _require_normalized(p: BundleParams) -> None:
     if not p.is_normalized:  # lambda < 0: wr(y) < wr(x) = 0, no case applies
-        raise InvalidParams(f"{p} is not normalized (lambda < 0)")
+        raise InvalidParams(f"{_shown(p, 'the triplet')} is not normalized (lambda < 0)")
 
 
 def _decide_valid(p: BundleParams) -> tuple[CaseLabel, int]:
@@ -348,7 +348,7 @@ def _decide_valid(p: BundleParams) -> tuple[CaseLabel, int]:
     _require_normalized(p)
     flags, case, _, two_delta = _decide(p.lam, p.mu, p.nu)
     if flags:
-        raise InvalidParams(f"{p} fails the validity conditions")
+        raise InvalidParams(f"{_shown(p, 'the triplet')} fails the validity conditions")
     return case, two_delta
 
 

@@ -279,39 +279,68 @@ def monomial_bidegree(p: BundleParams, e: ExponentVector) -> tuple[int, int]:
     return fdeg, hdeg
 
 
-def _fiber_parts(p: BundleParams, cls: DivisorClass):
-    """(c, d, e, g, r) for each fiber part x^c y^d z^e w^g of H-degree h.
-
-    r = f - lambda*d - mu*e - nu*g is the F-degree it leaves to u and v; a
-    monomial of bidegree (f, h) is a fiber part with r >= 0 times u^a v^(r-a).
-    Nothing for classes with negative or non-integral H-degree.  The
-    enumeration is finite: the H-degree bounds c, d, e and g.
+def _fiber_parts(h: int):
+    """(c, d, e, g) for each fiber part x^c y^d z^e w^g of H-degree h, in
+    lexicographic order, read lazily; nothing for h < 0.  For each c and d,
+    the rest s = h - c - d is 2*e + 3*g, so e runs over the residue of 2*s
+    mod 3 up to s/2, and g = (s - 2*e)/3.  Those pairs (e, g) are listed
+    once per s, so the walk spends no arithmetic on a part.
     """
-    if not cls.is_integral or cls.h < 0:
-        return
-    hdeg, fdeg = int(cls.h), int(cls.f)
-    for g in range(hdeg // 3 + 1):
-        for e in range((hdeg - 3 * g) // 2 + 1):
-            for d in range(hdeg - 3 * g - 2 * e + 1):
-                yield (hdeg - 3 * g - 2 * e - d, d, e, g,
-                       fdeg - p.lam * d - p.mu * e - p.nu * g)
+    pairs = [[(e, (s - 2 * e) // 3) for e in range(2 * s % 3, s // 2 + 1, 3)]
+             for s in range(h + 1)]
+    return ((c, d, e, g) for c in range(h + 1) for d in range(h - c + 1)
+            for e, g in pairs[h - c - d])
+
+
+def _kept(p: BundleParams, cls: DivisorClass):
+    """(r, c, d, e, g) for each fiber part x^c y^d z^e w^g of |cls| whose
+    residual F-degree r = f - lambda*d - mu*e - nu*g is >= 0, read lazily in
+    (c, d, e, g) order; a monomial of bidegree (f, h) is such a part times
+    u^a v^(r-a).  Nothing for classes with negative or non-integral
+    H-degree.  ValueError at once, before the walk, when |cls| has more than
+    MAX_BASIS_MONOMIALS fiber parts (`fiber_part_count`): the one refusal of
+    `monomial_count` and `base_locus_strata`, and the first of the listings
+    (h <= 29, which `monomial_strings` reads from `_fibers`, has fewer).
+    """
+    n = fiber_part_count(cls)
+    if n > MAX_BASIS_MONOMIALS:
+        raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
+                         "fiber monomials x^c*y^d*z^e*w^g to scan")
+    h, f = (int(cls.h), int(cls.f)) if n else (-1, 0)
+    lam, mu, nu = p
+    return ((r, c, d, e, g) for c, d, e, g in _fiber_parts(h)
+            for r in [f - lam * d - mu * e - nu * g] if r >= 0)
+
+
+def _in_r_order(p: BundleParams, cls: DivisorClass, parts) -> tuple[list, list[int]]:
+    """The kept parts of |cls|, tuples (r, ...), in a stable sort on r, and
+    their rs; ValueError, before anything is built from them, when the
+    monomials they give (r + 1 each) are more than MAX_BASIS_MONOMIALS: the
+    second refusal of `monomial_strings` and `monomial_basis`.  It formats
+    no int too long to print."""
+    parts = sorted(parts, key=itemgetter(0))
+    rs = [part[0] for part in parts]
+    if (count := len(rs) + sum(rs)) > MAX_BASIS_MONOMIALS:
+        # str() prints every int below 10**640: no digit limit is set lower.
+        shown = count if count < 10**640 else "10^640 or more"
+        raise ValueError(f"|{_shown(cls, 'D')}| on {_shown(p, 'the bundle')} has {shown} "
+                         f"monomials, more than the {MAX_BASIS_MONOMIALS} that basis lists")
+    return parts, rs
 
 
 def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     """[str(m) for m in monomial_basis(p, cls)], built without the
-    ExponentVectors, or ValueError before any of its strings is built when
-    the basis has more than MAX_BASIS_MONOMIALS monomials, or its enumeration
-    visits more fiber parts x^c y^d z^e w^g than that (`_refuse_huge`).
+    ExponentVectors, with the refusals of `monomial_basis`, made before any
+    of its strings is built.
 
-    The fiber parts with residual F-degree r = f - lambda*d - mu*e - nu*g
-    >= 0 are kept, sorted by (r, c, d, e, g); each gives r + 1 monomials,
-    so the same parts give the count and then the strings.  When h has at
-    most _POWER_TABLE_SIZE parts (h <= 29), they come spelt from the
-    per-process table `_fibers`, in (c, d, e, g) order, and one stable sort
-    on r orders the kept ones; past that, one walk of `_fiber_parts` gives
-    them, and only the kept ones are spelt, for this call.  Lexicographic
-    order is by a, then by b = r - a, then by (c, d, e, g): for each a, the
-    parts with r >= a (a suffix of that order) give the monomials
+    The kept fiber parts (`_kept`, r >= 0) are sorted on r (`_in_r_order`);
+    each gives r + 1 monomials, so the same parts give the count and then
+    the strings.  When h has at most _POWER_TABLE_SIZE parts (h <= 29),
+    they come spelt from the per-process table `_fibers`, in (c, d, e, g)
+    order, and are kept by the same r >= 0; past that, `_kept` gives them,
+    and only the kept ones are spelt, for this call.  Lexicographic order
+    is by a, then by b = r - a, then by (c, d, e, g): for each a, the parts
+    with r >= a (a suffix of the sorted ones) give the monomials
     u^a v^(r-a) x^c y^d z^e w^g in order.  Every factor is written with a
     trailing "*", and the fiber string drops its last one.  The factors
     s^k* are read from a per-process table of each variable (`_powers`),
@@ -321,20 +350,14 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
     """
     n = fiber_part_count(cls)
-    _refuse_huge(p, cls, n)
-    if not n:
-        return []
     h, f = int(cls.h), int(cls.f)
-    if n <= _POWER_TABLE_SIZE:
+    if 0 < n <= _POWER_TABLE_SIZE:
         lam, mu, nu = p
         parts = [(r, fiber) for d, e, g, fiber in _fibers(h)
                  for r in [f - lam * d - mu * e - nu * g] if r >= 0]
-        parts.sort(key=itemgetter(0))
     else:
-        parts = sorted((r, c, d, e, g)
-                       for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
-    rs = [part[0] for part in parts]
-    _refuse_huge(p, cls, n, len(rs) + sum(rs))
+        parts = _kept(p, cls)
+    parts, rs = _in_r_order(p, cls, parts)
     if not parts:
         return []
     if n > _POWER_TABLE_SIZE:
@@ -345,23 +368,6 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
            for r, fiber in parts[bisect_left(rs, a):]]
     return out if h else [m.rstrip("*") or "1" for m in out]
-
-
-def _refuse_huge(p: BundleParams, cls: DivisorClass, parts: int, count: int = 0) -> None:
-    """ValueError when parts, the number of fiber parts of the basis of
-    |cls| (`fiber_part_count`, in closed form, before the walk), or count,
-    its number of monomials, is more than MAX_BASIS_MONOMIALS: the two
-    refusals of `monomial_strings` and `monomial_basis`, the first of which
-    `monomial_count` and `base_locus_strata` make too.  Neither formats an
-    int too long to print."""
-    if parts > MAX_BASIS_MONOMIALS:
-        raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
-                         "fiber monomials x^c*y^d*z^e*w^g to scan")
-    if count > MAX_BASIS_MONOMIALS:
-        # str() prints every int below 10**640: no digit limit is set lower.
-        shown = count if count < 10**640 else "10^640 or more"
-        raise ValueError(f"|{_shown(cls, 'D')}| on {_shown(p, 'the bundle')} has {shown} "
-                         f"monomials, more than the {MAX_BASIS_MONOMIALS} that basis lists")
 
 
 def _fibers(h: int) -> tuple[tuple[int, int, int, str], ...]:
@@ -375,8 +381,8 @@ def _fibers(h: int) -> tuple[tuple[int, int, int, str], ...]:
     fibers = _FIBERS.get(h)
     if fibers is None:
         x, y, z, w = (_powers(s, h) for s in "xyzw")
-        fibers = tuple((d, e, g, (x[c] + y[d] + z[e] + w[g])[:-1]) for c, d, e, g, _
-                       in sorted(_fiber_parts(BundleParams(0, 0, 0), DivisorClass(h, 0))))
+        fibers = tuple((d, e, g, (x[c] + y[d] + z[e] + w[g])[:-1])
+                       for c, d, e, g in _fiber_parts(h))
         _FIBERS[h] = fibers
     return fibers
 
@@ -399,9 +405,10 @@ def _powers(s: str, n: int) -> tuple[str, ...]:
 
 
 def fiber_part_count(cls: DivisorClass) -> int:
-    """len(list(_fiber_parts(p, cls))), for any p, in closed form: the
-    number of (c, d, e, g) >= 0 with c + d + 2*e + 3*g = h is the integer
-    nearest to (2*h^3 + 21*h^2 + 66*h + 55) / 72."""
+    """len(list(_fiber_parts(h))) for an integral class of H-degree h, and 0
+    for a non-integral one, in closed form: the number of (c, d, e, g) >= 0
+    with c + d + 2*e + 3*g = h is the integer nearest to
+    (2*h^3 + 21*h^2 + 66*h + 55) / 72."""
     if not cls.is_integral or cls.h < 0:
         return 0
     h = int(cls.h)
@@ -413,19 +420,15 @@ def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
 
     Empty for classes with negative or non-integral entries that admit no
     monomials.  Each fiber part splits its residual F-degree r over a and
-    b = r - a.  Refuses with the ValueError of `monomial_strings` a class
-    with more than MAX_BASIS_MONOMIALS fiber parts, before the walk, or
-    monomials, before any ExponentVector is built.
+    b = r - a.  Refuses with ValueError a class with more than
+    MAX_BASIS_MONOMIALS fiber parts, before the walk (`_kept`), or
+    monomials, before any ExponentVector is built (`_in_r_order`).
 
     The vectors are built in order, as `monomial_strings` builds its
-    strings: the kept parts sorted by (r, c, d, e, g), and for each a the
-    suffix of them with r >= a.
+    strings: the kept parts sorted on r, and for each a the suffix of them
+    with r >= a.
     """
-    n = fiber_part_count(cls)
-    _refuse_huge(p, cls, n)
-    parts = sorted((r, c, d, e, g) for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0)
-    rs = [part[0] for part in parts]
-    _refuse_huge(p, cls, n, len(rs) + sum(rs))
+    parts, rs = _in_r_order(p, cls, _kept(p, cls))
     if not parts:
         return []
     return [ExponentVector(a, r - a, c, d, e, g) for a in range(rs[-1] + 1)
@@ -433,15 +436,12 @@ def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
 
 
 def monomial_count(p: BundleParams, cls: DivisorClass) -> int:
-    """len(monomial_basis(p, cls)), in closed form, without building the basis.
-
-    A fiber part with residual F-degree r >= 0 gives r + 1 monomials, so the
-    count is the sum of max(0, r + 1) over the fiber parts.  Refuses with
-    the ValueError of `monomial_strings` a class with more than
-    MAX_BASIS_MONOMIALS fiber parts, before the walk.
+    """len(monomial_basis(p, cls)), without building the basis: one walk
+    of the fiber parts, each kept one (`_kept`, residual F-degree r >= 0)
+    giving r + 1 monomials.  Refuses with the ValueError of `_kept` a class
+    with more than MAX_BASIS_MONOMIALS fiber parts, before the walk.
     """
-    _refuse_huge(p, cls, fiber_part_count(cls))
-    return sum(max(0, r + 1) for *_, r in _fiber_parts(p, cls))
+    return sum(part[0] + 1 for part in _kept(p, cls))
 
 
 def _is_irrelevant(zero_set: frozenset[str]) -> bool:
@@ -472,12 +472,12 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     supports, and a set is kept when it meets every support and contains
     no set kept before it; so the inclusion-minimal zero sets are returned,
     by size and then in coordinate order.  Raises EmptyLinearSystem when
-    |cls| has no sections, and the ValueError of `monomial_strings`, before
-    the walk, when it has more than MAX_BASIS_MONOMIALS fiber parts.
+    |cls| has no sections, and the ValueError of `_kept`, before the walk,
+    when it has more than MAX_BASIS_MONOMIALS fiber parts.
     """
-    _refuse_huge(p, cls, fiber_part_count(cls))
-    supports = {(c > 0) | (d > 0) << 1 | (e > 0) << 2 | (g > 0) << 3
-                for c, d, e, g, r in _fiber_parts(p, cls) if r >= 0}
+    # Exponents are >= 0, so (c and 1) is x's bit: 1 exactly when c > 0.
+    supports = {(c and 1) | (d and 2) | (e and 4) | (g and 8)
+                for _, c, d, e, g in _kept(p, cls)}
     if not supports:
         raise EmptyLinearSystem(f"|{_shown(cls, 'D')}| has no sections on "
                                 f"{_shown(p, 'the bundle')}")

@@ -114,6 +114,22 @@ def test_triple_on_x_equals_the_generic_path():
         assert triple_on_x(p, a, b, c) == evaluate_top(p, product([a, b, c, x_class(p)]))
 
 
+def test_triple_on_x_reads_every_denominator():
+    # Six entries over one denominator other than 1 take the Fraction path.
+    p = BundleParams(1, 2, 4)
+    half = DivisorClass(Q(1, 2), Q(3, 2))
+    assert triple_on_x(p, half, half, half) == Q(7, 8)
+    a, b, c = (DivisorClass(Q(1, 2), Q(-3, 2)), DivisorClass(Q(5, 2), Q(1, 2)),
+               DivisorClass(Q(-1, 2), Q(7, 2)))
+    assert triple_on_x(p, a, b, c) == evaluate_top(p, product([a, b, c, x_class(p)]))
+    # The first k of the six entries (a.h, a.f, b.h, ..., c.f) over 2 and
+    # the rest integers: each denominator decides the path on its own.
+    for k in range(7):
+        entries = [Q(2 * i + 1, 2) if i < k else i + 1 for i in range(6)]
+        a, b, c = (DivisorClass(*entries[i:i + 2]) for i in (0, 2, 4))
+        assert triple_on_x(p, a, b, c) == evaluate_top(p, product([a, b, c, x_class(p)])), k
+
+
 def test_evaluate_top_by_the_derived_h4_on_non_integral_products():
     # An independent route to the degree: top*(H^4) + below*(H^3*F), with
     # top and below from the term-by-term expansion and (H^4) from the

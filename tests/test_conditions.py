@@ -603,6 +603,22 @@ def test_every_verdict_but_validity_requires_normalized_lambda():
             fn(p)
 
 
+def test_refusals_name_a_triplet_too_long_to_print():
+    # str() of 10**5000 passes the int-string digit limit: the refusal says
+    # "the triplet" instead, and is still InvalidParams.
+    verdicts = (classify_case, nef_threshold, delta, k_status, k2_condition,
+                lambda p: k3_condition(p, Q(1)))
+    for lam, reason in ((10**5000, "fails the validity conditions"),
+                        (-10**5000, r"is not normalized \(lambda < 0\)")):
+        for fn in verdicts:
+            with pytest.raises(InvalidParams, match=f"^the triplet {reason}$"):
+                fn(BundleParams(lam, 0, 0))
+    with pytest.raises(InvalidParams, match=r"^the triplet is not normalized"):
+        report(BundleParams(-10**5000, 0, 0))
+    with pytest.raises(InvalidParams, match=r"^P\(0,0,0\) fails the validity"):
+        delta(BundleParams(0, 0, 0))
+
+
 def test_report_delta_consistency():
     rep = report(BundleParams(1, 1, 3))
     assert rep.delta == rep.k_cubed + rep.nef_threshold

@@ -2,8 +2,9 @@
 
 A module's underscore names are its own, so a sibling that imports one
 shares a decision with it.  Only the tables `classify` bounds the oracle's
-regions with and the signed-sum writer `chow` renders classes with are
-shared; any other import of an underscore name fails here.
+regions with, the signed-sum writer `chow` renders classes with and the
+refusal namer `conditions` prints triplets with are shared; any other
+import of an underscore name fails here.
 """
 
 import ast
@@ -16,6 +17,7 @@ MODULES = sorted(Path(dp1toric.__file__).parent.glob("*.py"))
 ALLOWED = {
     ("classify", "conditions"): {"_CASE_ROWS", "_TWO_DELTA", "_VALID_ROWS", "_form_at"},
     ("chow", "grading"): {"_signed_sum"},
+    ("conditions", "grading"): {"_shown"},
 }
 
 

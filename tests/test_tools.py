@@ -1,15 +1,19 @@
 """The measuring scripts under tools/: the pair summary and line totals that
-tools/pairs.py prints, and the code-line count of tools/code_lines.py.
+tools/pairs.py prints, the basis timings of tools/basis_times.py and the
+code-line count of tools/code_lines.py.
 
 tools/ is put on sys.path, as running a script from it would.
 """
 
+import re
 import statistics
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
+from basis_times import CASES, compare  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from pairs import sizes, summary  # noqa: E402
 
@@ -110,6 +114,17 @@ def test_sizes_counts_newlines_as_wc_does(tmp_path):
     assert lines.split() == ["src/dp1toric", "lines", "parent", "4", "change", "2", "(-2)"]
     assert code.split() == ["src/dp1toric", "code", "lines", "parent", "2", "change", "2",
                             "(+0)"]
+
+
+def test_basis_times_compares_a_case_on_both_sides():
+    # Both sides are this checkout; 3 rounds give the parent's quartiles.
+    case = ("base_locus_strata", (0, 0, 0), 30, 0)
+    assert case in CASES
+    [line] = compare({"parent": ROOT, "change": ROOT}, [case], rounds=3, best=1, least=0)
+    number = r"\d+(\.\d+)?(e[-+]\d+)?"
+    assert re.fullmatch(rf"base_locus_strata P\(0,0,0\) h=30  f=0  parent {number} ms "
+                        rf"\(q1-q3 {number}-{number}\)  change {number} ms "
+                        r"\([-+]\d+\.\d%\)(  slower)?", line), line
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():

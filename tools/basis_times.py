@@ -1,0 +1,114 @@
+"""Time grading's basis functions at large H-degrees on two checkouts.
+
+Usage: python3 tools/basis_times.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two checkouts.  For each case, a
+function of `dp1toric.grading` (`monomial_strings`, `monomial_basis`,
+`monomial_count` or `base_locus_strata`) on a bundle and a class h*H + f*F,
+and for each of ROUNDS rounds, one subprocess runs in each checkout, with
+PYTHONPATH on that checkout's src.  It imports dp1toric, calls the function
+at least BEST times and for at least MIN_SECONDS in all, and prints the
+best wall time of one call: a call of a millisecond is repeated until the
+machine's noise is out of its best time.  One process runs at a time, and
+which side runs first alternates from round to round.
+
+The H-degrees are 30 to 326, past the spelt fiber table of h <= 29 that
+the benchmark's `basis` ops use: at h = 326 a class has 1,000,000 fiber
+parts or just under, the most any of these functions walks.  The classes
+are all-kept ones (P(0,0,0), f = 0: every fiber part has residual F-degree
+0) and few-kept ones (P(1,2,3), f = 0: only x^h).  All-kept listings stop at
+h = 200, whose 234,000 monomials are built in about 50 MB; at h = 326 the
+count and the strata walk them instead.
+
+Per case, stdout gets the parent's median and q1-q3 and the change's median,
+in ms, and the change's relative difference.  The case is marked `slower`
+when the change's median is above the parent's by more than the parent's
+q3 - q1.  If a run fails, its stderr is printed and the exit status is 1.
+Only the standard library is used.
+"""
+
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROUNDS = 7
+BEST = 3
+MIN_SECONDS = 0.2
+H_DEGREES = (30, 60, 120, 200, 326)
+LISTINGS = ("monomial_strings", "monomial_basis")
+SCANS = ("monomial_count", "base_locus_strata")
+ALL_KEPT, FEW_KEPT = (0, 0, 0), (1, 2, 3)
+
+# (function, (lambda, mu, nu), h, f) for each case.
+CASES = [(name, params, h, 0) for h in H_DEGREES
+         for params in (ALL_KEPT, FEW_KEPT) for name in LISTINGS + SCANS
+         if not (name in LISTINGS and params == ALL_KEPT and h > 200)]
+
+# The program a subprocess runs: argv is function, lambda, mu, nu, h, f, best
+# and the least total seconds.
+TIMER = """
+import sys, time
+from dp1toric import grading
+name, lam, mu, nu, h, f, best, least = sys.argv[1:]
+scan, p = getattr(grading, name), grading.BundleParams(int(lam), int(mu), int(nu))
+cls = grading.DivisorClass(int(h), int(f))
+times = []
+while len(times) < int(best) or sum(times) < float(least):
+    start = time.perf_counter()
+    scan(p, cls)
+    times.append(time.perf_counter() - start)
+print(min(times))
+"""
+
+
+def best_time(root: Path, case: tuple, best: int, least: float) -> float:
+    """The best of at least `best` calls of the case, and of `least` seconds
+    of them, in one subprocess in the checkout root, in seconds;
+    RuntimeError with its stderr if it fails."""
+    name, (lam, mu, nu), h, f = case
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", TIMER, name, *map(str, (lam, mu, nu, h, f, best, least))],
+        cwd=root, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{name} P{(lam, mu, nu)} h={h} f={f} in {root} exited "
+                           f"{done.returncode}:\n{done.stderr}")
+    return float(done.stdout)
+
+
+def compare(sides: dict[str, Path], cases: list[tuple], rounds: int = ROUNDS,
+            best: int = BEST, least: float = MIN_SECONDS):
+    """One line per case, as it is timed: both sides' times over `rounds`
+    rounds, in ms."""
+    for case in cases:
+        times = {"parent": [], "change": []}
+        for i in range(rounds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                times[side].append(1e3 * best_time(sides[side], case, best, least))
+        q1, _, q3 = statistics.quantiles(times["parent"], n=4)
+        before, after = statistics.median(times["parent"]), statistics.median(times["change"])
+        mark = "slower  " if after - before > q3 - q1 else ""
+        name, (lam, mu, nu), h, f = case
+        yield (f"{name:<17} P({lam},{mu},{nu}) h={h:<3} f={f}  parent {before:.4g} ms "
+               f"(q1-q3 {q1:.4g}-{q3:.4g})  change {after:.4g} ms "
+               f"({after / before - 1:+.1%})  {mark}").rstrip()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write("usage: python3 tools/basis_times.py PARENT CHANGE\n")
+        return 2
+    sides = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    try:
+        for line in compare(sides, CASES):
+            print(line, flush=True)
+    except RuntimeError as failure:
+        sys.stderr.write(f"{failure}\n")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
