@@ -15,8 +15,8 @@ form, assigns divisor classes to the torus-invariant coordinate divisors,
 enumerates monomial bases of integral divisor classes (`monomial_strings`
 lists one as strings; it and `monomial_basis` refuse one of more than
 MAX_BASIS_MONOMIALS monomials), and computes the coordinate strata of base
-loci.  No public function here walks more than MAX_BASIS_MONOMIALS fiber
-parts.
+loci from at most 22 fiber parts, whatever the degree.  No public function
+here walks more than MAX_BASIS_MONOMIALS fiber parts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -299,8 +299,9 @@ def _kept(p: BundleParams, cls: DivisorClass):
     u^a v^(r-a).  Nothing for classes with negative or non-integral
     H-degree.  ValueError at once, before the walk, when |cls| has more than
     MAX_BASIS_MONOMIALS fiber parts (`fiber_part_count`): the one refusal of
-    `monomial_count` and `base_locus_strata`, and the first of the listings
-    (h <= 29, which `monomial_strings` reads from `_fibers`, has fewer).
+    `monomial_count`, and the first of `monomial_basis` and of
+    `monomial_strings` past h = 29 (below, it reads `_fibers` instead), its
+    three callers.
     """
     n = fiber_part_count(cls)
     if n > MAX_BASIS_MONOMIALS:
@@ -456,6 +457,25 @@ _ZERO_SETS = tuple(
     for k in range(4) for indices in combinations(range(4), k))
 
 
+# The cofactors that `_extreme_parts` reads: for each fiber variable b (its
+# index in x, y, z, w) of H-degree s, and each product m of fewer than s
+# fiber variables, (b, s, the exponents of m, the H-degree of m); 22 rows.
+_COFACTORS = tuple((b, s, tuple(map(m.count, range(4))), sum(BOTTOM_ROW[2 + i] for i in m))
+                   for b, s in enumerate(BOTTOM_ROW[2:]) for n in range(s)
+                   for m in combinations_with_replacement(range(4), n))
+
+
+def _extreme_parts(h: int):
+    """(c, d, e, g) for each fiber part b^k * m of H-degree h with a row
+    (b, s, m) of _COFACTORS: at most 22 parts, some of them more than once;
+    nothing for h < 0.  `base_locus_strata` says why they are enough.
+    """
+    for b, s, m, degree in _COFACTORS:
+        k, rest = divmod(h - degree, s)
+        if k >= 0 and not rest:
+            yield m[:b] + (m[b] + k,) + m[b + 1:]
+
+
 def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     """Minimal coordinate strata covering the base locus of |cls|.
 
@@ -468,16 +488,32 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     and the supports that decide the base locus are those of the fiber
     parts with r >= 0.
 
+    Those supports are read from at most 22 parts (`_extreme_parts`),
+    whatever h is.  A fiber zero set Z is disjoint from some support
+    exactly when a part with r >= 0 has its support within the other
+    fiber variables S, that is, when a cheapest part (least F-degree
+    lambda*d + mu*e + nu*g) with support within S has r >= 0.  Let b be a
+    variable of S with the least F-degree per H-degree, and s its
+    H-degree.  Some cheapest part has fewer than s factors other than b:
+    among any s of them, some nonempty subset has a total H-degree that s
+    divides (prefix sums mod s), and replacing that subset by copies of b
+    keeps the H-degree and the support within S, does not raise the
+    F-degree and leaves fewer factors other than b.  That part is b^k * m,
+    one of `_extreme_parts(h)`, and each of those is a part; so the kept
+    ones among them decide every Z as all the kept parts do.
+
     The 15 fiber zero sets are walked by size, as bit masks against those
     supports, and a set is kept when it meets every support and contains
     no set kept before it; so the inclusion-minimal zero sets are returned,
     by size and then in coordinate order.  Raises EmptyLinearSystem when
-    |cls| has no sections, and the ValueError of `_kept`, before the walk,
-    when it has more than MAX_BASIS_MONOMIALS fiber parts.
+    |cls| has no sections (S = {x, y, z, w} has no kept part), and nothing
+    else.
     """
+    lam, mu, nu = p
+    h, f = (int(cls.h), int(cls.f)) if cls.is_integral else (-1, 0)
     # Exponents are >= 0, so (c and 1) is x's bit: 1 exactly when c > 0.
     supports = {(c and 1) | (d and 2) | (e and 4) | (g and 8)
-                for _, c, d, e, g in _kept(p, cls)}
+                for c, d, e, g in _extreme_parts(h) if lam * d + mu * e + nu * g <= f}
     if not supports:
         raise EmptyLinearSystem(f"|{_shown(cls, 'D')}| has no sections on "
                                 f"{_shown(p, 'the bundle')}")

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 import sys
 import time
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 import pytest
 
@@ -333,25 +333,31 @@ def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
             basis(BundleParams(0, 0, 0), DivisorClass(0, 10))
 
 
-def test_count_and_strata_refuse_huge_classes_quickly(monkeypatch):
-    # Past MAX_BASIS_MONOMIALS fiber parts (h >= 327) both refuse before the
-    # walk, which would take hours at h = 10**8.
+def test_count_refuses_and_strata_answer_huge_classes_quickly(monkeypatch):
+    # Past MAX_BASIS_MONOMIALS fiber parts (h >= 327) the count refuses
+    # before the walk, which would take hours at h = 10**8.  The strata
+    # read at most 22 parts at every h: on P(1,1,1) with f = 0 only x^h is
+    # kept, so the base locus is V(x).
     assert (fiber_part_count(DivisorClass(326, 0)) <= grading.MAX_BASIS_MONOMIALS
             < fiber_part_count(DivisorClass(327, 0)))
     for cls in (DivisorClass(10**8, 0), DivisorClass(10**5000, 0)):
-        for scan in (monomial_count, base_locus_strata):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match=r"more than 1000000 fiber monomials"):
-                scan(BundleParams(1, 1, 1), cls)
-            assert time.perf_counter() - start < 1
-    # At the bound: h = 6 has 23 fiber parts and h = 7 has 31.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"more than 1000000 fiber monomials"):
+            monomial_count(BundleParams(1, 1, 1), cls)
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert base_locus_strata(BundleParams(1, 1, 1), cls) == [Stratum(frozenset("x"))]
+        assert time.perf_counter() - start < 1
+    # At the bound: h = 6 has 23 fiber parts and h = 7 has 31.  Only the
+    # count reads the bound.
     monkeypatch.setattr(grading, "MAX_BASIS_MONOMIALS", 23)
     p = BundleParams(0, 0, 0)
     assert monomial_count(p, DivisorClass(6, 0)) == 23
     assert base_locus_strata(p, DivisorClass(6, 0)) == []
-    for scan in (monomial_count, base_locus_strata):
-        with pytest.raises(ValueError, match=r"\|7H\| has more than 23 fiber"):
-            scan(p, DivisorClass(7, 0))
+    with pytest.raises(ValueError, match=r"\|7H\| has more than 23 fiber"):
+        monomial_count(p, DivisorClass(7, 0))
+    assert base_locus_strata(p, DivisorClass(7, 0)) == [Stratum(frozenset("xyz")),
+                                                         Stratum(frozenset("xyw"))]
 
 
 def test_fiber_part_count_matches_the_enumeration_on_grid():
@@ -406,12 +412,35 @@ def reference_strata(p, cls):
 
 
 def test_strata_match_set_scan_on_grid():
-    for lam, mu, nu in iproduct(range(0, 3), range(-3, 4), range(0, 5)):
-        p = BundleParams(lam, mu, nu)
-        for h, f in iproduct(range(0, 7), range(-2, 7, 2)):
-            cls = DivisorClass(h, f)
-            if monomial_basis(p, cls):
-                assert base_locus_strata(p, cls) == reference_strata(p, cls)
+    # The second grid has lambda, mu and nu < 0 and h up to 12, where a part
+    # b^k * m that the strata read has up to two cofactors m.
+    grids = (iproduct(range(0, 3), range(-3, 4), range(0, 5), range(0, 7), range(-2, 7, 2)),
+             iproduct((-2, 1), (-3, 2), (-2, 3), range(0, 13), (-3, 1)))
+    for lam, mu, nu, h, f in chain(*grids):
+        p, cls = BundleParams(lam, mu, nu), DivisorClass(h, f)
+        if monomial_basis(p, cls):
+            assert base_locus_strata(p, cls) == reference_strata(p, cls), (p, cls)
+        else:
+            with pytest.raises(EmptyLinearSystem):
+                base_locus_strata(p, cls)
+
+
+def test_strata_that_hang_on_one_cheapest_part():
+    # On P(lambda, -4*lambda, 0), |6H| has the one stratum {x, z, w}, of
+    # codimension 3: y^6, the one part without x, z and w, has F-degree
+    # 6*lambda > 0, while w^2, z^3 and x^6 are sections, so no pair of x,
+    # z and w is a stratum.
+    for lam in range(1, 6):
+        p, cls = BundleParams(lam, -4 * lam, 0), DivisorClass(6, 0)
+        assert base_locus_strata(p, cls) == [Stratum(frozenset("xzw"))]
+        assert reference_strata(p, cls) == [Stratum(frozenset("xzw"))]
+    # On P(0,0,0) every part is kept, so only the H-degree decides: 7 is
+    # neither even (no z^k) nor a multiple of 3 (no w^k); 10**8 is even
+    # and not a multiple of 3.
+    p = BundleParams(0, 0, 0)
+    assert (base_locus_strata(p, DivisorClass(7, 0)) == reference_strata(p, DivisorClass(7, 0))
+            == [Stratum(frozenset("xyz")), Stratum(frozenset("xyw"))])
+    assert base_locus_strata(p, DivisorClass(10**8, 0)) == [Stratum(frozenset("xyz"))]
 
 
 def test_dz_certificate_matches_set_scan_on_grid():

@@ -12,13 +12,14 @@ best wall time of one call: a call of a millisecond is repeated until the
 machine's noise is out of its best time.  One process runs at a time, and
 which side runs first alternates from round to round.
 
-The H-degrees are 30 to 326, past the spelt fiber table of h <= 29 that
-the benchmark's `basis` ops use: at h = 326 a class has 1,000,000 fiber
-parts or just under, the most any of these functions walks.  The classes
-are all-kept ones (P(0,0,0), f = 0: every fiber part has residual F-degree
-0) and few-kept ones (P(1,2,3), f = 0: only x^h).  All-kept listings stop at
-h = 200, whose 234,000 monomials are built in about 50 MB; at h = 326 the
-count and the strata walk them instead.
+The H-degrees are 6, on the spelt fiber table of h <= 29 that the
+benchmark's crosscheck `basis` ops use, and 30 to 326, past it: at h = 326
+a class has 1,000,000 fiber parts or just under, the most that the
+listings and the count walk (`base_locus_strata` reads at most 22 parts at
+any h).  The classes are all-kept ones (P(0,0,0), f = 0: every fiber part
+has residual F-degree 0) and few-kept ones (P(1,2,3), f = 0: only x^h).
+All-kept listings stop at h = 200, whose 234,000 monomials are built in
+about 50 MB; at h = 326 the count walks them instead.
 
 Per case, stdout gets the parent's median and q1-q3 and the change's median,
 in ms, and the change's relative difference.  The case is marked `slower`
@@ -36,7 +37,7 @@ from pathlib import Path
 ROUNDS = 7
 BEST = 3
 MIN_SECONDS = 0.2
-H_DEGREES = (30, 60, 120, 200, 326)
+H_DEGREES = (6, 30, 60, 120, 200, 326)
 LISTINGS = ("monomial_strings", "monomial_basis")
 SCANS = ("monomial_count", "base_locus_strata")
 ALL_KEPT, FEW_KEPT = (0, 0, 0), (1, 2, 3)
