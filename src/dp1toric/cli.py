@@ -5,14 +5,12 @@ Output formats: plain (default), json, csv, markdown.  Exit codes: 0 for a
 completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
-All output goes through one renderer, `_render`, which builds only the
-format asked for.  JSON is written by this module's own `indent=2` writer,
-`_json`, whose text equals `json.dumps(value, indent=2)`; it escapes strings
-with CPython's `_json` accelerator, the function `json.encoder` uses, so that
-no command imports the json package.  A basis is written in every format
-at about the speed of one join: its JSON list is checked for escapes by
-`str.isascii` and `bytes.translate` instead of escaped, and its csv is a
-one-column table whose rows are its monomials.
+Every report, row table and nonsingular output goes through one renderer,
+`_render`, which builds only the format asked for.  JSON is written by this
+module's own `indent=2` writer, `_json`, whose text equals
+`json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
+accelerator, the function `json.encoder` uses, so that no command imports
+the json package.
 The command line is read by one table, `_GRAMMAR`, and `_parse`.
 """
 
@@ -42,28 +40,19 @@ ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
 _ROWS_PLAIN_LINE = "%3s  %-15s %5s  %-6s %s\n"
 _ROWS_PLAIN_HEAD = _ROWS_PLAIN_LINE % ROWS_PLAIN_HEADER
 _TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
-# The ASCII bytes that encode_basestring_ascii escapes: the controls
-# 0x00-0x1F and 0x7F, '"' and '\\'.
-_ESCAPED = bytes([*range(0x20), 0x22, 0x5C, 0x7F])
 
 
 def _render(fmt: str, plain, payload, table, markdown=None) -> str:
     """The output in format fmt.  plain() gives the text, payload() the JSON
     value and table() the header and rows of cells of the csv table.  The
     markdown is markdown() when given, else the markdown table of table().
-    Only the format asked for is built.
-
-    A table of one column gives each row as its one cell, a str, not as a
-    1-tuple, and its csv is its header and cells joined by newlines with
-    no per-row join; such a table, the basis listing, gives markdown()."""
+    Only the format asked for is built."""
     if fmt == "plain":
         return plain()
     if fmt == "json":
         return _json(payload()) + "\n"
     if fmt == "csv":
         header, rows = table()
-        if len(header) == 1:
-            return "\n".join([*header, *rows]) + "\n"
         return "\n".join(map(",".join, (header, *rows))) + "\n"
     return markdown() if markdown else _markdown(*table())
 
@@ -73,11 +62,7 @@ def _json(value, pad: str = "\n") -> str:
     pad being the newline and indent of value's own line.  value is built
     of dicts with str keys, lists, str, int, bool and None, matched by exact
     type, so that True is written true, never 1; any other type, 1.0 (which
-    equals True) included, raises TypeError.  A list of str items none of
-    which needs an escape, such as a monomial basis, is written with one
-    join, after one check of the joined text by C string methods (ASCII,
-    and no byte of _ESCAPED but the separators'), with no escaping pass;
-    every other list item by item."""
+    equals True) included, raises TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -88,15 +73,6 @@ def _json(value, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if kind is list:
         inner = pad + "  "
-        if set(map(type, value)) == {str}:
-            # An ASCII text needs an escape exactly where it holds a byte
-            # of _ESCAPED, and each separator '",' + inner + '"' holds three
-            # (two quotes and one newline); so when the joined text holds
-            # only those, no item needs one.
-            text = ('",' + inner + '"').join(value)
-            if text.isascii() and (len(text.encode().translate(None, _ESCAPED))
-                                   == len(text) - 3 * (len(value) - 1)):
-                return "[" + inner + '"' + text + '"' + pad + "]"
         items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if kind is bool:
@@ -241,13 +217,19 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+# Per format, the head, separator and tail of a basis listing, and the
+# empty listing.  A monomial string needs no JSON escape and no csv quote:
+# see the alphabet of monomial_strings.
+_BASIS = {"plain": ("", "\n", "\n", ""), "csv": ("monomial\n", "\n", "\n", "monomial\n"),
+          "json": ('[\n  "', '",\n  "', '"\n]\n', "[]\n"),
+          "markdown": ("- `", "`\n- `", "`\n", "")}
+
+
 def _cmd_basis(args) -> int:
     monomials = monomial_strings(BundleParams(args.lam, args.mu, args.nu),
                                  DivisorClass(args.h, args.f))
-    sys.stdout.write(_render(
-        args.format, lambda: "\n".join([*monomials, ""]),
-        lambda: monomials, lambda: (("monomial",), monomials),
-        lambda: "- `" + "`\n- `".join(monomials) + "`\n" if monomials else ""))  # bullets
+    head, separator, tail, empty = _BASIS[args.format]
+    sys.stdout.write(head + separator.join(monomials) + tail if monomials else empty)
     return 0
 
 

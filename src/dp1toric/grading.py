@@ -348,7 +348,9 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     which keeps exponents below _POWER_TABLE_SIZE; a basis with a larger
     exponent builds its factors for that call only.  When h > 0 the
     fiber string is never empty, so the u and v factors keep theirs; only
-    h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.
+    h = 0 strips the "*" of the last factor, and writes u^0 v^0 as 1.  So a
+    string is written in u, v, x, y, z, w, the digits, "^" and "*" alone: it
+    needs no JSON escape and no csv quote.
     """
     n = fiber_part_count(cls)
     h, f = int(cls.h), int(cls.f)

@@ -354,3 +354,24 @@ def test_nonsingular_delta_answers_exactly_where_the_monomials_allow():
             assert expected, (lam, mu)
             answered.add((lam, mu))
     assert {(0, 0), (1, 1), (6, 5), (2, 5)} <= answered and (7, 6) not in answered
+
+
+def test_nonsingular_delta_is_positive_at_seven_pairs_of_all_z2():
+    # The rule of `nonsingular_delta` as three integer systems of rows
+    # a*lambda + b*mu <= r: lambda >= 0, mu >= 0, the branch, and 2*delta >= 1
+    # read off `conditions._TWO_DELTA` at (lambda, 2*mu, 3*mu).  Enumerated
+    # with no box: `_interval` raises if a system leaves a variable unbounded.
+    def system(case, *branch):
+        a, b, c, r = conditions._TWO_DELTA[case]
+        return case, ((-1, 0, 0), (0, -1, 0), *branch, (-a, -2 * b - 3 * c, r - 1))
+
+    systems = (system(CaseLabel.AI, (1, -1, 0), (-1, 1, 0)),  # mu = lambda
+               system(CaseLabel.AI, (-5, 6, 0), (5, -6, 0)),  # 6*mu = 5*lambda
+               system(CaseLabel.AII, (1, -1, -1)))  # mu >= lambda + 1
+    found = {(lam, mu): case for case, rows in systems
+             for lam in _interval(_eliminate(rows), ())
+             for mu in _interval(rows, (lam,))}
+    deltas = {(0, 0): 4, (0, 1): 2, (1, 1): 3, (1, 2): 1, (2, 2): 2, (3, 3): 1, (6, 5): 1}
+    assert set(found) == set(deltas)
+    assert {p: nonsingular_delta(*p) for p in found} == {
+        p: (deltas[p], case) for p, case in found.items()}

@@ -138,11 +138,10 @@ def test_json_strings_are_escaped_as_the_standard_library_escapes_them():
 
 
 def test_json_string_lists_are_written_as_the_standard_library_writes_them():
-    # A list of plain str items takes one join; a list where one item needs
-    # an escape, a mixed list and the empty list go item by item.  " " and
-    # "~", the ends of the printable ASCII range, need no escape; "\x1f",
-    # "\x7f", "\x80" and "\u2028" just past either end do.  In 'é"' and
-    # '\u2028""' the extra UTF-8 bytes balance the quotes' count.
+    # Lists of str, alone and with items that need an escape, mixed lists
+    # and the empty list, each bare, as a dict value and inside a list.
+    # " " and "~", the ends of the printable ASCII range, need no escape;
+    # "\x1f", "\x7f", "\x80" and "\u2028" just past either end do.
     monomials = ["y^6", "u*v*x^2*z^2", "u^12*w^2", "1"]
     lists = [monomials, [""], ["", ""], ["u*v"], ["a", 1, None], [], [[], ["x"]],
              ['é"'], [*monomials, '\u2028""']]

@@ -198,7 +198,10 @@ def test_monomial_strings_equal_the_basis_strings_on_grid():
         p = BundleParams(lam, mu, nu)
         for h, f in iproduct(range(-1, 8), (-4, 1, 2 * nu)):
             cls = DivisorClass(h, f)
-            assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)], (p, cls)
+            strings = monomial_strings(p, cls)
+            assert strings == [str(m) for m in monomial_basis(p, cls)], (p, cls)
+            # The alphabet that lets cli write a basis without escaping it.
+            assert set("".join(strings)) <= set("uvxyzw0123456789^*"), (p, cls)
 
 
 def test_monomial_strings_edge_cases():

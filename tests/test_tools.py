@@ -127,7 +127,31 @@ def test_basis_times_compares_a_case_on_both_sides():
     number = r"\d+(\.\d+)?(e[-+]\d+)?"
     assert re.fullmatch(rf"monomial_strings  P\(0,0,0\) h=6   f=0  parent {number} ms "
                         rf"\(q1-q3 {number}-{number}\)  change {number} ms "
-                        r"\([-+]\d+\.\d%\)(  slower)?", line), line
+                        r"\([-+]\d+\.\d%\)  (slower  )?slower in [0-3]/3", line), line
+
+
+def scripted_lines(monkeypatch, parent: list, change: list) -> list[str]:
+    """compare's lines, one, for a case whose round i times parent[i] and
+    change[i] ms."""
+    times = {"parent": iter(parent), "change": iter(change)}
+    monkeypatch.setattr("basis_times.best_time",
+                        lambda root, case, best, least: next(times[root]) / 1e3)
+    return list(compare({"parent": "parent", "change": "change"}, CASES[:1],
+                        rounds=len(parent)))
+
+
+def test_basis_times_marks_slower_only_in_nine_of_ten_rounds(monkeypatch):
+    # One disturbed parent round: the change is slower in the other 6 and
+    # its median is past the parent's q1-q3 of 0, but 6/7 is below 9/10.
+    [line] = scripted_lines(monkeypatch, [5.0, 5.0, 5.0, 9.0, 5.0, 5.0, 5.0], [5.1] * 7)
+    assert line.endswith("change 5.1 ms (+2.0%)  slower in 6/7"), line
+    # Slower in every round, by more than the parent's q1-q3.
+    [line] = scripted_lines(monkeypatch, [5.0, 5.1, 4.9, 5.0, 5.1, 4.9, 5.0], [6.0] * 7)
+    assert line.endswith("change 6 ms (+20.0%)  slower  slower in 7/7"), line
+    # Slower in every round, but within the parent's q1-q3.
+    [line] = scripted_lines(monkeypatch, [4.0, 6.0, 4.0, 6.0, 4.0, 6.0, 5.0],
+                            [4.1, 6.1, 4.1, 6.1, 4.1, 6.1, 5.1])
+    assert line.endswith("slower in 7/7") and "slower  " not in line, line
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():

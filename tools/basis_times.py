@@ -22,9 +22,12 @@ All-kept listings stop at h = 200, whose 234,000 monomials are built in
 about 50 MB; at h = 326 the count walks them instead.
 
 Per case, stdout gets the parent's median and q1-q3 and the change's median,
-in ms, and the change's relative difference.  The case is marked `slower`
-when the change's median is above the parent's by more than the parent's
-q3 - q1.  If a run fails, its stderr is printed and the exit status is 1.
+in ms, the change's relative difference, and the number of rounds in which
+the change is slower.  As tools/pairs.py marks a `gain`, the case is marked
+`slower` only when that number is at least 9/10 of the rounds (all 7 at
+ROUNDS = 7) and the change's median is above the parent's by more than the
+parent's q3 - q1: one disturbed round marks nothing.  If a run fails, its
+stderr is printed and the exit status is 1.
 Only the standard library is used.
 """
 
@@ -90,11 +93,12 @@ def compare(sides: dict[str, Path], cases: list[tuple], rounds: int = ROUNDS,
                 times[side].append(1e3 * best_time(sides[side], case, best, least))
         q1, _, q3 = statistics.quantiles(times["parent"], n=4)
         before, after = statistics.median(times["parent"]), statistics.median(times["change"])
-        mark = "slower  " if after - before > q3 - q1 else ""
+        slower = sum(c > p for p, c in zip(times["parent"], times["change"]))
+        mark = "slower  " if 10 * slower >= 9 * rounds and after - before > q3 - q1 else ""
         name, (lam, mu, nu), h, f = case
         yield (f"{name:<17} P({lam},{mu},{nu}) h={h:<3} f={f}  parent {before:.4g} ms "
                f"(q1-q3 {q1:.4g}-{q3:.4g})  change {after:.4g} ms "
-               f"({after / before - 1:+.1%})  {mark}").rstrip()
+               f"({after / before - 1:+.1%})  {mark}slower in {slower}/{rounds}")
 
 
 def main(argv: list[str]) -> int:
