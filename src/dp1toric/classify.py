@@ -14,11 +14,12 @@ of the table that decides, `conditions._CASE_ROWS`: (a-i), (a-ii), (b) I,
 b*mu + c*nu <= r: lambda >= 0, the table's validity and case rows, and
 2*delta >= 1 read off the case's form in `conditions._TWO_DELTA`.  As at
 most one entry holds at a valid triplet with lambda >= 0, the regions are
-the first-match decision of `conditions._decide`.  Integer Fourier-Motzkin
-elimination of nu, then of mu, gives nested bounds lambda -> mu -> nu.  At
-import, the lattice points in between are enumerated over all of Z^3,
-with no box, and `conditions.report` reports on each; the reports with a
-case and delta > 0 are the oracle rows, the only rows built.
+the first-match decision of `conditions._decide`.  At import, `_points`
+enumerates the lattice points of each region over all of Z^3, with no
+box, by integer Fourier-Motzkin elimination, and raises ValueError if a
+region leaves a variable unbounded.  `conditions.report` reports on each
+point; the reports with a case and delta > 0 are the oracle rows, the
+only rows built.
 `oracle_search` filters them by the box, so it costs the same whatever the
 box, and the reference rows are the oracle rows of the reference triplets.
 
@@ -42,7 +43,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .conditions import (_CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel,
-                         RestrictBranch, _form_at, report)
+                         _form_at, report)
 from .grading import BundleParams
 
 
@@ -135,19 +136,11 @@ def _eliminate(rows: tuple) -> tuple:
     return tuple(out)
 
 
-def _region(case: CaseLabel, branch: RestrictBranch | None,
-            case_rows: tuple) -> tuple:
-    """The triplets with delta > 0 in one case (and branch) of
-    `conditions._decide`: (case, branch, rows on (lambda, mu, nu), rows on
-    (lambda, mu), rows on lambda)."""
-    a, b, c, r = _TWO_DELTA[case]
-    rows = ((-1, 0, 0, 0), *(row for row, _ in _VALID_ROWS), *case_rows,
-            (-a, -b, -c, r - 1))
-    mu_rows = _eliminate(rows)
-    return case, branch, rows, mu_rows, _eliminate(mu_rows)
-
-
-_REGIONS = tuple(_region(*spec) for spec in _CASE_ROWS)
+# (case, branch, rows on (lambda, mu, nu)) per case and branch of
+# `conditions._decide`: the rows hold on the triplets with delta > 0 there.
+_REGIONS = tuple((case, branch, ((-1, 0, 0, 0), *(row for row, _ in _VALID_ROWS),
+                                 *rows, (-a, -b, -c, r - 1)))
+                 for case, branch, rows in _CASE_ROWS for a, b, c, r in [_TWO_DELTA[case]])
 
 
 def _interval(rows: tuple, prefix: tuple) -> range:
@@ -171,14 +164,21 @@ def _interval(rows: tuple, prefix: tuple) -> range:
     return range(max(lows), min(highs) + 1)
 
 
+def _points(rows: tuple) -> list[tuple]:
+    """Every integer point of rows (a_1, ..., a_n, r), meaning a*x <= r, in
+    lexicographic order: each point of the rows `_eliminate` derives,
+    extended by its `_interval`.  Raises ValueError when the rows leave a
+    variable unbounded.
+    """
+    if all(len(row) == 2 for row in rows):  # one variable, or no row left
+        return [(v,) for v in _interval(rows, ())]
+    return [(*q, v) for q in _points(_eliminate(rows)) for v in _interval(rows, q)]
+
+
 # Every lattice point of every region, reported on by `_rows`.  Enumerated
 # from the rows alone, with no box, so importing the module checks that the
 # set with delta > 0 is finite over all of Z^3.
-_ORACLE_ROWS = _rows(sorted(
-    (lam, mu, nu) for _, _, rows, mu_rows, lambda_rows in _REGIONS
-    for lam in _interval(lambda_rows, ())
-    for mu in _interval(mu_rows, (lam,))
-    for nu in _interval(rows, (lam, mu))))
+_ORACLE_ROWS = _rows(sorted(t for *_, rows in _REGIONS for t in _points(rows)))
 if any(r.delta > 1 and not r.k_fails for r in _ORACLE_ROWS):
     raise ValueError("an oracle row with delta > 1 has no proven K-failure")
 # The reference rows are oracle rows, looked up by triplet: a reference

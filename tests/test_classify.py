@@ -10,7 +10,7 @@ import pytest
 
 from dp1toric import classify, conditions
 from dp1toric.classify import (_REGIONS, DEFAULT_BOX, ClassificationRow,
-                               SearchBox, _eliminate, _interval,
+                               SearchBox, _eliminate, _interval, _points,
                                classify_k2_failures, nonsingular_delta,
                                oracle_search)
 from dp1toric.conditions import (CaseLabel, KStatus, RestrictBranch, _decide,
@@ -178,7 +178,7 @@ def test_regions_are_the_decision_on_a_grid():
     for lam, mu, nu in itertools.product(range(-20, 21), repeat=3):
         flags, case, branch, two_delta = _decide(lam, mu, nu)
         hit = lam >= 0 and not flags and two_delta > 0
-        for region_case, region_branch, rows, _, _ in _REGIONS:
+        for region_case, region_branch, rows in _REGIONS:
             inside = all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)
             expected = hit and (case, branch) == (region_case, region_branch)
             assert inside == expected, (lam, mu, nu, region_case, region_branch)
@@ -192,18 +192,8 @@ def test_oracle_on_a_huge_box_finds_the_default_box_rows():
     # No region reaches the edge of the huge box, so the 14 rows are all
     # of Z^3 with delta > 0, not only those in the box.
     edge = 10**9 - 1
-
-    def inside(values):
-        return not values or -edge < values[0] and values[-1] < edge
-
-    for _, _, rows, mu_rows, lambda_rows in _REGIONS:
-        lams = _interval(lambda_rows, ())
-        assert inside(lams)
-        for lam in lams:
-            mus = _interval(mu_rows, (lam,))
-            assert inside(mus)
-            for mu in mus:
-                assert inside(_interval(rows, (lam, mu)))
+    for *_, rows in _REGIONS:
+        assert all(-edge < v < edge for point in _points(rows) for v in point)
 
 
 def test_interval_raises_on_a_one_sided_bound():
@@ -224,11 +214,23 @@ def test_interval_is_empty_when_a_row_without_the_variable_fails():
 def test_eliminate_keeps_every_derived_row():
     """One row per row without the last variable and one per (up, down)
     pair, at both levels of every region: no duplicate is dropped."""
-    for _, _, rows, mu_rows, _ in _REGIONS:
-        for system in (rows, mu_rows):
+    for *_, rows in _REGIONS:
+        for system in (rows, _eliminate(rows)):
             signs = [(row[-2] > 0) - (row[-2] < 0) for row in system]
             assert len(_eliminate(system)) == (
                 signs.count(0) + signs.count(1) * signs.count(-1))
+
+
+def random_rows(rng, n):
+    """2 to 6 random rows a*x <= r in n variables."""
+    return tuple((*(rng.randint(-4, 4) for _ in range(n)), rng.randint(-6, 12))
+                 for _ in range(rng.randint(2, 6)))
+
+
+def box_rows(n):
+    """|v| <= 5 for each of n variables: v <= 5, then -v <= 5."""
+    return tuple((*(sign * (i == j) for j in range(n)), 5)
+                 for i in range(n) for sign in (1, -1))
 
 
 def test_eliminate_loses_no_integer_point():
@@ -241,8 +243,7 @@ def test_eliminate_loses_no_integer_point():
         return all(sum(map(operator.mul, row, point)) <= row[-1] for row in rows)
 
     for _ in range(60):
-        rows = tuple((*(rng.randint(-4, 4) for _ in range(3)), rng.randint(-6, 12))
-                     for _ in range(rng.randint(2, 6)))
+        rows = random_rows(rng, 3)
         mu_rows = _eliminate(rows)
         lambda_rows = _eliminate(mu_rows)
         for point in points:
@@ -251,9 +252,34 @@ def test_eliminate_loses_no_integer_point():
                 assert holds(lambda_rows, point[:1]), (rows, point)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_points_equals_the_brute_force_list(n):
+    """On random systems inside the box |v| <= 5, `_points` lists exactly
+    the integer points, in lexicographic order."""
+    rng = random.Random(n)
+    box = list(itertools.product(range(-5, 6), repeat=n))
+    for _ in range(60):
+        rows = random_rows(rng, n) + box_rows(n)
+        assert _points(rows) == [point for point in box if all(
+            sum(map(operator.mul, row, point)) <= row[-1] for row in rows)], rows
+
+
+def test_points_raises_on_a_variable_bounded_on_one_side():
+    # The box in 3 variables less one of its rows leaves the first, middle
+    # or last variable bounded on one side; x + y <= 5 leaves no row once y
+    # is eliminated.
+    box = box_rows(3)
+    for i in range(len(box)):
+        with pytest.raises(ValueError):
+            _points(box[:i] + box[i + 1:])
+    with pytest.raises(ValueError):
+        _points(((1, 1, 5),))
+    assert len(_points(box)) == 11**3
+
+
 def test_lambda_ranges_of_the_regions():
     # As the DEFAULT_BOX comment and the README state.
-    assert [_interval(lambda_rows, ()) for *_, lambda_rows in _REGIONS] == [
+    assert [_interval(_eliminate(_eliminate(rows)), ()) for *_, rows in _REGIONS] == [
         range(0, 4), range(0, 2), range(1, 4), range(1, 3), range(2, 6)]
 
 
@@ -360,7 +386,7 @@ def test_nonsingular_delta_is_positive_at_seven_pairs_of_all_z2():
     # The rule of `nonsingular_delta` as three integer systems of rows
     # a*lambda + b*mu <= r: lambda >= 0, mu >= 0, the branch, and 2*delta >= 1
     # read off `conditions._TWO_DELTA` at (lambda, 2*mu, 3*mu).  Enumerated
-    # with no box: `_interval` raises if a system leaves a variable unbounded.
+    # with no box: `_points` raises if a system leaves a variable unbounded.
     def system(case, *branch):
         a, b, c, r = conditions._TWO_DELTA[case]
         return case, ((-1, 0, 0), (0, -1, 0), *branch, (-a, -2 * b - 3 * c, r - 1))
@@ -368,9 +394,7 @@ def test_nonsingular_delta_is_positive_at_seven_pairs_of_all_z2():
     systems = (system(CaseLabel.AI, (1, -1, 0), (-1, 1, 0)),  # mu = lambda
                system(CaseLabel.AI, (-5, 6, 0), (5, -6, 0)),  # 6*mu = 5*lambda
                system(CaseLabel.AII, (1, -1, -1)))  # mu >= lambda + 1
-    found = {(lam, mu): case for case, rows in systems
-             for lam in _interval(_eliminate(rows), ())
-             for mu in _interval(rows, (lam,))}
+    found = {point: case for case, rows in systems for point in _points(rows)}
     deltas = {(0, 0): 4, (0, 1): 2, (1, 1): 3, (1, 2): 1, (2, 2): 2, (3, 3): 1, (6, 5): 1}
     assert set(found) == set(deltas)
     assert {p: nonsingular_delta(*p) for p in found} == {

@@ -5,13 +5,14 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from operator import sub
 
 import pytest
 
 from dp1toric import chow, conditions
 from dp1toric.chow import (CycleClass, anticanonical_on_x, minus_k_cubed,
                            triple_on_x)
-from dp1toric.classify import _eliminate, _interval
+from dp1toric.classify import _points
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
                                  ValidityReport, Verdict, WeightRatios,
@@ -497,22 +498,109 @@ def test_case_table_entries_are_exclusive_and_cover_case_a():
     Exclusivity is proven over Z^3: for each of the 10 pairs of entries,
     the system of lambda >= 0, the validity rows and the rows of both
     entries has no lattice point, by the elimination that bounds the
-    regions; `_interval` raises if it leaves a variable unbounded."""
+    regions; `_points` raises if it leaves a variable unbounded."""
     valid = [row for row, _ in conditions._VALID_ROWS]
     pairs = list(combinations(conditions._CASE_ROWS, 2))
     assert len(pairs) == 10
     for (case, branch, rows), (other, other_branch, other_rows) in pairs:
-        system = ((-1, 0, 0, 0), *valid, *rows, *other_rows)
-        mu_rows = _eliminate(system)
-        points = [(lam, mu, nu) for lam in _interval(_eliminate(mu_rows), ())
-                  for mu in _interval(mu_rows, (lam,))
-                  for nu in _interval(system, (lam, mu))]
+        points = _points(((-1, 0, 0, 0), *valid, *rows, *other_rows))
         assert points == [], (case, branch, other, other_branch, points)
     for lam, mu, nu in iproduct(range(13), range(-30, 31), range(-3, 41)):
         holding = [case for case, _, rows in conditions._CASE_ROWS
                    if all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)]
         in_case_a = holding != [] and holding[0] is not CaseLabel.B
         assert in_case_a == (6 * lam <= 2 * nu), (lam, mu, nu)
+
+
+# Forms (a, b, c, r) of a*lambda + b*mu + c*nu + r: 2k, where -K_X = H + k*F
+# and k = lambda + mu - nu + 2, mu, and 2k - mu.
+TWO_K = (2, 2, -2, 4)
+MU = (0, 1, 0, 0)
+ZERO = (0, 0, 0, 0)
+TWO_K_LESS_MU = tuple(map(sub, TWO_K, MU))
+# Mov(X) = cone(F, H + t_mov*F), where 2*t_mov is the max of these forms of
+# 2*t_E, t_E = -(H.E.N)/(F.E.N) for the divisor E of X named: mu (E = D_x)
+# and 0 (E = D_z) in (a-i) and (b), and 2*lambda (E = D_x) in (a-ii), where
+# the 0 of E = D_y never exceeds 2*lambda at lambda >= 0.
+TWO_MOV = {CaseLabel.AI: (MU, ZERO), CaseLabel.AII: ((2, 0, 0, 0),),
+           CaseLabel.B: (MU, ZERO)}
+
+
+def at_most(form, bound):
+    """The row of form <= bound."""
+    a, b, c, r = form
+    return a, b, c, bound - r
+
+
+def at_least(form, bound):
+    """The row of form >= bound."""
+    a, b, c, r = form
+    return -a, -b, -c, r - bound
+
+
+def k_proven(two_nef):
+    """The conjunctions of rows under which `k_status` proves a K-failure:
+    2*nef <= -1, or 2k >= mu + 1 and mu >= 0."""
+    return (at_most(two_nef, -1),), (at_least(TWO_K_LESS_MU, 1), at_least(MU, 0))
+
+
+def k_not_proven(two_nef):
+    """The conjunctions of the negation of `k_proven`: 2*nef >= 0 and 2k <=
+    mu, or 2*nef >= 0 and mu <= -1."""
+    return ((at_least(two_nef, 0), at_most(TWO_K_LESS_MU, 0)),
+            (at_least(two_nef, 0), at_most(MU, -1)))
+
+
+def k_dichotomy_systems(two_mov):
+    """Per `_CASE_ROWS` entry: lambda >= 0, the validity rows and the
+    entry's rows, with "k > t_mov" (2k - 2*t_E >= 1 for every E) and each
+    not-proven conjunction, and with each row 2k - 2*t_E <= 0 of "k <=
+    t_mov" and each proven conjunction."""
+    valid = [row for row, _ in conditions._VALID_ROWS]
+    systems = []
+    for case, _, rows in conditions._CASE_ROWS:
+        base = ((-1, 0, 0, 0), *valid, *rows)
+        two_nef = conditions._TWO_NEF[case]
+        gaps = [tuple(map(sub, TWO_K, two_t)) for two_t in two_mov[case]]
+        above = tuple(at_least(gap, 1) for gap in gaps)
+        systems += [base + above + c for c in k_not_proven(two_nef)]
+        systems += [base + (at_most(gap, 0),) + c
+                    for gap in gaps for c in k_proven(two_nef)]
+    return systems
+
+
+def test_k_failure_is_proven_exactly_above_the_movable_threshold():
+    """The K-condition fails, k > t_mov, exactly where `k_status` proves a
+    failure, at every valid triplet with lambda >= 0: none of the 28
+    systems of `k_dichotomy_systems` has a point over Z^3, and `_points`
+    raises if one leaves a variable unbounded."""
+    systems = k_dichotomy_systems(TWO_MOV)
+    assert len(systems) == 28
+    assert [_points(system) for system in systems] == [[]] * 28
+
+    # The wrong t_mov = 0 in (a-i) and (b) leaves 3 systems unbounded, and
+    # the other 17 empty: an unbounded system never passes as empty.
+    def points_or_unbounded(system):
+        try:
+            return _points(system)
+        except ValueError:
+            return "unbounded"
+
+    wrong = k_dichotomy_systems({**TWO_MOV, CaseLabel.AI: (ZERO,),
+                                 CaseLabel.B: (ZERO,)})
+    outcomes = [points_or_unbounded(system) for system in wrong]
+    assert (outcomes.count("unbounded"), outcomes.count([])) == (3, 17)
+
+    # The proven conjunctions are those of `k_status`, on a grid.
+    checked = 0
+    for lam, mu, nu in iproduct(range(6), range(-12, 13), range(-2, 23)):
+        p = BundleParams(lam, mu, nu)
+        if validity(p).is_valid:
+            rule = any(all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)
+                       for rows in k_proven(conditions._TWO_NEF[classify_case(p)]))
+            assert k_status(p).proven_fails == rule, p
+            checked += 1
+    assert checked == 2127
 
 
 def test_report_decides_once(monkeypatch):
