@@ -25,6 +25,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 from typing import NamedTuple
@@ -44,10 +45,6 @@ MAX_BASIS_MONOMIALS = 10**6
 # _POWERS[s][k] for k < _POWER_TABLE_SIZE, built on demand.
 _POWER_TABLE_SIZE = 1024
 _POWERS = dict.fromkeys(VARIABLES, ("",))
-# The same bound serves the fiber parts that `_fibers` keeps: _FIBERS[h] for
-# each H-degree h with at most _POWER_TABLE_SIZE of them (h <= 29), built on
-# demand.
-_FIBERS = {}
 
 
 class InvalidMatrix(ValueError):
@@ -58,17 +55,25 @@ class EmptyLinearSystem(ValueError):
     """Requested base locus of a divisor class with no sections."""
 
 
-class BundleParams(NamedTuple):
+class BundleParams(NamedTuple("BundleParams", [("lam", int), ("mu", int), ("nu", int)])):
     """Parameters (lambda, mu, nu) of the bundle P(lambda, mu, nu).
 
     The normalized form has lam >= 0; arbitrary integer triplets are
     accepted so that intersection formulas can be evaluated on the full
-    parameter grid.
+    parameter grid.  An entry whose type is not exactly int (a bool, a
+    float, a Fraction) is refused with TypeError, which names the types,
+    not the values, so that no entry is printed.
     """
 
-    lam: int
-    mu: int
-    nu: int
+    __slots__ = ()
+
+    def __new__(cls, lam, mu, nu):
+        if not type(lam) is type(mu) is type(nu) is int:
+            raise TypeError("a triplet holds ints, got " + ", ".join(
+                type(q).__name__ for q in (lam, mu, nu)))
+        return tuple.__new__(cls, (lam, mu, nu))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def is_normalized(self) -> bool:
@@ -337,7 +342,7 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     The kept fiber parts (`_kept`, r >= 0) are sorted on r (`_in_r_order`);
     each gives r + 1 monomials, so the same parts give the count and then
     the strings.  When h has at most _POWER_TABLE_SIZE parts (h <= 29),
-    they come spelt from the per-process table `_fibers`, in (c, d, e, g)
+    they come spelt from the per-process cache `_fibers`, in (c, d, e, g)
     order, and are kept by the same r >= 0; past that, `_kept` gives them,
     and only the kept ones are spelt, for this call.  Lexicographic order
     is by a, then by b = r - a, then by (c, d, e, g): for each a, the parts
@@ -366,28 +371,23 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     if n > _POWER_TABLE_SIZE:
         x, y, z, w = (_powers(s, h) for s in "xyzw")
         parts = [(r, (x[c] + y[d] + z[e] + w[g])[:-1]) for r, c, d, e, g in parts]
-    r_max = rs[-1]
-    u, v = (_powers(s, r_max) for s in "uv")
-    out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(r_max + 1)
+    u, v = (_powers(s, rs[-1]) for s in "uv")
+    out = [f"{u[a]}{v[r - a]}{fiber}" for a in range(rs[-1] + 1)
            for r, fiber in parts[bisect_left(rs, a):]]
     return out if h else [m.rstrip("*") or "1" for m in out]
 
 
+@cache
 def _fibers(h: int) -> tuple[tuple[int, int, int, str], ...]:
     """(d, e, g, "x^c*y^d*z^e*w^g") for each fiber part of H-degree h, in
-    (c, d, e, g) order, for an h with at most _POWER_TABLE_SIZE parts.
-
-    From the table _FIBERS, which gets h's entry on first use by assigning
-    one whole tuple, never in place, so a thread reading it sees one whole
-    version.
+    (c, d, e, g) order, kept for the process as one whole tuple per h.
+    Its one caller, `monomial_strings`, reads it only for an h with at most
+    _POWER_TABLE_SIZE parts, so the cache holds at most the 30 H-degrees
+    h <= 29.
     """
-    fibers = _FIBERS.get(h)
-    if fibers is None:
-        x, y, z, w = (_powers(s, h) for s in "xyzw")
-        fibers = tuple((d, e, g, (x[c] + y[d] + z[e] + w[g])[:-1])
-                       for c, d, e, g in _fiber_parts(h))
-        _FIBERS[h] = fibers
-    return fibers
+    x, y, z, w = (_powers(s, h) for s in "xyzw")
+    return tuple((d, e, g, (x[c] + y[d] + z[e] + w[g])[:-1])
+                 for c, d, e, g in _fiber_parts(h))
 
 
 def _powers(s: str, n: int) -> tuple[str, ...]:

@@ -9,7 +9,9 @@ import pytest
 from dp1toric.chow import (CycleClass, DegreeMismatch, DegreeOverflow,
                            anticanonical_on_x, derive_h4, evaluate_top,
                            minus_k_cubed, product, triple_on_x, x_class)
-from dp1toric.grading import F, H, BundleParams, DivisorClass, torus_divisor_class
+from dp1toric.conditions import validity
+from dp1toric.grading import (VARIABLES, F, H, BundleParams, DivisorClass, _fiber_parts,
+                              torus_divisor_class)
 
 Q = Fraction
 
@@ -281,3 +283,58 @@ def test_float_entries_are_refused():
         DivisorClass(1, 1) * 0.5
     with pytest.raises(TypeError, match=r"0\.25"):
         CycleClass({(4, 0): 0.25})
+
+
+# --- orbifold Riemann-Roch: chi(X, aH + bF) by two routes ---------------------
+
+def chi_on_bundle(p, a, b):
+    """chi(T, aH + bF) from the Cox ring, for a >= -6.  The push-forward to
+    P^1 is the sum of O(r) over the fiber parts x^c y^d z^e w^g of H-degree
+    a, r = b - lambda*d - mu*e - nu*g, and chi(P^1, O(r)) = r + 1 for every
+    r, negative ones included.  P(1,1,2,3) has no cohomology in degrees -6
+    to -1 (its weights sum to 7), so then chi is 0."""
+    assert a >= -6
+    return sum(b - p.lam * d - p.mu * e - p.nu * g + 1 for _, d, e, g in _fiber_parts(a))
+
+
+def chi_by_cox(p, a, b):
+    """chi(X, D) = chi(T, D) - chi(T, D - X), from 0 -> O(D - X) -> O(D) -> O_X(D) -> 0."""
+    x = x_class(p)
+    return chi_on_bundle(p, a, b) - chi_on_bundle(p, a - int(x.h), b - int(x.f))
+
+
+def second_chern_on_x(p):
+    """(c_2(X).H, c_2(X).F): c(X) = prod(1 + D_i) / (1 + X) on X, with D_i the
+    six coordinate divisors, so c_2(X) = sigma_2 - sigma_1*X + X^2 restricted
+    to X, and every product is a `triple_on_x`."""
+    columns = [torus_divisor_class(p, s) for s in VARIABLES]
+    sigma1, x = sum(columns, DivisorClass(0, 0)), x_class(p)
+    return tuple(sum(triple_on_x(p, di, dj, d) for i, di in enumerate(columns)
+                     for dj in columns[i + 1:])
+                 - triple_on_x(p, sigma1, x, d) + triple_on_x(p, x, x, d) for d in (H, F))
+
+
+def chi_by_riemann_roch(p, a, b, c2):
+    """Orbifold Riemann-Roch (Buckley-Reid-Zhou 2013) on X with N = 2*nu - 3*mu
+    points of type 1/2(1,1,1), where aH + bF is of local type 1/2(1,1,1)
+    exactly when a is odd:
+
+        1 + D.(D - K).(2D - K)/12 + c_2.D/12 - (N/8)*[a odd].
+    """
+    d, minus_k = DivisorClass(a, b), anticanonical_on_x(p)
+    half_points = 2 * p.nu - 3 * p.mu
+    return (1 + triple_on_x(p, d, d + minus_k, 2 * d + minus_k) / 12
+            + (a * c2[0] + b * c2[1]) / 12 - Q(half_points, 8) * (a % 2))
+
+
+def test_orbifold_riemann_roch_equals_the_cox_ring_count():
+    valid = [p for p in map(BundleParams._make, iproduct(range(4), range(-5, 6), range(9)))
+             if validity(p).is_valid]
+    assert len(valid) == 185
+    for p in valid:
+        c2, minus_k = second_chern_on_x(p), anticanonical_on_x(p)
+        # Kawamata: 24 chi(O_X) = -K.c_2 + (3/2)*N, with chi(O_X) = 1.
+        assert minus_k.h * c2[0] + minus_k.f * c2[1] == 24 - Q(3, 2) * (2 * p.nu - 3 * p.mu), p
+        # Up to a = 7: below 6, chi(T, D - X) is 0 and the restriction untested.
+        for a, b in iproduct(range(8), (-1, 3)):
+            assert chi_by_cox(p, a, b) == chi_by_riemann_roch(p, a, b, c2), (p, a, b)

@@ -216,7 +216,7 @@ def test_monomial_strings_edge_cases():
 
 def fresh_power_table(monkeypatch):
     monkeypatch.setattr(grading, "_POWERS", dict.fromkeys(VARIABLES, ("",)))
-    monkeypatch.setattr(grading, "_FIBERS", {})
+    grading._fibers.cache_clear()
 
 
 def assert_power_table_is_bounded_and_right():
@@ -227,12 +227,17 @@ def assert_power_table_is_bounded_and_right():
 
 
 def assert_fiber_table_is_bounded_and_right():
-    for h, table in grading._FIBERS.items():
+    # At most 30 keys before, and 30 after h = 0, ..., 29 are read: so the
+    # keys were among them.
+    assert grading._fibers.cache_info().currsize <= 30
+    for h in range(30):
         parts = sorted(_fiber_parts(h))
         assert len(parts) <= grading._POWER_TABLE_SIZE
-        assert table == tuple((d, e, g, str(ev(c=c, d=d, e=e, f=g)) if h else "")
-                              for c, d, e, g in parts), h
-    assert sum(map(len, grading._FIBERS.values())) <= 8175
+        assert grading._fibers(h) == tuple(
+            (d, e, g, str(ev(c=c, d=d, e=e, f=g)) if h else "")
+            for c, d, e, g in parts), h
+    assert sum(len(grading._fibers(h)) for h in range(30)) == 8175
+    assert grading._fibers.cache_info().currsize == 30
 
 
 def test_fiber_table_holds_each_small_h_degree_once(monkeypatch):
@@ -241,11 +246,11 @@ def test_fiber_table_holds_each_small_h_degree_once(monkeypatch):
     for h in range(-1, 35):
         for f in (-1, 0, 7):
             monomial_strings(p, DivisorClass(h, f))
-    assert sorted(grading._FIBERS) == list(range(30))  # 29 has 950 parts, 30 has 1041
-    assert len(grading._FIBERS[6]) == 23 and grading._FIBERS[0] == ((0, 0, 0, ""),)
-    table = grading._FIBERS[6]
+    assert grading._fibers.cache_info().currsize == 30  # 29 has 950 parts, 30 has 1041
+    assert len(grading._fibers(6)) == 23 and grading._fibers(0) == ((0, 0, 0, ""),)
+    table = grading._fibers(6)
     monomial_strings(BundleParams(2, 3, 5), DivisorClass(6, 10))
-    assert grading._FIBERS[6] is table  # read, not built again
+    assert grading._fibers(6) is table  # read, not built again
     assert_fiber_table_is_bounded_and_right()
 
 
@@ -256,7 +261,7 @@ def test_monomial_strings_past_the_fiber_table(monkeypatch):
             cls = DivisorClass(h, f)
             assert monomial_strings(p, cls) == [str(m) for m in monomial_basis(p, cls)]
     assert monomial_strings(BundleParams(1, 1, 1), DivisorClass(120, 0)) == ["x^120"]
-    assert grading._FIBERS == {}
+    assert grading._fibers.cache_info().currsize == 0
 
 
 def test_monomial_strings_past_the_power_table(monkeypatch):
@@ -298,8 +303,8 @@ def test_monomial_strings_in_threads_equal_them_in_one(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == expected
     assert_power_table_is_bounded_and_right()
+    assert grading._fibers.cache_info().currsize == 30
     assert_fiber_table_is_bounded_and_right()
-    assert sorted(grading._FIBERS) == list(range(30))
 
 
 def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
@@ -316,6 +321,9 @@ def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
              r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
             (BundleParams(1, 1, 1), DivisorClass(10**8, 0),
              r"more than 1000000 fiber monomials"),
+            # Past the fiber table (h > 29): 30,787 parts, and too many monomials.
+            (BundleParams(0, 0, 0), DivisorClass(100, 40),
+             r"has 1262267 monomials, more than the 1000000 that basis lists"),
             # A class or a bundle that str() cannot print.
             (BundleParams(0, 0, 0), DivisorClass(6, 10**5000),
              r"has 10\^640 or more monomials, more than the 1000000 that basis lists"),
@@ -334,6 +342,16 @@ def test_monomial_strings_refuses_huge_bases_quickly(monkeypatch):
         assert len(basis(BundleParams(0, 0, 0), DivisorClass(0, 9))) == 10
         with pytest.raises(ValueError, match="has 11 monomials, more than the 10 that"):
             basis(BundleParams(0, 0, 0), DivisorClass(0, 10))
+
+
+def test_monomial_strings_past_the_fiber_table_refuses_before_spelling(monkeypatch):
+    # The monomial count of the kept parts refuses before any factor is
+    # spelt: the power tables are as fresh as before the call.
+    fresh_power_table(monkeypatch)
+    fresh = dict(grading._POWERS)
+    with pytest.raises(ValueError, match="has 1262267 monomials"):
+        monomial_strings(BundleParams(0, 0, 0), DivisorClass(100, 40))
+    assert grading._POWERS == fresh
 
 
 def test_count_refuses_and_strata_answer_huge_classes_quickly(monkeypatch):

@@ -92,23 +92,33 @@ def test_records_are_tuples_of_their_fields():
     assert DEFAULT_BOX == SearchBox((0, 10), (-30, 30), (0, 30))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: SearchBox((1, 0), (0, 0), (0, 0)),
-    lambda: SearchBox((0, 0), (0, 0), (2, 1)),
-    lambda: DEFAULT_BOX._replace(mu_range=(1, -1)),
-    lambda: Stratum(frozenset({"q"})),
-    lambda: Stratum(frozenset({"u", "v"})),
-    lambda: Stratum(frozenset({"x"}))._replace(zero_set=frozenset("xyzw")),
-    lambda: KStatus(True),
-    lambda: KStatus(False, KFailureReason.AMPLE_ANTICANONICAL),
-    lambda: KStatus(False)._replace(proven_fails=True),
-    lambda: CycleClass({(5, 0): 1}),
-    lambda: CycleClass({(1, -1): 1}),
+@pytest.mark.parametrize("error, build", [
+    (ValueError, lambda: SearchBox((1, 0), (0, 0), (0, 0))),
+    (ValueError, lambda: SearchBox((0, 0), (0, 0), (2, 1))),
+    (ValueError, lambda: DEFAULT_BOX._replace(mu_range=(1, -1))),
+    (ValueError, lambda: Stratum(frozenset({"q"}))),
+    (ValueError, lambda: Stratum(frozenset({"u", "v"}))),
+    (ValueError, lambda: Stratum(frozenset({"x"}))._replace(zero_set=frozenset("xyzw"))),
+    (ValueError, lambda: KStatus(True)),
+    (ValueError, lambda: KStatus(False, KFailureReason.AMPLE_ANTICANONICAL)),
+    (ValueError, lambda: KStatus(False)._replace(proven_fails=True)),
+    (ValueError, lambda: CycleClass({(5, 0): 1})),
+    (ValueError, lambda: CycleClass({(1, -1): 1})),
+    # A triplet holds ints: not a float, a Fraction or a bool.
+    (TypeError, lambda: BundleParams(0.5, 0, 1)),
+    (TypeError, lambda: BundleParams(1.0, 1.0, 3.0)),
+    (TypeError, lambda: BundleParams(Q(1, 2), 0, 1)),
+    (TypeError, lambda: BundleParams(True, 1, 3)),
+    (TypeError, lambda: BundleParams(1, 1, 3)._replace(lam=1.0)),
+    # The message names types, so a 5,000-digit entry is not printed.
+    (TypeError, lambda: BundleParams(10**5000, 0.5, 0)),
 ], ids=["box-lambda", "box-nu", "box-replace", "stratum-unknown",
         "stratum-irrelevant", "stratum-replace", "k-status-no-reason",
-        "k-status-reason", "k-status-replace", "cycle-h5", "cycle-f-1"])
-def test_validated_records_still_raise(build):
-    with pytest.raises(ValueError):
+        "k-status-reason", "k-status-replace", "cycle-h5", "cycle-f-1",
+        "triplet-half", "triplet-floats", "triplet-fraction", "triplet-bool",
+        "triplet-replace", "triplet-huge-and-float"])
+def test_validated_records_still_raise(error, build):
+    with pytest.raises(error):
         build()
 
 
