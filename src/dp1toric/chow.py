@@ -181,12 +181,17 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
 
 # 2*(-K_X)^3 = a*lambda + b*mu + c*nu + r as (a, b, c, r): the one place the
 # closed form lives.  `conditions` builds 2*delta and twice the nef threshold
-# on it, in ints.
+# on it, in ints, and `_form_at` evaluates every such form.
 TWO_MINUS_K_CUBED = (4, 5, -6, 12)
+
+
+def _form_at(form: tuple, lam: int, mu: int, nu: int) -> int:
+    """a*lambda + b*mu + c*nu + r for the form (a, b, c, r)."""
+    a, b, c, r = form
+    return a * lam + b * mu + c * nu + r
 
 
 def minus_k_cubed(p: BundleParams) -> Fraction:
     """Closed form (-K_X)^3 = 2*lambda + (5/2)*mu - 3*nu + 6, the `Fraction`
     of the integer form `TWO_MINUS_K_CUBED` over 2."""
-    a, b, c, r = TWO_MINUS_K_CUBED
-    return Fraction(a * p.lam + b * p.mu + c * p.nu + r, 2)
+    return Fraction(_form_at(TWO_MINUS_K_CUBED, *p), 2)

@@ -42,8 +42,8 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .conditions import (_CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel,
-                         _form_at, report)
+from .chow import _form_at
+from .conditions import _CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel, report
 from .grading import BundleParams
 
 

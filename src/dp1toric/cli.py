@@ -6,8 +6,10 @@ completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
 Every report, row table and nonsingular output goes through one renderer,
-`_render`, which builds only the format asked for.  JSON is written by this
-module's own `indent=2` writer, `_json`, whose text equals
+`_render`, which builds only the format asked for.  A report's fields are
+listed once, in `_report_fields`, and each call builds one form of them:
+the plain lines, or the cells of the csv and markdown table.  JSON is
+written by this module's own `indent=2` writer, `_json`, whose text equals
 `json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
 accelerator, the function `json.encoder` uses, so that no command imports
 the json package.
@@ -118,60 +120,46 @@ def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
-    return _render(fmt, lambda: _report_plain(rep), rep.to_json_dict,
-                   lambda: _report_table(rep))
+    return _render(fmt, lambda: "\n".join(_report_fields(rep, False)) + "\n",
+                   rep.to_json_dict, lambda: (("field", "value"), _report_fields(rep, True)))
 
 
-def _report_table(rep: FibrationReport) -> tuple:
-    p = rep.params
-    pairs = [("lambda", str(p.lam)), ("mu", str(p.mu)), ("nu", str(p.nu)),
-             ("is_valid", _bool(rep.validity.is_valid))]
+def _report_fields(rep: FibrationReport, table: bool) -> list:
+    """The fields of a report in output order: (csv name, cell) pairs when
+    table, else the lines of the plain text.  Each entry builds only the
+    form asked for.  The triplet, the case and the K^3_d results are
+    several cells of one line, and the reasons of an invalid triplet one
+    cell of several lines."""
+    p, v = rep.params, rep.validity
+    fields = ([("lambda", str(p.lam)), ("mu", str(p.mu)), ("nu", str(p.nu))] if table
+              else [str(p)])
+    fields.append(("is_valid", _bool(v.is_valid)) if table else
+                  "valid: " + ("yes" if v.is_valid else "no"))
     if rep.case is None:
-        pairs.append(("invalid_reason", "; ".join(rep.validity.failure_reasons())))
-        return ("field", "value"), pairs
-    branch = rep.validity.restrictb_branch
-    pairs += [
-        ("case", rep.case.value),
-        ("restrictb_branch", branch.value if branch else ""),
-        ("k_cubed", str(rep.k_cubed)),
-        ("nef_threshold", str(rep.nef_threshold)),
-        ("delta", str(rep.delta)),
-        ("k2_holds", _bool(rep.k2_holds)),
-    ]
-    for d, ok in rep.k3_threshold_results.items():
-        pairs.append((f"k3({d})", _bool(ok)))
-    pairs += [("k_status", str(rep.k_status)),
-              ("verdict", rep.verdict.value)]
-    return ("field", "value"), pairs
-
-
-def _report_plain(rep: FibrationReport) -> str:
-    lines = [str(rep.params)]
-    if not rep.validity.is_valid:
-        lines.append("valid: no")
-        for reason in rep.validity.failure_reasons():
-            lines.append(f"  - {reason}")
-        return "\n".join(lines) + "\n"
-    wr = rep.weight_ratios
-    branch = rep.validity.restrictb_branch
-    case = rep.case.value + (f" (branch {branch.value})" if branch else "")
-    lines += [
-        "valid: yes",
-        f"case: {case}  [wr_x={wr.wr_x} wr_y={wr.wr_y} wr_z={wr.wr_z} wr_w={wr.wr_w}]",
-        f"(-K_X)^3: {rep.k_cubed}",
+        reasons = v.failure_reasons()
+        fields.append(("invalid_reason", "; ".join(reasons)) if table else
+                      "  - " + "\n  - ".join(reasons))
+        return fields
+    wr, branch, k3 = rep.weight_ratios, v.restrictb_branch, rep.k3_threshold_results
+    return fields + [
+        *((("case", rep.case.value), ("restrictb_branch", branch.value if branch else ""))
+          if table else
+          (f"case: {rep.case.value}{f' (branch {branch.value})' if branch else ''}"
+           f"  [wr_x={wr.wr_x} wr_y={wr.wr_y} wr_z={wr.wr_z} wr_w={wr.wr_w}]",)),
+        ("k_cubed", str(rep.k_cubed)) if table else f"(-K_X)^3: {rep.k_cubed}",
+        ("nef_threshold", str(rep.nef_threshold)) if table else
         f"nef threshold: {rep.nef_threshold}",
-        f"delta: {rep.delta}",
+        ("delta", str(rep.delta)) if table else f"delta: {rep.delta}",
+        ("k2_holds", _bool(rep.k2_holds)) if table else
         f"K^2-condition (delta <= 0): {'holds' if rep.k2_holds else 'fails'}",
+        *([(f"k3({d})", _bool(ok)) for d, ok in k3.items()] if table else
+          ["K^3_d-condition: " + ", ".join(f"d={d}: {'holds' if ok else 'fails'}"
+                                           for d, ok in k3.items())]),
+        ("k_status", str(rep.k_status)) if table else f"K-condition: {rep.k_status}" + (
+            "  [combinatorial certificate]"
+            if rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR else ""),
+        ("verdict", rep.verdict.value) if table else f"verdict: {rep.verdict.value}",
     ]
-    k3 = ", ".join(f"d={d}: {'holds' if ok else 'fails'}"
-                   for d, ok in rep.k3_threshold_results.items())
-    lines.append(f"K^3_d-condition: {k3}")
-    status = str(rep.k_status)
-    if rep.k_status.reason is KFailureReason.DZ_MOVABLE_INTERIOR:
-        status += "  [combinatorial certificate]"
-    lines.append(f"K-condition: {status}")
-    lines.append(f"verdict: {rep.verdict.value}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_analyze(args) -> int:

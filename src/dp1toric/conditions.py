@@ -39,7 +39,7 @@ from operator import add, attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .chow import TWO_MINUS_K_CUBED
+from .chow import TWO_MINUS_K_CUBED, _form_at
 from .grading import BundleParams, _shown, is_dz_movable_on_x, rational
 
 DEFAULT_THRESHOLDS = (Fraction(0), Fraction(1), Fraction(3, 2))
@@ -294,12 +294,6 @@ _TWO_NEF = {CaseLabel.AI: (0, -2, 2, -4), CaseLabel.AII: (-2, -1, 2, -4),
 # (b), (2, 4, -4, 8) in (a-ii).
 _TWO_DELTA = {case: tuple(map(add, TWO_MINUS_K_CUBED, two_nef))
               for case, two_nef in _TWO_NEF.items()}
-
-
-def _form_at(form: tuple, lam: int, mu: int, nu: int) -> int:
-    """a*lambda + b*mu + c*nu + r for the form (a, b, c, r)."""
-    a, b, c, r = form
-    return a * lam + b * mu + c * nu + r
 
 
 def _decide(lam: int, mu: int, nu: int) -> tuple:

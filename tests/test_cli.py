@@ -19,7 +19,7 @@ from dp1toric.classify import (DEFAULT_BOX, SearchBox, classify_k2_failures,
                                oracle_search)
 from dp1toric.cli import _json, main, render_report, render_rows
 from dp1toric.conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
-                                 KFailureReason, report, to_json)
+                                 KFailureReason, WeightRatios, report, to_json)
 from dp1toric.grading import (BundleParams, DivisorClass, monomial_basis,
                               monomial_strings)
 
@@ -84,7 +84,7 @@ def test_analyze_json_round_trips(capsys):
 
 def test_every_json_report_golden_round_trips():
     goldens = sorted(GOLDEN.glob("analyze_*.json"))
-    assert len(goldens) == 5
+    assert len(goldens) == 9
     for path in goldens:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert FibrationReport.from_json_dict(data).to_json_dict() == data, path.name
@@ -635,6 +635,10 @@ CLI_GOLDENS = (
     ("analyze_0_-3_0", ("analyze", "0", "-3", "0"), ALL_FORMATS, 0),
     ("analyze_2_2_5_t1", ("analyze", "2", "2", "5", "--thresholds", "1"),
      ALL_FORMATS, 0),
+    ("analyze_0_1_2", ("analyze", "0", "1", "2"), ALL_FORMATS, 0),
+    ("analyze_2_0_4", ("analyze", "2", "0", "4"), ALL_FORMATS, 0),
+    ("analyze_2_3_5", ("analyze", "2", "3", "5"), ALL_FORMATS, 0),
+    ("analyze_0_0_-1", ("analyze", "0", "0", "-1"), ALL_FORMATS, 0),
     ("table1", ("table1",), ("plain", "json"), 0),
     ("oracle", ("oracle",), ALL_FORMATS, 1),
     ("oracle_0_-2_0", ("oracle", "--lambda", "0", "0", "--mu", "-2", "-2",
@@ -660,6 +664,35 @@ def test_output_matches_golden(capsys, golden, argv, exit_code):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_each_report_format_builds_only_its_own_text(monkeypatch):
+    """A report's plain text builds no csv cell and its csv and markdown
+    tables format no weight ratio: with `_bool` refusing, plain still equals
+    its golden, and with weight ratios that refuse to be formatted, csv and
+    markdown still equal theirs."""
+
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("a weight ratio was formatted for a table")
+
+    def refuse(ok):
+        raise AssertionError("a csv cell was built for plain text")
+
+    for stem, argv, _, _ in CLI_GOLDENS:
+        if argv[0] != "analyze":
+            continue
+        thresholds = tuple(map(Fraction, argv[5:])) or DEFAULT_THRESHOLDS
+        rep = report(BundleParams(*map(int, argv[1:4])), thresholds)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_bool", refuse)
+            assert render_report(rep, "plain") == (GOLDEN / f"{stem}.txt").read_text(
+                encoding="utf-8")
+        if rep.weight_ratios:
+            rep = rep._replace(weight_ratios=WeightRatios(*[Unformattable()] * 4))
+        for fmt in ("csv", "markdown"):
+            golden = GOLDEN / f"{stem}.{EXTENSION[fmt]}"
+            assert render_report(rep, fmt) == golden.read_text(encoding="utf-8")
 
 
 # --- entry points -----------------------------------------------------------------

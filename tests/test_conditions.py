@@ -603,6 +603,36 @@ def test_k_failure_is_proven_exactly_above_the_movable_threshold():
     assert checked == 2127
 
 
+# The slopes of the Cox generators x, y, z and w times 6, (0, 6*lambda, 3*mu,
+# 2*nu), as forms.
+SIX_SLOPES = (ZERO, (6, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0))
+
+
+def test_k_fails_on_exactly_six_triplets_of_z3():
+    """6k exceeds the second smallest of the slopes (0, 6*lambda, 3*mu,
+    2*nu), counted with multiplicity, exactly when two of them lie below 6k.
+    At valid triplets with lambda >= 0 that happens on exactly 6 points of
+    Z^3: per `_CASE_ROWS` entry and pair of slopes v, the system of lambda
+    >= 0, the validity rows, the entry's rows and the rows "v <= 6k - 1" of
+    both, 30 systems in all, lists only them, and `_points` raises if one
+    leaves a variable unbounded.  `k_status` proves each a K-failure, for
+    the reason listed, and proves no other on a grid."""
+    valid = [row for row, _ in conditions._VALID_ROWS]
+    # v < 6k = 6*lambda + 6*mu - 6*nu + 12 is the row v - 6k <= -1.
+    below = [(a - 6, b - 6, c + 6, 11 - r) for a, b, c, r in SIX_SLOPES]
+    systems = [((-1, 0, 0, 0), *valid, *rows, *pair)
+               for _, _, rows in conditions._CASE_ROWS for pair in combinations(below, 2)]
+    assert len(systems) == 30
+    ample, certified = KFailureReason.AMPLE_ANTICANONICAL, KFailureReason.DZ_MOVABLE_INTERIOR
+    failures = {(0, -1, 0): ample, (0, 0, 1): ample, (0, 1, 2): ample,
+                (1, 0, 2): certified, (1, 1, 3): certified, (2, 3, 5): certified}
+    assert {t for system in systems for t in _points(system)} == set(failures)
+    for t, reason in failures.items():
+        assert k_status(BundleParams(*t)) == KStatus.proven(reason), t
+    proven = {p for p in valid_box(5, 12, 22) if k_status(p).proven_fails}
+    assert proven == {BundleParams(*t) for t in failures}
+
+
 def test_report_decides_once(monkeypatch):
     calls = {"validity": 0, "_decide": 0}
     for name in calls:

@@ -2,7 +2,8 @@
 
 A module's underscore names are its own, so a sibling that imports one
 shares a decision with it.  Only the tables `classify` bounds the oracle's
-regions with, the signed-sum writer `chow` renders classes with and the
+regions with, the evaluator of integer forms that `chow` keeps beside
+(-K_X)^3's form, the signed-sum writer `chow` renders classes with and the
 refusal namer `conditions` prints triplets with are shared; any other
 import of an underscore name fails here.
 """
@@ -15,8 +16,10 @@ import dp1toric
 MODULES = sorted(Path(dp1toric.__file__).parent.glob("*.py"))
 
 ALLOWED = {
-    ("classify", "conditions"): {"_CASE_ROWS", "_TWO_DELTA", "_VALID_ROWS", "_form_at"},
+    ("classify", "chow"): {"_form_at"},
+    ("classify", "conditions"): {"_CASE_ROWS", "_TWO_DELTA", "_VALID_ROWS"},
     ("chow", "grading"): {"_signed_sum"},
+    ("conditions", "chow"): {"_form_at"},
     ("conditions", "grading"): {"_shown"},
 }
 
