@@ -13,8 +13,9 @@ independent cross-check of the closed form.
 
 `_top_below` multiplies classes by the rule F^2 = 0, in ints on integer
 pairs and in `Fraction`s on `DivisorClass`es, and each returned value is a
-`Fraction`.  `triple_on_x` evaluates the product with the hypersurface
-X = 6H + 2*nu*F collapsed to one form:
+`Fraction`: one computed in ints is the shared `Fraction` of
+`grading._over`, built once per value.  `triple_on_x` evaluates the
+product with the hypersurface X = 6H + 2*nu*F collapsed to one form:
 
     (a . b . c)_X = (2*below - (2*lambda + mu)*top) / 2
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .grading import (BOTTOM_ROW, BundleParams, DivisorClass, GradingMatrix,
-                      _signed_sum, rational, signed)
+                      _over, _signed_sum, rational, signed)
 
 
 class DegreeOverflow(ValueError):
@@ -64,7 +65,7 @@ class CycleClass(NamedTuple("CycleClass", [("coefficients", dict)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coefficients.get((i, j), Fraction(0))
+        return self.coefficients.get((i, j), _over(0, 1))
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(i + j == degree for i, j in self.coefficients)
@@ -133,7 +134,7 @@ def derive_h4(p: BundleParams) -> Fraction:
     """
     columns = zip(BOTTOM_ROW[2:], GradingMatrix.from_params(p).top_row[2:])
     top, below = _top_below(columns)
-    return Fraction(-below, 6 * top)
+    return _over(-below, 6 * top)
 
 
 def x_class(p: BundleParams) -> DivisorClass:
@@ -163,8 +164,10 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
 
     The six entries are read as integer ratios once.  When all six
     denominators are 1, as for every class the library builds, top and
-    below are those two products in ints; otherwise the six entries are
-    the `Fraction`s themselves, and the same products run on them.
+    below are those two products in ints, and the result is `_over` of
+    2*below - (2*lambda + mu)*top and 2; otherwise the six entries are the
+    `Fraction`s themselves, the same products run on them, and that
+    `Fraction` is halved.
     """
     ha, sa = a.h.as_integer_ratio()
     fa, ta = a.f.as_integer_ratio()
@@ -176,7 +179,8 @@ def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
         ha, fa, hb, fb, hc, fc = a.h, a.f, b.h, b.f, c.h, c.f
     top = ha * hb * hc
     below = fa * hb * hc + ha * fb * hc + ha * hb * fc
-    return Fraction(2 * below - (2 * p.lam + p.mu) * top, 2)
+    twice = 2 * below - (2 * p.lam + p.mu) * top
+    return _over(twice, 2) if type(twice) is int else twice / 2
 
 
 # 2*(-K_X)^3 = a*lambda + b*mu + c*nu + r as (a, b, c, r): the one place the
@@ -194,4 +198,4 @@ def _form_at(form: tuple, lam: int, mu: int, nu: int) -> int:
 def minus_k_cubed(p: BundleParams) -> Fraction:
     """Closed form (-K_X)^3 = 2*lambda + (5/2)*mu - 3*nu + 6, the `Fraction`
     of the integer form `TWO_MINUS_K_CUBED` over 2."""
-    return Fraction(_form_at(TWO_MINUS_K_CUBED, *p), 2)
+    return _over(_form_at(TWO_MINUS_K_CUBED, *p), 2)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .chow import _form_at
 from .conditions import _CASE_ROWS, _TWO_DELTA, _VALID_ROWS, CaseLabel, report
-from .grading import BundleParams
+from .grading import BundleParams, _over
 
 
 class ClassificationRow(NamedTuple):
@@ -244,4 +244,4 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     if mu < lam and 6 * mu != 5 * lam:
         raise ValueError("5*lambda < 6*mu < 6*lambda: no member of the family is nonsingular")
     case = CaseLabel.AI if mu <= lam else CaseLabel.AII
-    return Fraction(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case
+    return _over(_form_at(_TWO_DELTA[case], lam, 2 * mu, 3 * mu), 2), case

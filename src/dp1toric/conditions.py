@@ -27,8 +27,10 @@ Every number of a report is an integer linear form in (lambda, mu, nu):
 case is `_TWO_NEF`, and 2*delta is their sum `_TWO_DELTA`.  The verdicts
 compare these ints (nef < 0, delta <= 0, delta <= d0 as
 d0.denominator * 2*delta <= 2 * d0.numerator), and each value returned is
-one `Fraction` of its form over 2.  `classify` bounds the oracle's
-regions by the same rows and forms.
+one `Fraction` of its form over 2, `grading._over(form, 2)`: the shared
+`Fraction` of that value, as are the weight ratios and the default
+thresholds.  `classify` bounds the oracle's regions by the same rows and
+forms.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .chow import TWO_MINUS_K_CUBED, _form_at
-from .grading import BundleParams, _shown, is_dz_movable_on_x, rational
+from .grading import BundleParams, _over, _shown, is_dz_movable_on_x, rational
 
-DEFAULT_THRESHOLDS = (Fraction(0), Fraction(1), Fraction(3, 2))
+DEFAULT_THRESHOLDS = (_over(0, 1), _over(1, 1), _over(3, 2))
 
 
 class InvalidParams(ValueError):
@@ -80,7 +82,7 @@ class WeightRatios(NamedTuple):
 
     @classmethod
     def from_params(cls, p: BundleParams) -> "WeightRatios":
-        return cls(Fraction(0), Fraction(p.lam), Fraction(p.mu, 2), Fraction(p.nu, 3))
+        return cls(_over(0, 1), _over(p.lam, 1), _over(p.mu, 2), _over(p.nu, 3))
 
 
 class ValidityReport(NamedTuple):
@@ -396,12 +398,12 @@ def classify_case(p: BundleParams) -> CaseLabel:
 
 def nef_threshold(p: BundleParams) -> Fraction:
     """Nef threshold of X over P^1: the least r with -K_X + r*F nef."""
-    return Fraction(_nef(p, _decide_valid(p)[1]), 2)
+    return _over(_nef(p, _decide_valid(p)[1]), 2)
 
 
 def delta(p: BundleParams) -> Fraction:
     """delta_X = (-K_X)^3 + nef(X/P^1)."""
-    return Fraction(_decide_valid(p)[1], 2)
+    return _over(_decide_valid(p)[1], 2)
 
 
 def k2_condition(p: BundleParams) -> bool:
@@ -457,8 +459,8 @@ def report(p: BundleParams,
     # 2*delta - 2*nef = 2*(-K_X)^3, the form `TWO_MINUS_K_CUBED`.
     return FibrationReport(
         params=p, validity=v, case=case, weight_ratios=WeightRatios.from_params(p),
-        k_cubed=Fraction(two_delta - two_nef, 2), nef_threshold=Fraction(two_nef, 2),
-        delta=Fraction(two_delta, 2), k2_holds=two_delta <= 0,
+        k_cubed=_over(two_delta - two_nef, 2), nef_threshold=_over(two_nef, 2),
+        delta=_over(two_delta, 2), k2_holds=two_delta <= 0,
         k3_threshold_results={d0: _at_most(two_delta, d0)
                               for d0 in map(rational, thresholds)},
         k_status=status, verdict=verdict)

@@ -3,9 +3,10 @@
 A module's underscore names are its own, so a sibling that imports one
 shares a decision with it.  Only the tables `classify` bounds the oracle's
 regions with, the evaluator of integer forms that `chow` keeps beside
-(-K_X)^3's form, the signed-sum writer `chow` renders classes with and the
-refusal namer `conditions` prints triplets with are shared; any other
-import of an underscore name fails here.
+(-K_X)^3's form, the signed-sum writer `chow` renders classes with, the
+refusal namer `conditions` prints triplets with and `grading._over`, the
+shared builder of every Fraction the library makes from ints, are shared;
+any other import of an underscore name fails here.
 """
 
 import ast
@@ -18,9 +19,10 @@ MODULES = sorted(Path(dp1toric.__file__).parent.glob("*.py"))
 ALLOWED = {
     ("classify", "chow"): {"_form_at"},
     ("classify", "conditions"): {"_CASE_ROWS", "_TWO_DELTA", "_VALID_ROWS"},
-    ("chow", "grading"): {"_signed_sum"},
+    ("classify", "grading"): {"_over"},
+    ("chow", "grading"): {"_over", "_signed_sum"},
     ("conditions", "chow"): {"_form_at"},
-    ("conditions", "grading"): {"_shown"},
+    ("conditions", "grading"): {"_over", "_shown"},
 }
 
 
