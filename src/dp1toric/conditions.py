@@ -31,11 +31,19 @@ one `Fraction` of its form over 2, `grading._over(form, 2)`: the shared
 `Fraction` of that value, as are the weight ratios and the default
 thresholds.  `classify` bounds the oracle's regions by the same rows and
 forms.
+
+A report builds only what varies per triplet.  Each part with few values
+is built once at import and shared: the three K-statuses, the 32
+validity records (8 sets of flags by 4 branches) and the K^3_d results of
+`DEFAULT_THRESHOLDS`, one dict per stretch of 2*delta between their cuts.
+A report with those thresholds gets a fresh copy of its stretch's dict,
+which keeps the keys' hashes; other thresholds are compared one by one.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from fractions import Fraction
 from operator import add, attrgetter
 from types import MappingProxyType
@@ -328,10 +336,13 @@ def _decide(lam: int, mu: int, nu: int) -> tuple:
     return 0, case, branch, _form_at(_TWO_DELTA[case], lam, mu, nu)
 
 
-def _validity_report(flags: int, branch: RestrictBranch | None) -> ValidityReport:
-    return ValidityReport(nu_nonneg=not flags & _NU_NEGATIVE,
-                          three_mu_lt_two_nu=not flags & _MU_NOT_BELOW,
-                          restrictb_branch=branch, is_valid=not flags)
+# The 32 validity records, built once: `_VALIDITY[branch][flags]` is the
+# record of a decision, shared by every triplet that has it.
+_VALIDITY = {branch: tuple(ValidityReport(nu_nonneg=not flags & _NU_NEGATIVE,
+                                          three_mu_lt_two_nu=not flags & _MU_NOT_BELOW,
+                                          restrictb_branch=branch, is_valid=not flags)
+                           for flags in range(8))
+             for branch in (None, *RestrictBranch)}
 
 
 def _require_normalized(p: BundleParams) -> None:
@@ -358,6 +369,16 @@ def _at_most(two_delta: int, d0: Fraction) -> bool:
     return d0.denominator * two_delta <= 2 * d0.numerator
 
 
+# The K^3_d results of `DEFAULT_THRESHOLDS`, built once.  As 2*delta is an
+# int, delta <= d0 exactly when 2*delta <= floor(2*d0), so the results
+# change only at these cuts, and `_DEFAULT_K3[bisect_left(_CUTS,
+# two_delta)]` holds them: entry i for 2*delta in (_CUTS[i-1], _CUTS[i]],
+# the last one above _CUTS[-1].
+_CUTS = tuple(sorted({2 * d0.numerator // d0.denominator for d0 in DEFAULT_THRESHOLDS}))
+_DEFAULT_K3 = tuple({d0: _at_most(t, d0) for d0 in DEFAULT_THRESHOLDS}
+                    for t in (*_CUTS, _CUTS[-1] + 1))
+
+
 def _k_status(p: BundleParams, two_nef: int) -> KStatus:
     if two_nef < 0:
         return KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
@@ -381,9 +402,11 @@ def validity(p: BundleParams) -> ValidityReport:
 
     (the branch predicates are pairwise exclusive).  Never raises, and
     does not check normalization (lambda >= 0), which the others require.
+    The record is built at import and shared by every triplet with the
+    same reasons and branch.
     """
     flags, _, branch, _ = _decide(p.lam, p.mu, p.nu)
-    return _validity_report(flags, branch)
+    return _VALIDITY[branch][flags]
 
 
 def classify_case(p: BundleParams) -> CaseLabel:
@@ -441,13 +464,15 @@ def report(p: BundleParams,
     exhaustion: delta > 0 only on the 14 rows `classify` enumerates over
     Z^3, and its import raises unless each of them with delta > 1 has a
     proven K-failure.  Each threshold is read by `grading.rational`, so a
-    float raises TypeError.
+    float raises TypeError.  The validity record is `validity`'s shared
+    one.  A valid report's K^3_d results are a fresh dict: for
+    `DEFAULT_THRESHOLDS` itself, a copy of one built at import.
     """
     _require_normalized(p)
     flags, case, branch, two_delta = _decide(*p)
-    v = _validity_report(flags, branch)
+    v = _VALIDITY[branch][flags]
     if flags:
-        return FibrationReport(params=p, validity=v)
+        return FibrationReport(p, v)
     two_nef = _nef(p, two_delta)
     status = _k_status(p, two_nef)
     if two_delta <= 0:
@@ -456,11 +481,11 @@ def report(p: BundleParams,
         verdict = Verdict.NOT_RIGID_OVER_BASE
     else:  # delta <= 1: importing `classify` checks it on every delta > 0 row
         verdict = Verdict.SUPERRIGID_IF_K_CONDITION
+    if thresholds is DEFAULT_THRESHOLDS:  # a copy keeps the keys' hashes
+        k3 = _DEFAULT_K3[bisect_left(_CUTS, two_delta)].copy()
+    else:
+        k3 = {d0: _at_most(two_delta, d0) for d0 in map(rational, thresholds)}
     # 2*delta - 2*nef = 2*(-K_X)^3, the form `TWO_MINUS_K_CUBED`.
     return FibrationReport(
-        params=p, validity=v, case=case, weight_ratios=WeightRatios.from_params(p),
-        k_cubed=_over(two_delta - two_nef, 2), nef_threshold=_over(two_nef, 2),
-        delta=_over(two_delta, 2), k2_holds=two_delta <= 0,
-        k3_threshold_results={d0: _at_most(two_delta, d0)
-                              for d0 in map(rational, thresholds)},
-        k_status=status, verdict=verdict)
+        p, v, case, WeightRatios.from_params(p), _over(two_delta - two_nef, 2),
+        _over(two_nef, 2), _over(two_delta, 2), two_delta <= 0, k3, status, verdict)

@@ -744,6 +744,69 @@ def test_report_delta_consistency():
     assert rep.k3_threshold_results == {Q(0): False, Q(1): False, Q(3, 2): True}
 
 
+def test_validity_records_are_shared_and_built_by_keyword():
+    table = conditions._VALIDITY
+    assert list(table) == [None, *RestrictBranch]
+    for branch, records in table.items():
+        assert len(records) == 8
+        for flags, record in enumerate(records):
+            built = ValidityReport(nu_nonneg=not flags & conditions._NU_NEGATIVE,
+                                   three_mu_lt_two_nu=not flags & conditions._MU_NOT_BELOW,
+                                   restrictb_branch=branch, is_valid=not flags)
+            assert repr(record) == repr(built)
+    # One object per decision, and the same one from `report` and `validity`.
+    shared = {}
+    for t in iproduct(range(4), range(-6, 7), range(-1, 9)):
+        p = BundleParams(*t)
+        flags, _, branch, _ = conditions._decide(*t)
+        assert validity(p) is report(p).validity is table[branch][flags]
+        assert shared.setdefault((flags, branch), validity(p)) is validity(p)
+    assert len(shared) > 4
+    # lambda < 0 is answered too, from the same table.
+    assert validity(BundleParams(-1, 0, 3)) is table[None][0]
+    assert validity(BundleParams(-1, 2, -1)) is table[None][3]
+
+
+def test_default_k3_results_are_fresh_copies_of_a_table(monkeypatch):
+    from dp1toric.classify import _ORACLE_ROWS
+    defaults = conditions.DEFAULT_THRESHOLDS
+    # The 14 oracle rows (2*delta from 1 to 5) and a grid where delta <= 0
+    # give all four patterns of the default thresholds.
+    triplets = [r.params for r in _ORACLE_ROWS] + list(valid_box(5, 12, 22))
+    hashes = 0
+    original = Fraction.__hash__
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return original(self)
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__hash__", counted)
+        reports = [report(p) for p in triplets]
+        assert hashes == 0
+        report(triplets[0], list(defaults))  # the counter sees other thresholds
+        assert hashes == len(defaults)
+    # Equal thresholds that are other objects are compared one by one, and
+    # key the results by themselves.
+    copies = tuple(Fraction(d0.numerator, d0.denominator) for d0 in defaults)
+    k3 = report(triplets[0], copies).k3_threshold_results
+    assert k3 == reports[0].k3_threshold_results
+    assert all(key is d0 for key, d0 in zip(k3, copies))
+    patterns = set()
+    for p, rep in zip(triplets, reports):
+        k3 = rep.k3_threshold_results
+        assert type(k3) is dict and len(k3) == len(defaults)
+        assert all(key is d0 for key, d0 in zip(k3, defaults))
+        items = list(k3.items())
+        for others in (tuple(list(defaults)), list(defaults)):
+            assert others is not defaults
+            assert list(report(p, others).k3_threshold_results.items()) == items
+        patterns.add(tuple(k3.values()))
+        k3.clear()  # the next report of p gets its own dict
+        assert list(report(p).k3_threshold_results.items()) == items
+    assert len(patterns) == 4
+
+
 def test_report_json_round_trip():
     for triplet in [(1, 1, 3), (0, 0, 0), (2, 2, 5), (0, -3, 0)]:
         rep = report(BundleParams(*triplet))
