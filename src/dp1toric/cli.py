@@ -13,7 +13,10 @@ written by this module's own `indent=2` writer, `_json`, whose text equals
 `json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
 accelerator, the function `json.encoder` uses, so that no command imports
 the json package.
-The command line is read by one table, `_GRAMMAR`, and `_parse`.
+The command line is read by one table, `_GRAMMAR`, and `_parse`, in one
+pass over the tokens.  `_SPELLINGS`, built from `_GRAMMAR` at import, maps
+each spelling of a command's flags (a flag, -h, --help, or a prefix of one
+long flag only) to the flag it names.
 """
 
 from __future__ import annotations
@@ -270,6 +273,18 @@ _GRAMMAR = {
                     _TRIPLET[:2], _FORMAT),
 }
 _HELP = ("-h", "--help")
+
+
+def _spellings(flags) -> dict[str, str]:
+    """Each spelling of a flag among flags and -h/--help, mapped to the
+    flag: the flag itself, or a prefix, at least one character past `--`,
+    of exactly one long flag."""
+    longs = [flag for flag in (*flags, "--help") if flag[:2] == "--"]
+    return {**{flag[:end]: flag for flag in longs for end in range(3, len(flag))
+               if sum(f.startswith(flag[:end]) for f in longs) == 1},
+            **{flag: flag for flag in (*flags, *_HELP)}}
+
+
 # Per command, the defaults of its options and the metavars of its
 # positionals, one per value.
 _DEFAULTS = {command: {spec[0]: spec[1] for spec in options.values()}
@@ -277,6 +292,9 @@ _DEFAULTS = {command: {spec[0]: spec[1] for spec in options.values()}
 _METAVARS = {command: tuple(metavar for _, metavar, count in positionals
                              for _ in range(count))
              for command, (_, _, positionals, _) in _GRAMMAR.items()}
+# Per command, and for None the top level, every spelling of its flags.
+_SPELLINGS = {None: _spellings(()),
+              **{command: _spellings(spec[3]) for command, spec in _GRAMMAR.items()}}
 
 
 def _usage(command: str | None) -> str:
@@ -308,64 +326,52 @@ def _fail(command: str | None, reason: str) -> None:
     raise SystemExit(2)
 
 
-def _is_option(token: str) -> bool:
-    """Whether token is a flag: `-`, `-1` and `-.5` are values."""
-    return len(token) > 1 and token[0] == "-" and token[1] not in "0123456789."
-
-
-def _flag(command: str | None, token: str, flags) -> str:
-    """The flag among flags and -h/--help that token names, exactly or,
-    for a long flag, by a unique prefix."""
-    if token in flags or token in _HELP:
-        return token
-    matches = [f for f in (*flags, "--help") if f.startswith(token)
-               ] if token[:2] == "--" and len(token) > 2 else []
-    if len(matches) != 1:
-        _fail(command, f"unrecognized arguments: {token}")
-    return matches[0]
-
-
-def _convert(command: str, name: str, convert, texts: list[str]):
-    try:
-        values = tuple(map(convert, texts))
-    except ValueError as exc:
-        _fail(command, f"argument {name}: {exc}")
-    return values[0] if len(values) == 1 else values
-
-
 def _parse(argv: list[str]) -> tuple:
     """The handler of the command that argv names, and its arguments as
     attributes, read by _GRAMMAR.  Options may come anywhere after the
     command, as `--flag value` or `--flag=value`, and a unique prefix
-    names a long flag; after `--` every token is a positional."""
+    names a long flag; after `--` every token is a positional.  A token
+    is a flag unless it is `-` or starts with `-` and a digit or `.`."""
     if not argv:
         _fail(None, "the following arguments are required: command")
-    command, rest = argv[0], iter(argv[1:])
-    if _is_option(command):
-        _flag(None, command, ())
-        _help(None)
+    command = argv[0]
     if command not in _GRAMMAR:
+        if command in _SPELLINGS[None]:
+            _help(None)
+        if command[:1] == "-" and command[1:2] not in "0123456789.":
+            _fail(None, f"unrecognized arguments: {command}")
         _fail(None, f"invalid choice: {command!r} (choose from {', '.join(_GRAMMAR)})")
     handler, _, positionals, options = _GRAMMAR[command]
+    spellings = _SPELLINGS[command]
     values = _DEFAULTS[command].copy()
     tokens = []  # the positionals
-    for token in rest:
-        if not _is_option(token):
-            tokens.append(token)
-            continue
-        if token == "--":
-            tokens += rest
-            break
-        flag, eq, value = token.partition("=")
-        flag = _flag(command, flag, options)
-        if flag in _HELP:
-            _help(command)
-        dest, _, nargs, convert, _ = options[flag]
-        given = [value] if eq else list(islice(rest, nargs))
-        if len(given) != nargs or any(map(_is_option, given)):
-            _fail(command, f"argument {flag}: expected {nargs} argument"
-                  + "s" * (nargs > 1))
-        values[dest] = _convert(command, flag, convert, given)
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        flag, eq = spellings.get(token), ""
+        if flag is None:
+            if token[:1] != "-" or token[1:2] in "0123456789.":
+                tokens.append(token)
+                continue
+            if token == "--":
+                tokens += argv[i:]
+                break
+            text, eq, value = token.partition("=")
+            flag = spellings.get(text) or _fail(command, f"unrecognized arguments: {text}")
+        dest, _, nargs, convert, _ = options.get(flag) or _help(command)
+        given = [value] if eq else argv[i:i + nargs]
+        if not eq:
+            i += nargs
+        for text in given:  # a flag among the values leaves too few
+            if text[:1] == "-" and text[1:2] not in "0123456789.":
+                given = ()
+        if len(given) != nargs:
+            _fail(command, f"argument {flag}: expected {nargs} argument{'s' * (nargs > 1)}")
+        try:
+            values[dest] = convert(given[0]) if nargs == 1 else tuple(map(convert, given))
+        except ValueError as exc:
+            _fail(command, f"argument {flag}: {exc}")
     names = _METAVARS[command]
     if len(tokens) < len(names):
         _fail(command, "the following arguments are required: "
@@ -374,7 +380,11 @@ def _parse(argv: list[str]) -> tuple:
         _fail(command, "unrecognized arguments: " + " ".join(tokens[len(names):]))
     texts = iter(tokens)
     for dest, metavar, count in positionals:
-        values[dest] = _convert(command, metavar, int, islice(texts, count))
+        try:
+            values[dest] = (int(next(texts)) if count == 1
+                            else tuple(map(int, islice(texts, count))))
+        except ValueError as exc:
+            _fail(command, f"argument {metavar}: {exc}")
     return handler, SimpleNamespace(**values)
 
 

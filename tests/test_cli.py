@@ -535,6 +535,20 @@ def test_negative_numbers_are_values(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_a_dash_then_a_digit_or_a_dot_starts_a_value(capsys):
+    # As a command, a positional and an option's value, `-.5` and `-1` are
+    # values, never flags: no command, not ints, a threshold.
+    for text in ("-.5", "-1"):
+        assert usage_error(capsys, text) == (
+            f"dp1toric: error: invalid choice: '{text}' (choose from analyze, "
+            "table1, oracle, normalize, basis, nonsingular)")
+    assert usage_error(capsys, "analyze", "-.5", "0", "0") == (
+        "dp1toric analyze: error: argument lambda: "
+        "invalid literal for int() with base 10: '-.5'")
+    _, args = cli._parse(["analyze", "1", "1", "3", "--thresholds", "-.5"])
+    assert args.thresholds == (Fraction(-1, 2),)
+
+
 @pytest.mark.parametrize("argv", [
     ("-h",), ("--help",), ("--he",), ("analyze", "-h"), ("basis", "--help"),
     ("oracle", "--lambda", "0", "1", "--he"), ("table1", "--format", "json", "-h"),
@@ -618,6 +632,55 @@ def test_usage_errors_count_the_values_of_an_option(capsys):
         "dp1toric oracle: error: argument --lambda: expected 2 arguments")
     assert usage_error(capsys, "table1", "--format") == (
         "dp1toric table1: error: argument --format: expected 1 argument")
+    # The count of an option's values, and a flag among them, are checked
+    # before any value is converted; so are the positionals.
+    assert usage_error(capsys, "oracle", "--lambda", "x", "--mu") == (
+        "dp1toric oracle: error: argument --lambda: expected 2 arguments")
+    assert usage_error(capsys, "oracle", "--lambda", "x", "1") == (
+        "dp1toric oracle: error: argument --lambda: "
+        "invalid literal for int() with base 10: 'x'")
+    assert usage_error(capsys, "basis", "0", "2", "3", "x", "--format", "json") == (
+        "dp1toric basis: error: the following arguments are required: f")
+
+
+def brute_force_spellings(flags) -> dict:
+    """Each string accepted as a flag among flags and -h/--help, mapped to
+    the flag it names, found by trying every prefix of every flag."""
+    longs = [flag for flag in (*flags, "--help") if flag.startswith("--")]
+    table = {}
+    for text in {flag[:end] for flag in (*flags, "-h", "--help")
+                 for end in range(1, len(flag) + 1)}:
+        named = [flag for flag in longs if flag.startswith(text)]
+        if text in (*flags, "-h", "--help"):
+            table[text] = text
+        elif text.startswith("--") and len(text) >= 3 and len(named) == 1:
+            table[text] = named[0]
+    return table
+
+
+def test_spellings_are_the_flags_and_their_unique_prefixes():
+    assert cli._SPELLINGS.keys() == {None, *cli._GRAMMAR}
+    assert cli._SPELLINGS[None] == brute_force_spellings(())
+    for command, spec in cli._GRAMMAR.items():
+        assert cli._SPELLINGS[command] == brute_force_spellings(spec[3]), command
+    # A prefix that two flags share names neither; a flag names itself even
+    # when it prefixes another.
+    spellings = cli._spellings(("--mu", "--mul"))
+    assert spellings == brute_force_spellings(("--mu", "--mul"))
+    assert "--m" not in spellings and spellings["--mu"] == "--mu"
+    assert spellings["--mul"] == "--mul" and spellings["--he"] == "--help"
+
+
+def test_a_shared_prefix_is_an_unrecognized_argument(capsys, monkeypatch):
+    options = {"--mu": ("mu", 0, 1, int, "MU"), "--mul": ("mul", 0, 1, int, "MUL")}
+    command = (lambda args: print(args.mu, args.mul) or 0, "help", (), options)
+    monkeypatch.setitem(cli._GRAMMAR, "shared", command)
+    monkeypatch.setitem(cli._DEFAULTS, "shared", {"mu": 0, "mul": 0})
+    monkeypatch.setitem(cli._METAVARS, "shared", ())
+    monkeypatch.setitem(cli._SPELLINGS, "shared", cli._spellings(options))
+    assert usage_error(capsys, "shared", "--m", "1") == (
+        "dp1toric shared: error: unrecognized arguments: --m")
+    assert run(capsys, "shared", "--mu", "1", "--mul=2") == (0, "1 2\n", "")
 
 
 # --- every output, byte for byte --------------------------------------------------

@@ -143,11 +143,14 @@ def test_every_public_function_answers_or_refuses_huge_inputs_at_once(capsys):
         with digit_limit_lifted():
             assert not isinstance(timed(fn, args)[0], ValueError), fn.__name__
         called.add(f"{fn.__module__}.{fn.__name__}")
-    # The CLI: a usage error that names the argument, before any work.
-    start = time.perf_counter()
-    with pytest.raises(SystemExit) as exit_:
-        main(["analyze", DIGITS, "0", "0"])
-    assert exit_.value.code == 2 and time.perf_counter() - start < 1
-    assert "argument lambda" in capsys.readouterr().err
+    # The CLI: a usage error that names the argument, before any work, for
+    # a positional and for an option's value.
+    for argv, named in ((["analyze", DIGITS, "0", "0"], "argument lambda"),
+                        (["oracle", "--mu", DIGITS, "0"], "argument --mu")):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2 and time.perf_counter() - start < 1
+        assert named in capsys.readouterr().err
     called.add("dp1toric.cli.main")
     assert public_functions() <= called
