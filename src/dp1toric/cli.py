@@ -13,6 +13,23 @@ written by this module's own `indent=2` writer, `_json`, whose text equals
 `json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
 accelerator, the function `json.encoder` uses, so that no command imports
 the json package.
+A report's text is built once per shape, as a `%` template, and filled
+per report.  Only 10 values vary inside a shape, the holes of its template:
+lambda, mu, nu, the four weight ratios, (-K_X)^3, the nef threshold and
+delta.  The shape key, `_shape`, is the format, the id of every other
+object the text shows (the fields of the validity record, the case, k2,
+the K^3_d thresholds and results, the fields of the K-status and the
+verdict) and the types of the records and the holes.  `_template` renders
+a report of the shape by the field path above, with a mark in each hole,
+so each field is still written in one place.  `_TEMPLATES` caches only
+shapes made of the objects `report` shares (`_SHARED`): bools, None, the
+enum members and the `DEFAULT_THRESHOLDS` Fractions, each alive as long
+as its module, so an id in a key names one object for good.  They are
+finite, so the cache needs no bound of its own: 84 templates cover every
+shape of lambda in [0,6], mu in [-12,12], nu in [-2,21].  Other
+thresholds, such as those `analyze --thresholds` reads from text, are new
+Fractions with new ids, so their reports, which would make shapes without
+end, take the field path, as does a report of any other types.
 The command line is read by one table, `_GRAMMAR`, and `_parse`, in one
 pass over the tokens.  `_SPELLINGS`, built from `_GRAMMAR` at import, maps
 each spelling of a command's flags (a flag, -h, --help, or a prefix of one
@@ -21,8 +38,11 @@ long flag only) to the flag it names.
 
 from __future__ import annotations
 
+import re
 import sys
+from fractions import Fraction
 from itertools import islice
+from operator import attrgetter
 from types import SimpleNamespace
 
 try:  # the function json.encoder re-exports, without importing json
@@ -33,7 +53,8 @@ except ImportError:
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
-                         KFailureReason, report, to_json)
+                         KFailureReason, KStatus, RestrictBranch, ValidityReport,
+                         Verdict, WeightRatios, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix,
                       monomial_strings, normalize, rational)
 
@@ -123,8 +144,58 @@ def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
+    """The text of rep in format fmt: its shape's template, built on first
+    use, filled with rep's values.  A report whose shape is not made of the
+    objects `report` shares takes the field path."""
+    template = _TEMPLATES.get(key := _shape(rep, fmt))
+    if template is None and _SHARED.issuperset(key[1:]):
+        template = _TEMPLATES[key] = _template(rep, fmt)
+    return template[0] % template[1](rep) if template else _render_fields(rep, fmt)
+
+
+def _render_fields(rep: FibrationReport, fmt: str) -> str:
     return _render(fmt, lambda: "\n".join(_report_fields(rep, False)) + "\n",
                    rep.to_json_dict, lambda: (("field", "value"), _report_fields(rep, True)))
+
+
+# The values of a report that vary inside its shape, by their attribute
+# paths: the holes of its template.  A template is the text of a report of
+# its shape whose i-th hole holds 10**25 + i: an int in the triplet and a
+# Fraction elsewhere, as `report` makes them, so each hole is written, JSON
+# quotes and all, as its values are.
+_HOLES = ("params.lam", "params.mu", "params.nu", "weight_ratios.wr_x", "weight_ratios.wr_y",
+          "weight_ratios.wr_z", "weight_ratios.wr_w", "k_cubed", "nef_threshold", "delta")
+# What a shape is made of when `report` makes it: the ids of the objects
+# in its records and verdicts, each of which lives as long as its module,
+# so that no other object has its id, and the types of its records and
+# holes, invalid or valid.
+_SHARED = frozenset((*map(id, (True, False, None, *DEFAULT_THRESHOLDS, *CaseLabel, *RestrictBranch,
+                               *KFailureReason, *Verdict)), (ValidityReport, BundleParams),
+                     (ValidityReport, KStatus, dict, BundleParams, WeightRatios, *[Fraction] * 7)))
+_TEMPLATES = {}  # shape key -> (text, getter of its hole values)
+
+
+def _shape(rep: FibrationReport, fmt: str) -> tuple:
+    """The key of rep's shape in format fmt: the format, the id of each
+    object its text shows besides the holes, and their types."""
+    if rep.case is None:  # the ids of the four fields, named: faster than a map
+        v = rep.validity
+        nu_nonneg, below, branch, valid = v
+        return fmt, id(nu_nonneg), id(below), id(branch), id(valid), (type(v), type(rep.params))
+    p, v, case, wr, k_cubed, nef, delta, k2, k3, status, verdict = rep
+    return (fmt, *map(id, (*v, case, k2, *k3, *k3.values(), *(status or ()), verdict)),
+            (type(v), type(status), *map(type, (k3, p, wr, *(wr or ()), k_cubed, nef, delta))))
+
+
+def _template(rep: FibrationReport, fmt: str) -> tuple:
+    """The template of rep's shape in format fmt: its text with `%s` at each
+    hole, and the getter of the hole values in text order."""
+    marks = [10 ** 25 + i for i in range(len(_HOLES))]
+    holey = FibrationReport(BundleParams(*marks[:3]), *rep[1:3], WeightRatios(
+        *map(rational, marks[3:7])), *map(rational, marks[7:]), *rep[7:])
+    pieces = re.split("(%s)" % "|".join(map(str, marks)), _render_fields(holey, fmt))
+    return ("%s".join(piece.replace("%", "%%") for piece in pieces[::2]),
+            attrgetter(*[_HOLES[int(mark) - marks[0]] for mark in pieces[1::2]]))
 
 
 def _report_fields(rep: FibrationReport, table: bool) -> list:

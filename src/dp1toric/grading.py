@@ -9,9 +9,10 @@ Cox ring C[u, v, x, y, z, w] carries the Z^2-grading
 
 with irrelevant ideal (u, v) * (x, y, z, w).  All scalars are exact
 rationals (fractions.Fraction); no floating point is used anywhere.  Every
-Fraction the library builds from ints comes from `_over`, a bounded cache:
-an int read by `rational`, say, comes back as the shared `Fraction` of its
-value, one immutable object for all equal small values.
+Fraction the library builds from ints comes from `_over`, whose cache of
+small values is bounded in entries and in bytes: an int read by
+`rational`, say, comes back as the shared `Fraction` of its value, one
+immutable object for all equal small values.
 
 This module normalizes grading matrices to the canonical (lambda, mu, nu)
 form, assigns divisor classes to the torus-invariant coordinate divisors,
@@ -28,7 +29,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 from typing import NamedTuple
@@ -180,18 +181,27 @@ def rational(q) -> Fraction:
     return Fraction(q)
 
 
-@lru_cache(maxsize=4096)
 def _over(n: int, d: int) -> Fraction:
-    """The `Fraction` n/d of the ints n and d (d != 0), built once and shared
-    while it is among the 4,096 most recently asked for.  A Fraction is
-    immutable, so equal values can be one object.  The cache holds at most
-    4,096 entries, each the ints n and d and the Fraction's two.  The library
-    asks only for d in 1, 2, 3 and 36, so an entry is about twice the size of
-    n: 4.7 KB when n has 5,000 digits, and 18.4 MiB for a full cache of them
-    (tracemalloc, after 5,000 `report`s or `triple_on_x`s of distinct such
-    values).
-    """
-    return Fraction(n, d)
+    """The `Fraction` n/d of the ints n and d (d != 0).  While |n| < 2**64,
+    it is built once and shared while it is among the 4,096 values built
+    most recently (`_FRACTIONS`): a Fraction is immutable, so equal values
+    can be one object.  A larger n is built afresh on every call, so the
+    cache holds only such small ints: about 0.85 MiB when full
+    (tracemalloc), whatever the size of the values the library is asked
+    about.  A shared value costs one dict lookup; the bound on n is tested
+    only when a value is built."""
+    q = _FRACTIONS.get((n, d))
+    if q is None:
+        q = Fraction(n, d)
+        if -_FRACTIONS_BELOW < n < _FRACTIONS_BELOW:
+            if len(_FRACTIONS) == _FRACTIONS_MAX:
+                del _FRACTIONS[next(iter(_FRACTIONS))]  # the oldest
+            _FRACTIONS[n, d] = q
+    return q
+
+
+_FRACTIONS_BELOW, _FRACTIONS_MAX = 1 << 64, 4096
+_FRACTIONS = {}  # (n, d) -> the shared Fraction n/d, oldest first
 
 
 def signed(q: Fraction) -> str:

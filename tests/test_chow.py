@@ -9,7 +9,8 @@ import pytest
 from dp1toric.chow import (CycleClass, DegreeMismatch, DegreeOverflow,
                            anticanonical_on_x, derive_h4, evaluate_top,
                            minus_k_cubed, product, triple_on_x, x_class)
-from dp1toric.conditions import validity
+from dp1toric.classify import DEFAULT_BOX, K2_FAILURE_TRIPLETS, oracle_search
+from dp1toric.conditions import nef_threshold, validity
 from dp1toric.grading import (VARIABLES, F, H, BundleParams, DivisorClass, _fiber_parts,
                               torus_divisor_class)
 
@@ -338,3 +339,39 @@ def test_orbifold_riemann_roch_equals_the_cox_ring_count():
         # Up to a = 7: below 6, chi(T, D - X) is 0 and the restriction untested.
         for a, b in iproduct(range(8), (-1, 3)):
             assert chi_by_cox(p, a, b) == chi_by_riemann_roch(p, a, b, c2), (p, a, b)
+
+
+# The invariants that tell the 14 oracle rows apart: ((-K_X)^3, the number
+# N = 2*nu - 3*mu of half points, chi(X, -m*K_X) for m = 1, 2, 3).
+INVARIANTS = {
+    (0, -2, 0): (1, 6, (2, 6, 11)), (0, -1, 0): (Q(7, 2), 3, (4, 13, 30)),
+    (0, -1, 1): (Q(1, 2), 5, (2, 5, 8)), (0, 0, 1): (3, 2, (4, 12, 27)),
+    (0, 1, 2): (Q(5, 2), 1, (4, 11, 24)), (1, -2, 1): (0, 8, (1, 3, 3)),
+    (1, 0, 2): (2, 4, (3, 9, 19)), (1, 1, 3): (Q(3, 2), 3, (3, 8, 16)),
+    (1, 2, 4): (1, 2, (3, 7, 13)), (1, 3, 5): (Q(1, 2), 1, (3, 6, 10)),
+    (2, 2, 5): (0, 4, (2, 4, 5)), (2, 3, 5): (Q(5, 2), 1, (4, 11, 24)),
+    (2, 3, 6): (Q(-1, 2), 3, (2, 3, 2)), (4, 6, 10): (-1, 2, (2, 2, -1)),
+}
+
+
+def test_invariants_tell_the_oracle_rows_apart():
+    """Each chi is computed by the Cox-ring count and equals orbifold
+    Riemann-Roch.  The 14 rows have 13 tuples: (0,1,2) and (2,3,5) share
+    one and are told apart by the sign of the nef threshold (-K_X is ample
+    on (0,1,2) only), and (1,0,2)'s tuple is that of no reference row."""
+    rows = oracle_search(DEFAULT_BOX)
+    assert [tuple(r.params) for r in rows] == sorted(INVARIANTS)
+    for r in rows:
+        p, minus_k = r.params, anticanonical_on_x(r.params)
+        assert (minus_k.h, minus_k.f % 1) == (1, 0), p
+        classes = [(m, m * int(minus_k.f)) for m in (1, 2, 3)]
+        c2 = second_chern_on_x(p)
+        chis = tuple(chi_by_cox(p, a, b) for a, b in classes)
+        assert chis == tuple(chi_by_riemann_roch(p, a, b, c2) for a, b in classes), p
+        assert (minus_k_cubed(p), 2 * p.nu - 3 * p.mu, chis) == INVARIANTS[tuple(p)], p
+    assert len(set(INVARIANTS.values())) == 13
+    shared = [p for p, tup in INVARIANTS.items() if list(INVARIANTS.values()).count(tup) > 1]
+    assert shared == [(0, 1, 2), (2, 3, 5)]
+    assert [nef_threshold(BundleParams(*p)) < 0 for p in shared] == [True, False]
+    assert set(K2_FAILURE_TRIPLETS) == set(INVARIANTS) - {(1, 0, 2)}
+    assert all(INVARIANTS[p] != INVARIANTS[(1, 0, 2)] for p in K2_FAILURE_TRIPLETS)

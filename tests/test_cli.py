@@ -1,16 +1,24 @@
 """CLI subcommands, output formats, exit codes, and golden renderings."""
 
+import argparse
+import contextlib
+import gc
 import importlib
 import importlib.util
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -18,8 +26,9 @@ from dp1toric import cli
 from dp1toric.classify import (DEFAULT_BOX, SearchBox, classify_k2_failures,
                                oracle_search)
 from dp1toric.cli import _json, main, render_report, render_rows
-from dp1toric.conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
-                                 KFailureReason, WeightRatios, report, to_json)
+from dp1toric.conditions import (_DEFAULT_K3, _VALIDITY, DEFAULT_THRESHOLDS, CaseLabel,
+                                 FibrationReport, KFailureReason, KStatus, ValidityReport,
+                                 Verdict, WeightRatios, report, to_json)
 from dp1toric.grading import (BundleParams, DivisorClass, monomial_basis,
                               monomial_strings)
 
@@ -683,6 +692,105 @@ def test_a_shared_prefix_is_an_unrecognized_argument(capsys, monkeypatch):
     assert run(capsys, "shared", "--mu", "1", "--mul=2") == (0, "1 2\n", "")
 
 
+# --- the grammar read by a second parser: argparse, built from _GRAMMAR ---------
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The standard library's parser of cli._GRAMMAR: a subparser per
+    command, each option with its destination, default, count and
+    converter, and the int positionals with their counts."""
+    parser = argparse.ArgumentParser(prog="dp1toric")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, positionals, options) in cli._GRAMMAR.items():
+        sub = commands.add_parser(command, help=help_text)
+        for flag, (dest, default, nargs, convert, metavar) in options.items():
+            sub.add_argument(flag, dest=dest, default=default, type=convert,
+                             nargs=None if nargs == 1 else nargs, metavar=metavar)
+        for dest, metavar, count in positionals:
+            sub.add_argument(dest, metavar=metavar, type=int,
+                             nargs=None if count == 1 else count)
+    return parser
+
+
+def parsed(parse, argv):
+    """(command, {destination: value}) as parse reads argv, or the code it
+    exits with; what it writes is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            outcome = parse(argv)
+        except SystemExit as exit_:
+            return exit_.code
+    if type(outcome) is tuple:  # cli._parse: (handler, namespace)
+        handler, args = outcome
+        return next(c for c, spec in cli._GRAMMAR.items() if spec[0] is handler), vars(args)
+    values = vars(outcome)
+    return values.pop("command"), {dest: tuple(v) if type(v) is list else v
+                                   for dest, v in values.items()}
+
+
+# Where the two parsers are known to differ: (argv pattern, reason).  Each
+# pattern sees the argv and both outcomes.
+ARGPARSE_DIVERGENCES = (
+    (lambda argv, ours, theirs: any(t[:1] == "-" and t[1:2].isdecimal() and not t[1:2].isascii()
+                                    for t in argv),
+     "`-` then a non-ASCII digit, as `-٣`: `_parse` reads a flag, argparse the number -3 "
+     "(the non-ASCII-digit FOUND, ROADMAP direction 17 stage 2)"),
+    (lambda argv, ours, theirs: argv.count("--") >= 2,
+     "a second `--`: `_parse` reads it as a positional, while Python 3.11's argparse drops "
+     "it and can give a one-value positional the empty tuple"),
+    (lambda argv, ours, theirs: argv[-1] == "--",
+     "a trailing `--`: `_parse` reads the end of the flags, while Python 3.11's argparse "
+     "removes a `--` only while it fills a positional and calls this one unrecognized"),
+    (lambda argv, ours, theirs: ours == 0 and theirs == 2 and any(
+        cli._SPELLINGS[argv[0]].get(t.partition("=")[0]) in cli._HELP for t in argv),
+     "help after a positional that int refuses: argparse converts each positional as it "
+     "reads it and exits 2 there, while `_parse` converts them after every flag, so help "
+     "comes first"),
+)
+ARGPARSE_VALUES = ("0 1 -1 -.5 x 1.5 - -- -٣ ٣ 3/2 1,3/2 json csv --format -h --fo --f "
+                   "--he --mu").split()
+
+
+def generated_argvs(rng, count):
+    """Per command, its number of int positionals, give or take one, then
+    0-2 options inserted anywhere: a prefix of at least 3 characters of a
+    flag (or `--`) with 1-2 values from ARGPARSE_VALUES; and a trailing `--`
+    now and then."""
+    for _ in range(count):
+        command = rng.choice(list(cli._GRAMMAR))
+        _, _, positionals, options = cli._GRAMMAR[command]
+        n = max(0, sum(c for _, _, c in positionals) + rng.choice((-1, 0, 0, 1)))
+        argv = [rng.choice(("0", "1", "-1", "2")) for _ in range(n)]
+        for _ in range(rng.randrange(3)):
+            flag = rng.choice((*options, "--help"))
+            at = rng.randrange(len(argv) + 1)
+            argv[at:at] = [rng.choice((flag[:rng.randrange(3, len(flag) + 1)], "--")),
+                           *rng.sample(ARGPARSE_VALUES, rng.randrange(1, 3))]
+        yield [command, *argv, *["--"] * (rng.random() < 0.1)]
+
+
+def test_the_grammar_reads_as_argparse_reads_it():
+    """3,000 seeded argvs read by `_parse` and by argparse built from the
+    same `_GRAMMAR`: equal values, or equal exit codes (error texts are
+    worded differently, and are not compared), except where a listed
+    pattern explains the difference."""
+    parser = argparse_parser()
+    unexplained, explained = [], Counter()
+    # One argv per listed pattern, so that each stays in use.
+    examples = [["oracle", "--lambda", "-٣", "0"], ["analyze", "1", "--", "--", "0"],
+                ["table1", "--format", "json", "--"], ["nonsingular", "x", "1", "--help"]]
+    for argv in [*examples, *generated_argvs(random.Random(41), 3000)]:
+        ours, theirs = parsed(cli._parse, argv), parsed(parser.parse_args, argv)
+        if ours != theirs:
+            reasons = [i for i, (pattern, _) in enumerate(ARGPARSE_DIVERGENCES)
+                       if pattern(argv, ours, theirs)]
+            explained.update(reasons[:1])
+            if not reasons:
+                unexplained.append((argv, ours, theirs))
+    assert unexplained == []
+    assert sum(explained.values()) < 100  # the parsers agree on nearly every argv
+    assert set(explained) == set(range(len(ARGPARSE_DIVERGENCES))), explained
+
+
 # --- every output, byte for byte --------------------------------------------------
 
 ALL_FORMATS = ("plain", "json", "csv", "markdown")
@@ -756,6 +864,163 @@ def test_each_report_format_builds_only_its_own_text(monkeypatch):
         for fmt in ("csv", "markdown"):
             golden = GOLDEN / f"{stem}.{EXTENSION[fmt]}"
             assert render_report(rep, fmt) == golden.read_text(encoding="utf-8")
+
+
+# --- report templates --------------------------------------------------------------
+
+N = 10 ** 5000
+
+
+def rendered(rep, fmt, render=render_report):
+    """The text of rep in format fmt, or the type and text of the exception
+    rendering it raises."""
+    try:
+        return render(rep, fmt)
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def parts_swapped(rep):
+    """rep with each shared part `report` could have given it replaced by
+    every other: the validity record, k2, each K^3_d result, the K-status
+    and the verdict.  No such report comes from `report`, so a key that
+    leaves a part out serves one of them a template of another shape."""
+    statuses = (KStatus.not_proven(), *map(KStatus.proven, KFailureReason))
+    k3 = rep.k3_threshold_results
+    yield from (rep._replace(verdict=verdict) for verdict in Verdict)
+    yield from (rep._replace(k_status=status) for status in statuses)
+    yield rep._replace(k2_holds=not rep.k2_holds)
+    yield from (rep._replace(k3_threshold_results={**k3, d0: not ok}) for d0, ok in k3.items())
+    yield from (rep._replace(validity=v) for v in {r for rs in _VALIDITY.values() for r in rs})
+
+
+def values_retyped(rep):
+    """rep with values of types `report` does not make: ints for Fractions
+    (JSON writes them bare), ints for bools (JSON writes 1), a plain tuple
+    for a record and a read-only view for the K^3_d dict."""
+    v, k3 = rep.validity, rep.k3_threshold_results
+    yield rep._replace(validity=ValidityReport(*(int(b) if type(b) is bool else b for b in v)))
+    if rep.case is None:
+        yield rep._replace(case=CaseLabel.AI)
+        return
+    numbers = rep.weight_ratios
+    yield rep._replace(k_cubed=int(rep.k_cubed))
+    yield rep._replace(weight_ratios=WeightRatios(*map(int, numbers)))
+    yield rep._replace(weight_ratios=tuple(numbers))
+    yield rep._replace(k2_holds=int(rep.k2_holds))
+    yield rep._replace(k3_threshold_results={d0: int(ok) for d0, ok in k3.items()})
+    yield rep._replace(k3_threshold_results=MappingProxyType(k3))
+    yield rep._replace(k_status=tuple(rep.k_status))
+    yield rep._replace(verdict=rep.verdict.value)
+
+
+def test_templates_render_as_the_field_path(monkeypatch):
+    """About 12,000 renders in every format, for DEFAULT_THRESHOLDS, (1,
+    3/2) and (): each equals the text of the field path, `_render_fields`,
+    whether a template serves it or not.  So do reports with swapped shared
+    parts and with values of other types, rendered after their own shape's
+    template is cached."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    grid = sorted(product(range(5), range(-10, 11), range(-1, 18)))
+    built = {fmt: 0 for fmt in cli.FORMATS}  # templates built per format
+    for thresholds, triplets in ((DEFAULT_THRESHOLDS, grid), ((1, "3/2"), grid[::4]),
+                                 ((), grid[1::4])):
+        for p in triplets:
+            rep = report(BundleParams(*p), thresholds)
+            for fmt in cli.FORMATS:
+                before = len(cli._TEMPLATES)
+                assert render_report(rep, fmt) == cli._render_fields(rep, fmt), (p, fmt)
+                built[fmt] += len(cli._TEMPLATES) > before
+    assert all(built.values()), built
+    for p in ((2, 3, 6), (1, 1, 3), (0, 1, 2), (4, 6, 10), (2, 0, 1), (0, 0, 0)):
+        rep = report(BundleParams(*p))
+        for other in (*parts_swapped(rep), *values_retyped(rep)):
+            for fmt in cli.FORMATS:
+                assert rendered(other, fmt) == rendered(other, fmt, cli._render_fields), (
+                    p, fmt, other)
+
+
+def test_a_template_of_a_huge_report(monkeypatch):
+    """A 5,000-digit report renders as the field path does once the caller
+    lifts the digit limit, and raises the same ValueError before.  The
+    failed fill leaves its shape's template whole: a small report of that
+    shape is then served from it."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    huge, small = report(BundleParams(0, -5 * N, 0)), report(BundleParams(0, -5, 0))
+    for fmt in cli.FORMATS:
+        failed = rendered(huge, fmt)
+        assert failed[0] is ValueError and failed == rendered(huge, fmt, cli._render_fields)
+        with digit_limit_lifted():
+            assert render_report(huge, fmt) == cli._render_fields(huge, fmt)
+        cached = len(cli._TEMPLATES)
+        assert render_report(small, fmt) == cli._render_fields(small, fmt)
+        assert len(cli._TEMPLATES) == cached == cli.FORMATS.index(fmt) + 1
+    assert all(type(text) is str and callable(values)
+               for text, values in cli._TEMPLATES.values())
+
+
+@contextlib.contextmanager
+def digit_limit_lifted():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_percent_sign_in_a_shape_is_written_as_it_is(monkeypatch):
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    monkeypatch.setattr(ValidityReport, "failure_reasons",
+                        lambda self: ["100% of %(lam)s and %s refused"])
+    rep = report(BundleParams(2, 0, 1))
+    for fmt in cli.FORMATS:
+        assert render_report(rep, fmt) == cli._render_fields(rep, fmt)
+    assert "100% of %(lam)s and %s refused" in render_report(rep, "plain")
+    assert len(cli._TEMPLATES) == 4
+
+
+def test_the_template_cache_holds_one_template_per_shape_and_format(monkeypatch):
+    """After every triplet of lambda in [0,6], mu in [-12,12], nu in [-2,21]
+    in every format, the cache holds 4 templates per shape, 84, within the
+    bound of its key space.  2,000 distinct 5,000-digit triplets and 2,000
+    reports with other thresholds add none, and the templates of all the
+    shapes take under 256 KiB (tracemalloc), 5,000-digit triplets or not."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    shapes = {}  # shape -> a report of it
+    for p in product(range(7), range(-12, 13), range(-2, 22)):
+        rep = report(BundleParams(*p))
+        shapes.setdefault((rep.validity, rep.case, rep.k2_holds,
+                           tuple(rep.k3_threshold_results.values()), rep.k_status,
+                           rep.verdict), rep)
+        for fmt in cli.FORMATS:
+            render_report(rep, fmt)
+    assert len(cli._TEMPLATES) == 4 * len(shapes) == 84
+    records = {r for rs in _VALIDITY.values() for r in rs}
+    statuses = 1 + len(KFailureReason)
+    bound = 4 * len(records) * (1 + len(CaseLabel) * len(_DEFAULT_K3) * statuses * len(Verdict))
+    assert len(cli._TEMPLATES) <= bound
+    huge = [report(BundleParams(0, -5 * N - k, 0)) for k in range(2000)]
+    for k, rep in enumerate(huge):
+        with pytest.raises(ValueError):
+            render_report(rep, cli.FORMATS[k % 4])
+        rep = report(BundleParams(*(2, 3, 6) if k % 2 else (0, 0, 0)),
+                     (Fraction(k, 7), Fraction(1, k + 1)))
+        render_report(rep, cli.FORMATS[k % 4])
+    assert len(cli._TEMPLATES) == 84
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rep in (*shapes.values(), *huge[:100]):
+            for fmt in cli.FORMATS:
+                rendered(rep, fmt)
+        gc.collect()
+        assert len(cli._TEMPLATES) == 84
+        assert tracemalloc.get_traced_memory()[0] - before < 256 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 # --- entry points -----------------------------------------------------------------

@@ -5,6 +5,8 @@ Fraction(), so every Fraction the library makes from ints is the shared,
 immutable one of its value."""
 
 import ast
+import gc
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +19,7 @@ from dp1toric.chow import (CycleClass, anticanonical_on_x, derive_h4,
 from dp1toric.classify import nonsingular_delta
 from dp1toric.conditions import (DEFAULT_THRESHOLDS, delta, nef_threshold,
                                  report)
-from dp1toric.grading import H, BundleParams, _over, rational
+from dp1toric.grading import _FRACTIONS, _FRACTIONS_MAX, H, BundleParams, _over, rational
 
 MODULES = sorted(Path(dp1toric.__file__).parent.glob("*.py"))
 # The functions of each module that may call Fraction().
@@ -80,7 +82,7 @@ def test_equal_values_are_one_shared_fraction():
     assert rational(3) is rational(3)
     assert first.delta is again.delta
     assert triple_on_x(p, H, H, k) is triple_on_x(p, k, H, H)
-    assert _over.cache_info().maxsize == 4096
+    assert _FRACTIONS_MAX == 4096
     values = (rational(3), first.k_cubed, first.nef_threshold, first.delta,
               *first.weight_ratios, *first.k3_threshold_results,
               *DEFAULT_THRESHOLDS, triple_on_x(p, k, k, k), minus_k_cubed(p),
@@ -91,7 +93,7 @@ def test_equal_values_are_one_shared_fraction():
     three = rational(3)
     for lam in range(5000):
         assert triple_on_x(BundleParams(lam, 1, 0), H, H, H) == Fraction(-2 * lam - 1, 2)
-    assert _over.cache_info().currsize == 4096
+    assert len(_FRACTIONS) == 4096
     assert rational(3) == three and rational(3) is not three
     rep = report(p)
     # (-K_X)^3 = 2*2 + (5/2)*3 - 3*6 + 6 and nef = -3 + 6 - 2, case (a-i).
@@ -105,3 +107,25 @@ def test_another_exact_rational_is_converted():
     # Neither an int nor a Fraction, so `rational` hands it to Fraction().
     q = rational(Decimal("2.5"))
     assert type(q) is Fraction and q == Fraction(5, 2)
+
+
+def test_the_fraction_cache_holds_small_values_only():
+    """`_over` shares the Fraction of a numerator below 2**64 in absolute
+    value, and builds a larger one afresh, so 5,000 reports of distinct
+    5,000-digit triplets leave under 1 MiB in its cache (tracemalloc; 18.4
+    MiB when every value was cached)."""
+    big = 10 ** 5000
+    assert _over(3, 2) is _over(3, 2) and _over(-(2 ** 64) + 1, 36) is _over(-(2 ** 64) + 1, 36)
+    for n in (2 ** 64, -(2 ** 64), big):
+        assert _over(n, 2) == Fraction(n, 2) and _over(n, 2) is not _over(n, 2)
+    _FRACTIONS.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(5000):
+            report(BundleParams(0, -5 * big - k, 0))
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 2 ** 20
+    finally:
+        tracemalloc.stop()
