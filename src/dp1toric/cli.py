@@ -402,14 +402,16 @@ def _parse(argv: list[str]) -> tuple:
     attributes, read by _GRAMMAR.  Options may come anywhere after the
     command, as `--flag value` or `--flag=value`, and a unique prefix
     names a long flag; after `--` every token is a positional.  A token
-    is a flag unless it is `-` or starts with `-` and a digit or `.`."""
+    is a flag unless it is `-` or starts with `-` and a `.` or a decimal
+    digit of any script, as `int` reads them."""
     if not argv:
         _fail(None, "the following arguments are required: command")
     command = argv[0]
     if command not in _GRAMMAR:
         if command in _SPELLINGS[None]:
             _help(None)
-        if command[:1] == "-" and command[1:2] not in "0123456789.":
+        if (command[:1] == "-" and command[1:2] not in "0123456789."
+                and not command[1:2].isdecimal()):
             _fail(None, f"unrecognized arguments: {command}")
         _fail(None, f"invalid choice: {command!r} (choose from {', '.join(_GRAMMAR)})")
     handler, _, positionals, options = _GRAMMAR[command]
@@ -422,7 +424,7 @@ def _parse(argv: list[str]) -> tuple:
         i += 1
         flag, eq = spellings.get(token), ""
         if flag is None:
-            if token[:1] != "-" or token[1:2] in "0123456789.":
+            if token[:1] != "-" or token[1:2] in "0123456789." or token[1:2].isdecimal():
                 tokens.append(token)
                 continue
             if token == "--":
@@ -435,7 +437,7 @@ def _parse(argv: list[str]) -> tuple:
         if not eq:
             i += nargs
         for text in given:  # a flag among the values leaves too few
-            if text[:1] == "-" and text[1:2] not in "0123456789.":
+            if text[:1] == "-" and text[1:2] not in "0123456789." and not text[1:2].isdecimal():
                 given = ()
         if len(given) != nargs:
             _fail(command, f"argument {flag}: expected {nargs} argument{'s' * (nargs > 1)}")

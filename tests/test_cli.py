@@ -546,8 +546,10 @@ def test_negative_numbers_are_values(capsys):
 
 def test_a_dash_then_a_digit_or_a_dot_starts_a_value(capsys):
     # As a command, a positional and an option's value, `-.5` and `-1` are
-    # values, never flags: no command, not ints, a threshold.
-    for text in ("-.5", "-1"):
+    # values, never flags: no command, not ints, a threshold.  So is `-`
+    # then any decimal digit that `int` reads, as `-٣` (-3); `-²` is a
+    # flag, since `int("²")` raises.
+    for text in ("-.5", "-1", "-٣"):
         assert usage_error(capsys, text) == (
             f"dp1toric: error: invalid choice: '{text}' (choose from analyze, "
             "table1, oracle, normalize, basis, nonsingular)")
@@ -556,6 +558,12 @@ def test_a_dash_then_a_digit_or_a_dot_starts_a_value(capsys):
         "invalid literal for int() with base 10: '-.5'")
     _, args = cli._parse(["analyze", "1", "1", "3", "--thresholds", "-.5"])
     assert args.thresholds == (Fraction(-1, 2),)
+    code, out, err = run(capsys, "analyze", "-٣", "0", "0")
+    assert (code, out) == (2, "") and "not normalized" in err
+    _, args = cli._parse(["oracle", "--lambda", "-٣", "0"])
+    assert args.lambda_range == (-3, 0)
+    assert usage_error(capsys, "analyze", "-²", "0", "0") == (
+        "dp1toric analyze: error: unrecognized arguments: -²")
 
 
 @pytest.mark.parametrize("argv", [
@@ -730,10 +738,6 @@ def parsed(parse, argv):
 # Where the two parsers are known to differ: (argv pattern, reason).  Each
 # pattern sees the argv and both outcomes.
 ARGPARSE_DIVERGENCES = (
-    (lambda argv, ours, theirs: any(t[:1] == "-" and t[1:2].isdecimal() and not t[1:2].isascii()
-                                    for t in argv),
-     "`-` then a non-ASCII digit, as `-٣`: `_parse` reads a flag, argparse the number -3 "
-     "(the non-ASCII-digit FOUND, ROADMAP direction 17 stage 2)"),
     (lambda argv, ours, theirs: argv.count("--") >= 2,
      "a second `--`: `_parse` reads it as a positional, while Python 3.11's argparse drops "
      "it and can give a one-value positional the empty tuple"),
@@ -776,8 +780,8 @@ def test_the_grammar_reads_as_argparse_reads_it():
     parser = argparse_parser()
     unexplained, explained = [], Counter()
     # One argv per listed pattern, so that each stays in use.
-    examples = [["oracle", "--lambda", "-٣", "0"], ["analyze", "1", "--", "--", "0"],
-                ["table1", "--format", "json", "--"], ["nonsingular", "x", "1", "--help"]]
+    examples = [["analyze", "1", "--", "--", "0"], ["table1", "--format", "json", "--"],
+                ["nonsingular", "x", "1", "--help"]]
     for argv in [*examples, *generated_argvs(random.Random(41), 3000)]:
         ours, theirs = parsed(cli._parse, argv), parsed(parser.parse_args, argv)
         if ours != theirs:
@@ -841,7 +845,8 @@ def test_each_report_format_builds_only_its_own_text(monkeypatch):
     """A report's plain text builds no csv cell and its csv and markdown
     tables format no weight ratio: with `_bool` refusing, plain still equals
     its golden, and with weight ratios that refuse to be formatted, csv and
-    markdown still equal theirs."""
+    markdown still equal theirs.  The template cache starts empty, so
+    that each text is built here, whatever ran before."""
 
     class Unformattable:
         def __format__(self, spec):
@@ -850,6 +855,7 @@ def test_each_report_format_builds_only_its_own_text(monkeypatch):
     def refuse(ok):
         raise AssertionError("a csv cell was built for plain text")
 
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
     for stem, argv, _, _ in CLI_GOLDENS:
         if argv[0] != "analyze":
             continue

@@ -4,15 +4,13 @@ import json
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, product as iproduct
-from operator import sub
+from itertools import product as iproduct
 
 import pytest
 
 from dp1toric import chow, conditions
 from dp1toric.chow import (CycleClass, anticanonical_on_x, minus_k_cubed,
                            triple_on_x)
-from dp1toric.classify import _points
 from dp1toric.conditions import (CaseLabel, FibrationReport, InvalidParams,
                                  KFailureReason, KStatus, RestrictBranch,
                                  ValidityReport, Verdict, WeightRatios,
@@ -489,148 +487,16 @@ def reference_report(p, thresholds=conditions.DEFAULT_THRESHOLDS):
                            {Q(t): d <= Q(t) for t in thresholds}, status, verdict)
 
 
-def test_case_table_entries_are_exclusive_and_cover_case_a():
-    """At most one `_CASE_ROWS` entry holds at a valid triplet with lambda
-    >= 0, and the (a-i) and (a-ii) entries together hold exactly where
-    6*lambda <= 2*nu.  First match in `_decide` and the regions of
-    `classify`, each read on its own, agree only because of this.
-
-    Exclusivity is proven over Z^3: for each of the 10 pairs of entries,
-    the system of lambda >= 0, the validity rows and the rows of both
-    entries has no lattice point, by the elimination that bounds the
-    regions; `_points` raises if it leaves a variable unbounded."""
-    valid = [row for row, _ in conditions._VALID_ROWS]
-    pairs = list(combinations(conditions._CASE_ROWS, 2))
-    assert len(pairs) == 10
-    for (case, branch, rows), (other, other_branch, other_rows) in pairs:
-        points = _points(((-1, 0, 0, 0), *valid, *rows, *other_rows))
-        assert points == [], (case, branch, other, other_branch, points)
+def test_case_a_entries_hold_exactly_where_6_lambda_is_at_most_2_nu():
+    """The (a-i) and (a-ii) entries of `_CASE_ROWS`, which come first,
+    together hold exactly where 6*lambda <= 2*nu, on a grid.  That at most
+    one entry holds at a valid triplet with lambda >= 0 is the claim
+    "case-entries-exclusive" of tests/test_proofs.py, proven over Z^3."""
     for lam, mu, nu in iproduct(range(13), range(-30, 31), range(-3, 41)):
         holding = [case for case, _, rows in conditions._CASE_ROWS
                    if all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)]
         in_case_a = holding != [] and holding[0] is not CaseLabel.B
         assert in_case_a == (6 * lam <= 2 * nu), (lam, mu, nu)
-
-
-# Forms (a, b, c, r) of a*lambda + b*mu + c*nu + r: 2k, where -K_X = H + k*F
-# and k = lambda + mu - nu + 2, mu, and 2k - mu.
-TWO_K = (2, 2, -2, 4)
-MU = (0, 1, 0, 0)
-ZERO = (0, 0, 0, 0)
-TWO_K_LESS_MU = tuple(map(sub, TWO_K, MU))
-# Mov(X) = cone(F, H + t_mov*F), where 2*t_mov is the max of these forms of
-# 2*t_E, t_E = -(H.E.N)/(F.E.N) for the divisor E of X named: mu (E = D_x)
-# and 0 (E = D_z) in (a-i) and (b), and 2*lambda (E = D_x) in (a-ii), where
-# the 0 of E = D_y never exceeds 2*lambda at lambda >= 0.
-TWO_MOV = {CaseLabel.AI: (MU, ZERO), CaseLabel.AII: ((2, 0, 0, 0),),
-           CaseLabel.B: (MU, ZERO)}
-
-
-def at_most(form, bound):
-    """The row of form <= bound."""
-    a, b, c, r = form
-    return a, b, c, bound - r
-
-
-def at_least(form, bound):
-    """The row of form >= bound."""
-    a, b, c, r = form
-    return -a, -b, -c, r - bound
-
-
-def k_proven(two_nef):
-    """The conjunctions of rows under which `k_status` proves a K-failure:
-    2*nef <= -1, or 2k >= mu + 1 and mu >= 0."""
-    return (at_most(two_nef, -1),), (at_least(TWO_K_LESS_MU, 1), at_least(MU, 0))
-
-
-def k_not_proven(two_nef):
-    """The conjunctions of the negation of `k_proven`: 2*nef >= 0 and 2k <=
-    mu, or 2*nef >= 0 and mu <= -1."""
-    return ((at_least(two_nef, 0), at_most(TWO_K_LESS_MU, 0)),
-            (at_least(two_nef, 0), at_most(MU, -1)))
-
-
-def k_dichotomy_systems(two_mov):
-    """Per `_CASE_ROWS` entry: lambda >= 0, the validity rows and the
-    entry's rows, with "k > t_mov" (2k - 2*t_E >= 1 for every E) and each
-    not-proven conjunction, and with each row 2k - 2*t_E <= 0 of "k <=
-    t_mov" and each proven conjunction."""
-    valid = [row for row, _ in conditions._VALID_ROWS]
-    systems = []
-    for case, _, rows in conditions._CASE_ROWS:
-        base = ((-1, 0, 0, 0), *valid, *rows)
-        two_nef = conditions._TWO_NEF[case]
-        gaps = [tuple(map(sub, TWO_K, two_t)) for two_t in two_mov[case]]
-        above = tuple(at_least(gap, 1) for gap in gaps)
-        systems += [base + above + c for c in k_not_proven(two_nef)]
-        systems += [base + (at_most(gap, 0),) + c
-                    for gap in gaps for c in k_proven(two_nef)]
-    return systems
-
-
-def test_k_failure_is_proven_exactly_above_the_movable_threshold():
-    """The K-condition fails, k > t_mov, exactly where `k_status` proves a
-    failure, at every valid triplet with lambda >= 0: none of the 28
-    systems of `k_dichotomy_systems` has a point over Z^3, and `_points`
-    raises if one leaves a variable unbounded."""
-    systems = k_dichotomy_systems(TWO_MOV)
-    assert len(systems) == 28
-    assert [_points(system) for system in systems] == [[]] * 28
-
-    # The wrong t_mov = 0 in (a-i) and (b) leaves 3 systems unbounded, and
-    # the other 17 empty: an unbounded system never passes as empty.
-    def points_or_unbounded(system):
-        try:
-            return _points(system)
-        except ValueError:
-            return "unbounded"
-
-    wrong = k_dichotomy_systems({**TWO_MOV, CaseLabel.AI: (ZERO,),
-                                 CaseLabel.B: (ZERO,)})
-    outcomes = [points_or_unbounded(system) for system in wrong]
-    assert (outcomes.count("unbounded"), outcomes.count([])) == (3, 17)
-
-    # The proven conjunctions are those of `k_status`, on a grid.
-    checked = 0
-    for lam, mu, nu in iproduct(range(6), range(-12, 13), range(-2, 23)):
-        p = BundleParams(lam, mu, nu)
-        if validity(p).is_valid:
-            rule = any(all(a * lam + b * mu + c * nu <= r for a, b, c, r in rows)
-                       for rows in k_proven(conditions._TWO_NEF[classify_case(p)]))
-            assert k_status(p).proven_fails == rule, p
-            checked += 1
-    assert checked == 2127
-
-
-# The slopes of the Cox generators x, y, z and w times 6, (0, 6*lambda, 3*mu,
-# 2*nu), as forms.
-SIX_SLOPES = (ZERO, (6, 0, 0, 0), (0, 3, 0, 0), (0, 0, 2, 0))
-
-
-def test_k_fails_on_exactly_six_triplets_of_z3():
-    """6k exceeds the second smallest of the slopes (0, 6*lambda, 3*mu,
-    2*nu), counted with multiplicity, exactly when two of them lie below 6k.
-    At valid triplets with lambda >= 0 that happens on exactly 6 points of
-    Z^3: per `_CASE_ROWS` entry and pair of slopes v, the system of lambda
-    >= 0, the validity rows, the entry's rows and the rows "v <= 6k - 1" of
-    both, 30 systems in all, lists only them, and `_points` raises if one
-    leaves a variable unbounded.  `k_status` proves each a K-failure, for
-    the reason listed, and proves no other on a grid."""
-    valid = [row for row, _ in conditions._VALID_ROWS]
-    # v < 6k = 6*lambda + 6*mu - 6*nu + 12 is the row v - 6k <= -1.
-    below = [(a - 6, b - 6, c + 6, 11 - r) for a, b, c, r in SIX_SLOPES]
-    systems = [((-1, 0, 0, 0), *valid, *rows, *pair)
-               for _, _, rows in conditions._CASE_ROWS for pair in combinations(below, 2)]
-    assert len(systems) == 30
-    ample, certified = KFailureReason.AMPLE_ANTICANONICAL, KFailureReason.DZ_MOVABLE_INTERIOR
-    failures = {(0, -1, 0): ample, (0, 0, 1): ample, (0, 1, 2): ample,
-                (1, 0, 2): certified, (1, 1, 3): certified, (2, 3, 5): certified}
-    assert {t for system in systems for t in _points(system)} == set(failures)
-    for t, reason in failures.items():
-        assert k_status(BundleParams(*t)) == KStatus.proven(reason), t
-    proven = {p for p in valid_box(5, 12, 22) if k_status(p).proven_fails}
-    assert proven == {BundleParams(*t) for t in failures}
 
 
 def test_report_decides_once(monkeypatch):
