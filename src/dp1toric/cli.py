@@ -5,10 +5,10 @@ Output formats: plain (default), json, csv, markdown.  Exit codes: 0 for a
 completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
-Every report, row table and nonsingular output goes through one renderer,
-`_render`, which builds only the format asked for.  A report's fields are
-listed once, in `_report_fields`, and each call builds one form of them:
-the plain lines, or the cells of the csv and markdown table.  JSON is
+Every report and nonsingular output goes through one renderer, `_render`,
+which builds only the format asked for.  A report's fields are listed
+once, in `_report_fields`, and each call builds one form of them: the
+plain lines, or the cells of the csv and markdown table.  JSON is
 written by this module's own `indent=2` writer, `_json`, whose text equals
 `json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
 accelerator, the function `json.encoder` uses, so that no command imports
@@ -30,6 +30,14 @@ shape of lambda in [0,6], mu in [-12,12], nu in [-2,21].  Other
 thresholds, such as those `analyze --thresholds` reads from text, are new
 Fractions with new ids, so their reports, which would make shapes without
 end, take the field path, as does a report of any other types.
+A table of rows is its head, then per row the row's number and its
+piece: the rest of its line, or for JSON its item of the list.
+`_row_pieces` is the one formatter of a row.  Every list of rows the
+library makes is drawn from the 14 oracle rows, so the piece of each in
+each format is built at import, in `_ROW_PIECES`, by the row's id, as are
+the `missing:` and `extra:` lines of `oracle`: an `oracle` or `table1`
+call formats no row.  This module holds those rows, so an id in the table
+names one row for good; any other row is formatted per call.
 The command line is read by one table, `_GRAMMAR`, and `_parse`, in one
 pass over the tokens.  `_SPELLINGS`, built from `_GRAMMAR` at import, maps
 each spelling of a command's flags (a flag, -h, --help, or a prefix of one
@@ -42,7 +50,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter
+from operator import add, attrgetter
 from types import SimpleNamespace
 
 try:  # the function json.encoder re-exports, without importing json
@@ -63,16 +71,17 @@ FORMATS = ("plain", "json", "csv", "markdown")
 ROWS_PLAIN_HEADER = ("no", "(lambda,mu,nu)", "delta", "case", "K-cond.")
 ROWS_MD_HEADER = ("No.", "(λ,μ,ν)", "δ_X", "Case", "K-cond.")
 ROWS_CSV_HEADER = ("no", "lambda", "mu", "nu", "delta", "case", "k_fails")
-_ROWS_PLAIN_LINE = "%3s  %-15s %5s  %-6s %s\n"
-_ROWS_PLAIN_HEAD = _ROWS_PLAIN_LINE % ROWS_PLAIN_HEADER
+# A row's line of a table is its number, then its piece: the rest of the
+# line.
+_ROWS_PLAIN_PIECE = "  %-15s %5s  %-6s %s\n"
+_ROWS_MD_PIECE = " | %s | %s | %s | %s |\n"
 _TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
 
 
-def _render(fmt: str, plain, payload, table, markdown=None) -> str:
+def _render(fmt: str, plain, payload, table) -> str:
     """The output in format fmt.  plain() gives the text, payload() the JSON
-    value and table() the header and rows of cells of the csv table.  The
-    markdown is markdown() when given, else the markdown table of table().
-    Only the format asked for is built."""
+    value and table() the header and rows of cells of the csv and markdown
+    tables.  Only the format asked for is built."""
     if fmt == "plain":
         return plain()
     if fmt == "json":
@@ -80,7 +89,7 @@ def _render(fmt: str, plain, payload, table, markdown=None) -> str:
     if fmt == "csv":
         header, rows = table()
         return "\n".join(map(",".join, (header, *rows))) + "\n"
-    return markdown() if markdown else _markdown(*table())
+    return _markdown(*table())
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -126,21 +135,47 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _row_cells(rows: list[ClassificationRow]) -> list[tuple]:
-    """The plain and markdown cells of each row."""
-    return [(str(i), _triplet(p), str(d), _TABLE_LABELS[case], "no" if k else "")
-            for i, (p, d, case, k) in enumerate(rows, 1)]
+def _row_pieces(row: ClassificationRow, fmt: str) -> str:
+    """The text of row in format fmt after its row number (`_ROWS`): the
+    rest of its line, or its item of the JSON list."""
+    p, d, case, k = row
+    if fmt == "json":
+        return _json(to_json(row), "\n  ")
+    if fmt == "csv":
+        return ",%s,%s,%s,%s,%s,%s\n" % (*p, d, case.value, _bool(k))
+    return (_ROWS_PLAIN_PIECE if fmt == "plain" else _ROWS_MD_PIECE) % (
+        _triplet(p), d, _TABLE_LABELS[case], "no" if k else "")
+
+
+# The 14 oracle rows, from which every list of rows the library makes is
+# drawn.  This module holds them, so that their ids stay theirs for as
+# long as the tables below.
+_ORACLE_ROWS = tuple(oracle_search(DEFAULT_BOX))
+# Per format, each oracle row's piece, by the row's id.
+_ROW_PIECES = {fmt: {id(row): _row_pieces(row, fmt) for row in _ORACLE_ROWS}
+               for fmt in FORMATS}
+# Per format but JSON, the head of a table of rows, the text of a row's
+# number, and that text for the numbers of the oracle rows.
+_ROWS = {fmt: (head, number, tuple(number % i for i in range(1, len(_ORACLE_ROWS) + 1)))
+         for fmt, head, number in (
+             ("plain", "%3s" % "no" + _ROWS_PLAIN_PIECE % ROWS_PLAIN_HEADER[1:], "%3s"),
+             ("csv", ",".join(ROWS_CSV_HEADER) + "\n", "%s"),
+             ("markdown", _markdown(ROWS_MD_HEADER, []), "| %s"))}
 
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
-    return _render(
-        fmt,
-        lambda: _ROWS_PLAIN_HEAD + "".join([_ROWS_PLAIN_LINE % c for c in _row_cells(rows)]),
-        lambda: list(map(to_json, rows)),
-        lambda: (ROWS_CSV_HEADER, [
-            (str(i), str(lam), str(mu), str(nu), str(d), case.value, _bool(k))
-            for i, ((lam, mu, nu), d, case, k) in enumerate(rows, 1)]),
-        lambda: _markdown(ROWS_MD_HEADER, _row_cells(rows)))
+    """The table of rows in format fmt (any format but plain, json and csv
+    is markdown): its head, then per row its number and its piece.  An
+    oracle row's piece is looked up by its id, which no other object has
+    while this module holds the row; any other row is formatted per call."""
+    piece = _ROW_PIECES.get(fmt, _ROW_PIECES["markdown"]).get
+    pieces = [piece(id(r)) or _row_pieces(r, fmt) for r in rows]
+    if fmt == "json":
+        return "[\n  " + ",\n  ".join(pieces) + "\n]\n" if pieces else "[]\n"
+    head, number, numbers = _ROWS.get(fmt, _ROWS["markdown"])
+    if len(pieces) > len(numbers):  # rows the library did not make
+        numbers = [number % i for i in range(1, len(pieces) + 1)]
+    return head + "".join(map(add, numbers, pieces))
 
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
@@ -248,9 +283,12 @@ def _cmd_table1(args) -> int:
 
 
 # The triplets of the reference table, as the oracle diffs them, in order,
-# each with the diff line that reports it missing.
+# each with the diff line that reports it missing; and the triplet of each
+# oracle row, all of which lie in DEFAULT_BOX, with the line that reports
+# it extra.
 _TABLE1 = {p: f"missing: {_triplet(p)}"
            for p in sorted(r.params for r in classify_k2_failures())}
+_EXTRA = {r.params: f"extra: {_triplet(r.params)}" for r in _ORACLE_ROWS}
 
 
 def _cmd_oracle(args) -> int:
@@ -259,7 +297,7 @@ def _cmd_oracle(args) -> int:
     # rows are sorted and hold each triplet once, so the extra lines are
     # in order as they come.
     diff = [line for p, line in _TABLE1.items() if p not in found]
-    diff += [f"extra: {_triplet(r.params)}" for r in rows if r.params not in _TABLE1]
+    diff += [_EXTRA[r.params] for r in rows if r.params not in _TABLE1]
     status = "\n".join(["DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1",
                         *diff, ""])
     text = render_rows(rows, args.format)

@@ -23,8 +23,8 @@ from types import MappingProxyType
 import pytest
 
 from dp1toric import cli
-from dp1toric.classify import (DEFAULT_BOX, SearchBox, classify_k2_failures,
-                               oracle_search)
+from dp1toric.classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
+                               classify_k2_failures, oracle_search)
 from dp1toric.cli import _json, main, render_report, render_rows
 from dp1toric.conditions import (_DEFAULT_K3, _VALIDITY, DEFAULT_THRESHOLDS, CaseLabel,
                                  FibrationReport, KFailureReason, KStatus, ValidityReport,
@@ -339,15 +339,77 @@ def test_oracle_exits_0_when_the_rows_match_the_table(capsys, monkeypatch):
     assert code == 1 and "missing: (1,0,2)" in out
 
 
-def test_oracle_formats_only_its_own_rows_and_extra_triplets(capsys, monkeypatch):
-    calls = []
-    triplet = cli._triplet
-    monkeypatch.setattr(cli, "_triplet", lambda p: calls.append(p) or triplet(p))
-    code, out, _ = run(capsys, "oracle", "--lambda", "5", "10")
-    assert code == 1 and out.count("missing:") == 13 and calls == []
-    code, _, _ = run(capsys, "oracle")
-    found = [r.params for r in oracle_search(DEFAULT_BOX)]
-    assert code == 1 and sorted(calls) == sorted(found + [(1, 0, 2)])
+def test_oracle_formats_no_triplet_and_other_rows_are_formatted(capsys, monkeypatch):
+    # Every row `oracle` finds, and every line of its diff, is text built
+    # at import: a call formats no triplet and no row.
+    triplets, pieces = [], []
+    triplet, row_pieces = cli._triplet, cli._row_pieces
+    monkeypatch.setattr(cli, "_triplet", lambda p: triplets.append(p) or triplet(p))
+    monkeypatch.setattr(cli, "_row_pieces",
+                        lambda row, fmt: pieces.append((row, fmt)) or row_pieces(row, fmt))
+    for fmt in ALL_FORMATS:
+        code, out, err = run(capsys, "oracle", "--lambda", "5", "10", "--format", fmt)
+        assert code == 1 and (out + err).count("missing:") == 13
+        code, out, err = run(capsys, "oracle", "--format", fmt)
+        assert code == 1 and (out + err).endswith("extra: (1,0,2)\n")
+    assert render_rows(classify_k2_failures(), "plain") == golden("table1.txt")
+    assert (triplets, pieces) == ([], [])
+    # A row the library did not make is formatted per call, in the format
+    # asked for only.
+    row = classify_k2_failures()[0]._replace(delta=Fraction(7, 3))
+    for fmt in ALL_FORMATS:
+        pieces.clear()
+        render_rows([row], fmt)
+        assert pieces == [(row, fmt)]
+
+
+ROW_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
+
+
+def reference_rows(rows, fmt):
+    """The table of rows in format fmt, by the rule: the golden line format
+    for plain, the standard library's JSON, comma-joined cells for csv and
+    a markdown table."""
+    if fmt == "json":
+        return STDLIB_JSON.encode([
+            {"params": {"lambda": p.lam, "mu": p.mu, "nu": p.nu}, "delta": str(d),
+             "case": case.value, "k_fails": k} for p, d, case, k in rows]) + "\n"
+    if fmt == "csv":
+        return "".join(",".join(map(str, cells)) + "\n" for cells in [
+            ("no", "lambda", "mu", "nu", "delta", "case", "k_fails"),
+            *[(i, *p, d, case.value, "true" if k else "false")
+              for i, (p, d, case, k) in enumerate(rows, 1)]])
+    cells = [(str(i), "(%s,%s,%s)" % p, str(d), ROW_LABELS[case], "no" if k else "")
+             for i, (p, d, case, k) in enumerate(rows, 1)]
+    if fmt == "plain":
+        return "".join("%3s  %-15s %5s  %-6s %s\n" % c for c in [
+            ("no", "(lambda,mu,nu)", "delta", "case", "K-cond."), *cells])
+    return ("| No. | (λ,μ,ν) | δ_X | Case | K-cond. |\n"
+            "|----:|---------|-----|------|---------|\n"
+            + "".join("| " + " | ".join(c) + " |\n" for c in cells))
+
+
+def test_rows_render_as_the_reference_renderer_writes_them():
+    # 500 seeded sorted subsets of the oracle rows, the table and all of
+    # them, built at import; then rows the library did not make, formatted
+    # per call: a changed delta, case or K-failure, a fresh triplet of a
+    # table row, a triplet of no row, and 1,083 rows, whose numbers widen
+    # past three places.
+    oracle = oracle_search(DEFAULT_BOX)
+    rng = random.Random(43)
+    lists = [[], classify_k2_failures(), oracle, *(
+        [oracle[i] for i in sorted(rng.sample(range(14), rng.randrange(15)))]
+        for _ in range(500))]
+    row = oracle[6]
+    others = [row._replace(delta=Fraction(-7, 3)), row._replace(case=CaseLabel.AII),
+              row._replace(k_fails=not row.k_fails),
+              oracle[0]._replace(params=BundleParams(*oracle[0].params)),
+              ClassificationRow(BundleParams(3, -40, 1000), Fraction(1, 6), CaseLabel.B, False)]
+    lists += [others, others + oracle, (oracle + others) * 57]
+    assert len(lists[-1]) == 1083
+    for rows in lists:
+        for fmt in ALL_FORMATS:
+            assert render_rows(rows, fmt) == reference_rows(rows, fmt), (rows, fmt)
 
 
 def test_parse_starts_every_call_from_the_defaults():
@@ -564,6 +626,21 @@ def test_a_dash_then_a_digit_or_a_dot_starts_a_value(capsys):
     assert args.lambda_range == (-3, 0)
     assert usage_error(capsys, "analyze", "-²", "0", "0") == (
         "dp1toric analyze: error: unrecognized arguments: -²")
+
+
+def test_a_second_dash_dash_is_a_positional(capsys):
+    # The first `--` ends the flags; the second is a token like any other,
+    # the value of mu, which int refuses.  Python 3.11's argparse drops it
+    # (see ARGPARSE_DIVERGENCES).
+    assert usage_error(capsys, "analyze", "1", "--", "--", "0") == (
+        "dp1toric analyze: error: argument mu: "
+        "invalid literal for int() with base 10: '--'")
+
+
+def test_a_trailing_dash_dash_ends_the_flags(capsys):
+    # A `--` with nothing after it ends the flags and adds no positional;
+    # Python 3.11's argparse calls it unrecognized (see ARGPARSE_DIVERGENCES).
+    assert run(capsys, "table1", "--format", "json", "--") == (0, golden("table1.json"), "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,24 +1,34 @@
 """The measuring scripts under tools/: the pair summary and line totals that
-tools/pairs.py prints, the basis timings of tools/basis_times.py and the
-code-line count of tools/code_lines.py.
+tools/pairs.py prints, the basis timings of tools/basis_times.py, the
+renderer timings of tools/render_times.py and the code-line count of
+tools/code_lines.py.
 
 tools/ is put on sys.path, as running a script from it would.
 """
 
+import contextlib
+import io
 import re
 import statistics
 import sys
+import timeit
 from pathlib import Path
+
+from dp1toric import cli
+from dp1toric.classify import SearchBox, oracle_search
 
 ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from basis_times import CASES, compare  # noqa: E402
+from basis_times import CASES, compare, timed  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from pairs import sizes, summary  # noqa: E402
+from render_times import CASES as RENDER_CASES  # noqa: E402
+from render_times import TWO_ROWS  # noqa: E402
 
 LOWER = {"name": "latency_p50_ms", "better": "lower"}
 HIGHER = {"name": "ops_per_s", "better": "higher"}
+NUMBER = r"\d+(\.\d+)?(e[-+]\d+)?"  # a time as compare writes it
 
 
 def records(parent: list, change: list, failed: tuple = (0, 0)) -> list[dict]:
@@ -123,11 +133,30 @@ def test_basis_times_compares_a_case_on_both_sides():
     # Both sides are this checkout; 3 rounds give the parent's quartiles.
     case = ("monomial_strings", (0, 0, 0), 6, 0)
     assert case in CASES
-    [line] = compare({"parent": ROOT, "change": ROOT}, [case], rounds=3, best=1, least=0)
-    number = r"\d+(\.\d+)?(e[-+]\d+)?"
-    assert re.fullmatch(rf"monomial_strings  P\(0,0,0\) h=6   f=0  parent {number} ms "
-                        rf"\(q1-q3 {number}-{number}\)  change {number} ms "
+    [line] = compare({"parent": ROOT, "change": ROOT}, [timed(case)], rounds=3, best=1,
+                     least=0)
+    assert re.fullmatch(rf"monomial_strings  P\(0,0,0\) h=6   f=0  parent {NUMBER} ms "
+                        rf"\(q1-q3 {NUMBER}-{NUMBER}\)  change {NUMBER} ms "
                         r"\([-+]\d+\.\d%\)  (slower  )?slower in [0-3]/3", line), line
+
+
+def test_render_times_compares_a_case_on_both_sides():
+    # render_rows in every format on 0, 2 and 14 rows, and main on two
+    # oracle argvs, of 14 rows and of 2; each statement runs after its setup.
+    assert len(RENDER_CASES) == 14
+    _, args = cli._parse(TWO_ROWS)
+    assert len(oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))) == 2
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _, setup, statement, _ in RENDER_CASES:
+            timeit.Timer(statement, setup).timeit(1)
+    # Both sides are this checkout; 3 rounds of one run of 10 calls.
+    label, setup, statement, _ = RENDER_CASES[-1]
+    assert label == "main oracle --lambda 2 2 --nu 0 5"
+    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
+                     rounds=3, best=1, least=0, unit="us")
+    assert re.fullmatch(rf"{label}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
+                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
+                        r"[0-3]/3", line), line
 
 
 def scripted_lines(monkeypatch, parent: list, change: list) -> list[str]:
@@ -136,7 +165,7 @@ def scripted_lines(monkeypatch, parent: list, change: list) -> list[str]:
     times = {"parent": iter(parent), "change": iter(change)}
     monkeypatch.setattr("basis_times.best_time",
                         lambda root, case, best, least: next(times[root]) / 1e3)
-    return list(compare({"parent": "parent", "change": "change"}, CASES[:1],
+    return list(compare({"parent": "parent", "change": "change"}, [timed(CASES[0])],
                         rounds=len(parent)))
 
 

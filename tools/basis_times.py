@@ -28,7 +28,10 @@ the change is slower.  As tools/pairs.py marks a `gain`, the case is marked
 ROUNDS = 7) and the change's median is above the parent's by more than the
 parent's q3 - q1: one disturbed round marks nothing.  If a run fails, its
 stderr is printed and the exit status is 1.
-Only the standard library is used.
+`compare` and `run` take any timed case, (label, setup, statement, calls
+per run), timed by `timeit` with the garbage collector on; `timed` makes
+one of each case above, one call per run, and tools/render_times.py times
+the row renderer with them.  Only the standard library is used.
 """
 
 import os
@@ -50,64 +53,76 @@ CASES = [(name, params, h, 0) for h in H_DEGREES
          for params in (ALL_KEPT, FEW_KEPT) for name in LISTINGS + SCANS
          if not (name in LISTINGS and params == ALL_KEPT and h > 200)]
 
-# The program a subprocess runs: argv is function, lambda, mu, nu, h, f, best
-# and the least total seconds.
+# The program a subprocess runs: argv is a timed case's setup, statement
+# and calls per run, the least number of runs and their least total
+# seconds.  It prints the best time of one call, in seconds, to the
+# process's stdout, which the setup may replace while it times.  The
+# garbage collector stays on, as it is for the program.
 TIMER = """
-import sys, time
-from dp1toric import grading
-name, lam, mu, nu, h, f, best, least = sys.argv[1:]
-scan, p = getattr(grading, name), grading.BundleParams(int(lam), int(mu), int(nu))
-cls = grading.DivisorClass(int(h), int(f))
-times = []
+import sys, timeit
+setup, statement, number, best, least = sys.argv[1:]
+timer = timeit.Timer(statement, "import gc; gc.enable()\\n" + setup)
+number, times = int(number), []
 while len(times) < int(best) or sum(times) < float(least):
-    start = time.perf_counter()
-    scan(p, cls)
-    times.append(time.perf_counter() - start)
-print(min(times))
+    times.append(timer.timeit(number))
+sys.stdout = sys.__stdout__
+print(min(times) / number)
 """
 
 
-def best_time(root: Path, case: tuple, best: int, least: float) -> float:
-    """The best of at least `best` calls of the case, and of `least` seconds
-    of them, in one subprocess in the checkout root, in seconds;
-    RuntimeError with its stderr if it fails."""
+def timed(case: tuple) -> tuple:
+    """The timed case of a case of CASES: (label, setup, statement, calls
+    per run), one call per run."""
     name, (lam, mu, nu), h, f = case
+    return (f"{name:<17} P({lam},{mu},{nu}) h={h:<3} f={f}",
+            f"from dp1toric.grading import {name} as scan, BundleParams, DivisorClass\n"
+            f"p, cls = BundleParams({lam}, {mu}, {nu}), DivisorClass({h}, {f})",
+            "scan(p, cls)", 1)
+
+
+def best_time(root: Path, case: tuple, best: int, least: float) -> float:
+    """The best time of one call of the timed case's statement, of at least
+    `best` runs and `least` seconds of them, in one subprocess in the
+    checkout root, in seconds; RuntimeError with its stderr if it fails."""
+    label, setup, statement, number = case
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", TIMER, name, *map(str, (lam, mu, nu, h, f, best, least))],
+        [sys.executable, "-c", TIMER, setup, statement, *map(str, (number, best, least))],
         cwd=root, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{name} P{(lam, mu, nu)} h={h} f={f} in {root} exited "
+        raise RuntimeError(f"{label} in {root} exited "
                            f"{done.returncode}:\n{done.stderr}")
     return float(done.stdout)
 
 
-def compare(sides: dict[str, Path], cases: list[tuple], rounds: int = ROUNDS,
-            best: int = BEST, least: float = MIN_SECONDS):
-    """One line per case, as it is timed: both sides' times over `rounds`
-    rounds, in ms."""
+def compare(sides: dict[str, Path], cases, rounds: int = ROUNDS, best: int = BEST,
+            least: float = MIN_SECONDS, unit: str = "ms"):
+    """One line per timed case, as it is timed: both sides' times over
+    `rounds` rounds, in ms or, with unit "us", in microseconds."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
     for case in cases:
         times = {"parent": [], "change": []}
         for i in range(rounds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                times[side].append(1e3 * best_time(sides[side], case, best, least))
+                times[side].append(scale * best_time(sides[side], case, best, least))
         q1, _, q3 = statistics.quantiles(times["parent"], n=4)
         before, after = statistics.median(times["parent"]), statistics.median(times["change"])
         slower = sum(c > p for p, c in zip(times["parent"], times["change"]))
         mark = "slower  " if 10 * slower >= 9 * rounds and after - before > q3 - q1 else ""
-        name, (lam, mu, nu), h, f = case
-        yield (f"{name:<17} P({lam},{mu},{nu}) h={h:<3} f={f}  parent {before:.4g} ms "
-               f"(q1-q3 {q1:.4g}-{q3:.4g})  change {after:.4g} ms "
-               f"({after / before - 1:+.1%})  {mark}slower in {slower}/{rounds}")
+        yield (f"{case[0]}  parent {before:.4g} {unit} (q1-q3 {q1:.4g}-{q3:.4g})  "
+               f"change {after:.4g} {unit} ({after / before - 1:+.1%})  "
+               f"{mark}slower in {slower}/{rounds}")
 
 
-def main(argv: list[str]) -> int:
+def run(argv: list[str], script: str, cases, **options) -> int:
+    """The main function of script, a timer of cases on two checkouts:
+    compare's lines on stdout, with options passed to it."""
     if len(argv) != 2:
-        sys.stderr.write("usage: python3 tools/basis_times.py PARENT CHANGE\n")
+        sys.stderr.write(f"usage: python3 {script} PARENT CHANGE\n")
         return 2
     sides = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
     try:
-        for line in compare(sides, CASES):
+        for line in compare(sides, cases, **options):
             print(line, flush=True)
     except RuntimeError as failure:
         sys.stderr.write(f"{failure}\n")
@@ -116,4 +131,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run(sys.argv[1:], "tools/basis_times.py", map(timed, CASES)))
