@@ -25,7 +25,8 @@ so each field is still written in one place.  `_TEMPLATES` caches only
 shapes made of the objects `report` shares (`_SHARED`): bools, None, the
 enum members and the `DEFAULT_THRESHOLDS` Fractions, each alive as long
 as its module, so an id in a key names one object for good.  They are
-finite, so the cache needs no bound of its own: 84 templates cover every
+finite, and a format not in FORMATS raises before any template is built,
+so the cache needs no bound of its own: 84 templates cover every
 shape of lambda in [0,6], mu in [-12,12], nu in [-2,21].  Other
 thresholds, such as those `analyze --thresholds` reads from text, are new
 Fractions with new ids, so their reports, which would make shapes without
@@ -81,7 +82,8 @@ _TABLE_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(
 def _render(fmt: str, plain, payload, table) -> str:
     """The output in format fmt.  plain() gives the text, payload() the JSON
     value and table() the header and rows of cells of the csv and markdown
-    tables.  Only the format asked for is built."""
+    tables.  Only the format asked for is built; any other format raises
+    ValueError."""
     if fmt == "plain":
         return plain()
     if fmt == "json":
@@ -89,7 +91,13 @@ def _render(fmt: str, plain, payload, table) -> str:
     if fmt == "csv":
         header, rows = table()
         return "\n".join(map(",".join, (header, *rows))) + "\n"
-    return _markdown(*table())
+    if fmt == "markdown":
+        return _markdown(*table())
+    return _no_format(fmt)
+
+
+def _no_format(fmt: str):
+    raise ValueError(f"invalid choice: {fmt!r} (choose from {', '.join(FORMATS)})")
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -164,15 +172,15 @@ _ROWS = {fmt: (head, number, tuple(number % i for i in range(1, len(_ORACLE_ROWS
 
 
 def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
-    """The table of rows in format fmt (any format but plain, json and csv
-    is markdown): its head, then per row its number and its piece.  An
-    oracle row's piece is looked up by its id, which no other object has
-    while this module holds the row; any other row is formatted per call."""
-    piece = _ROW_PIECES.get(fmt, _ROW_PIECES["markdown"]).get
+    """The table of rows in format fmt (any other format raises ValueError):
+    its head, then per row its number and its piece.  An oracle row's piece
+    is looked up by its id, which no other object has while this module
+    holds the row; any other row is formatted per call."""
+    piece = (_ROW_PIECES.get(fmt) or _no_format(fmt)).get
     pieces = [piece(id(r)) or _row_pieces(r, fmt) for r in rows]
     if fmt == "json":
         return "[\n  " + ",\n  ".join(pieces) + "\n]\n" if pieces else "[]\n"
-    head, number, numbers = _ROWS.get(fmt, _ROWS["markdown"])
+    head, number, numbers = _ROWS[fmt]
     if len(pieces) > len(numbers):  # rows the library did not make
         numbers = [number % i for i in range(1, len(pieces) + 1)]
     return head + "".join(map(add, numbers, pieces))
@@ -343,9 +351,7 @@ def _cmd_nonsingular(args) -> int:
 
 
 def _format_arg(text: str) -> str:
-    if text not in FORMATS:
-        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
-    return text
+    return text if text in FORMATS else _no_format(text)
 
 
 _DESCRIPTION = ("Exact invariants and rigidity conditions of degree-1 del Pezzo "

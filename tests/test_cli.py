@@ -43,30 +43,6 @@ def run(capsys, *argv):
 
 # --- analyze -------------------------------------------------------------------
 
-def test_analyze_json_table_row_five(capsys):
-    code, out, _ = run(capsys, "analyze", "1", "1", "3", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["delta"] == "3/2"
-    assert data["case"] == "AI"
-    assert data["k_status"] == "ProvenFails(DzMovableInterior)"
-    assert data["verdict"] == "NotRigidOverBase"
-
-
-def test_analyze_invalid_triplet_reports_reason(capsys):
-    code, out, _ = run(capsys, "analyze", "0", "0", "0")
-    assert code == 0
-    assert "valid: no" in out
-    assert "3*mu <= 2*nu - 1 violated" in out
-
-
-def test_analyze_custom_threshold(capsys):
-    code, out, _ = run(capsys, "analyze", "2", "2", "5", "--thresholds", "1",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["k3_threshold_results"] == {"1": True}
-
-
 def test_analyze_accepts_decimal_and_rational_thresholds(capsys):
     code, out, _ = run(capsys, "analyze", "2", "2", "5", "--thresholds",
                        "1e-3,3/2,0.5", "--format", "json")
@@ -208,82 +184,12 @@ def test_analyze_rejects_non_integer(capsys):
     assert exc.value.code == 2
 
 
-# --- table1 ---------------------------------------------------------------------
-
-def test_table1_markdown_matches_golden(capsys):
-    code, out, _ = run(capsys, "table1", "--format", "markdown")
-    assert code == 0
-    assert out == (GOLDEN / "table1.md").read_text(encoding="utf-8")
-
-
-def test_table1_csv_matches_golden(capsys):
-    code, out, _ = run(capsys, "table1", "--format", "csv")
-    assert code == 0
-    assert out == (GOLDEN / "table1.csv").read_text(encoding="utf-8")
-
-
-def test_table1_json_has_thirteen_rows(capsys):
-    code, out, _ = run(capsys, "table1", "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert len(data) == 13
-    assert data[0] == {"params": {"lambda": 0, "mu": -2, "nu": 0},
-                       "delta": "1", "case": "AI", "k_fails": False}
-
-
-def test_table1_renderings_are_stable(capsys):
-    first = run(capsys, "table1", "--format", "csv")
-    second = run(capsys, "table1", "--format", "csv")
-    assert first == second
-
-
 # --- oracle ---------------------------------------------------------------------
-
-def test_oracle_single_triplet_box_mismatch(capsys):
-    code, out, _ = run(capsys, "oracle", "--lambda", "0", "0",
-                       "--mu", "-2", "-2", "--nu", "0", "0")
-    assert code == 1
-    assert "(0,-2,0)" in out
-    assert "DOES NOT MATCH TABLE 1" in out
-    assert out.count("missing:") == 12
-
-
-def test_oracle_empty_intersection_box(capsys):
-    code, out, _ = run(capsys, "oracle", "--lambda", "5", "10")
-    assert code == 1
-    assert out.count("missing:") == 13
-
 
 def test_oracle_malformed_interval(capsys):
     code, _, err = run(capsys, "oracle", "--lambda", "7", "3")
     assert code == 2
     assert "error:" in err
-
-
-def test_oracle_default_box_reports_the_extra_row(capsys):
-    # The exhaustive search finds (1,0,2) beyond the reference table, so
-    # the default run reports a mismatch; see README.
-    code, out, _ = run(capsys, "oracle")
-    assert code == 1
-    assert "extra: (1,0,2)" in out
-
-
-def test_oracle_json_parses_and_the_diff_goes_to_stderr(capsys):
-    code, out, err = run(capsys, "oracle", "--format", "json")
-    assert code == 1
-    rows = json.loads(out)
-    assert len(rows) == 14
-    assert {"lambda": 1, "mu": 0, "nu": 2} in [r["params"] for r in rows]
-    assert err == "DOES NOT MATCH TABLE 1\nextra: (1,0,2)\n"
-    for fmt in ("csv", "markdown"):
-        code, out, err = run(capsys, "oracle", "--lambda", "0", "0", "--mu", "-2",
-                             "-2", "--nu", "0", "0", "--format", fmt)
-        assert code == 1
-        assert "TABLE 1" not in out and "missing:" not in out
-        assert err.startswith("DOES NOT MATCH TABLE 1\n")
-        assert err.count("missing:") == 12 and err.count("\n") == 13
-    code, out, err = run(capsys, "oracle")
-    assert code == 1 and out.endswith("extra: (1,0,2)\n") and err == ""
 
 
 def oracle_reference(box, fmt):
@@ -449,33 +355,10 @@ def test_oracle_on_a_huge_box_finishes_quickly():
 
 # --- normalize, basis, nonsingular ------------------------------------------------
 
-def test_normalize_command(capsys):
-    code, out, _ = run(capsys, "normalize", "1", "1", "0", "0", "2", "3")
-    assert code == 0
-    assert out.strip() == "(0,2,3)"
-
-
 def test_normalize_command_rejects_bad_top_row(capsys):
     code, _, err = run(capsys, "normalize", "1", "2", "0", "0", "2", "3")
     assert code == 2
     assert "error:" in err
-
-
-def test_basis_command(capsys):
-    code, out, _ = run(capsys, "basis", "0", "2", "3", "6", "6")
-    assert code == 0
-    monomials = out.splitlines()
-    for named in ("w^2", "z^3", "u^6*x^6", "v^6*y^6"):
-        assert named in monomials
-
-
-def test_basis_command_json(capsys):
-    # Exponent-tuple lexicographic order lists y = (0,0,0,1,0,0) first.
-    code, out, _ = run(capsys, "basis", "0", "2", "3", "1", "0")
-    assert code == 0 and out.splitlines() == ["y", "x"]
-    code, out, _ = run(capsys, "basis", "0", "2", "3", "1", "0",
-                       "--format", "json")
-    assert code == 0 and json.loads(out) == ["y", "x"]
 
 
 def basis_listed(out, fmt):
@@ -534,15 +417,6 @@ def test_basis_refuses_huge_bases_quickly(capsys):
         assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
         assert err.startswith("error: ") and reason in err
-
-
-def test_nonsingular_command(capsys):
-    code, out, _ = run(capsys, "nonsingular", "1", "1")
-    assert code == 0
-    assert out.strip() == "3"
-    code, out, _ = run(capsys, "nonsingular", "0", "1", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {"delta": "2", "case": "AII"}
 
 
 def test_nonsingular_refuses_negative_mu(capsys):
@@ -877,9 +751,10 @@ def test_the_grammar_reads_as_argparse_reads_it():
 ALL_FORMATS = ("plain", "json", "csv", "markdown")
 EXTENSION = {"plain": "txt", "json": "json", "csv": "csv", "markdown": "md"}
 
-# (golden stem, argv, formats, exit code).  The output of argv in format fmt
+# (golden stem, argv, formats, exit code).  The stdout of argv in format fmt
 # is tests/golden/<stem>.<EXTENSION[fmt]>; plain runs without --format.
-# table1.md and table1.csv are pinned by the tests above.
+# Non-plain `oracle` writes its diff to stderr, the same text in every
+# format: tests/golden/<stem>.err.  Every other run writes nothing there.
 CLI_GOLDENS = (
     ("analyze_1_1_3", ("analyze", "1", "1", "3"), ALL_FORMATS, 0),
     ("analyze_0_0_0", ("analyze", "0", "0", "0"), ALL_FORMATS, 0),
@@ -891,11 +766,13 @@ CLI_GOLDENS = (
     ("analyze_2_0_4", ("analyze", "2", "0", "4"), ALL_FORMATS, 0),
     ("analyze_2_3_5", ("analyze", "2", "3", "5"), ALL_FORMATS, 0),
     ("analyze_0_0_-1", ("analyze", "0", "0", "-1"), ALL_FORMATS, 0),
-    ("table1", ("table1",), ("plain", "json"), 0),
+    ("table1", ("table1",), ALL_FORMATS, 0),
     ("oracle", ("oracle",), ALL_FORMATS, 1),
     ("oracle_0_-2_0", ("oracle", "--lambda", "0", "0", "--mu", "-2", "-2",
                        "--nu", "0", "0"), ALL_FORMATS, 1),
+    ("oracle_5_10", ("oracle", "--lambda", "5", "10"), ALL_FORMATS, 1),
     ("basis_0_2_3_6_6", ("basis", "0", "2", "3", "6", "6"), ALL_FORMATS, 0),
+    ("basis_0_2_3_1_0", ("basis", "0", "2", "3", "1", "0"), ALL_FORMATS, 0),
     ("basis_0_2_3_-1_0", ("basis", "0", "2", "3", "-1", "0"), ALL_FORMATS, 0),
     ("nonsingular_1_1", ("nonsingular", "1", "1"), ALL_FORMATS, 0),
     ("nonsingular_0_1", ("nonsingular", "0", "1"), ALL_FORMATS, 0),
@@ -904,18 +781,22 @@ CLI_GOLDENS = (
 )
 
 GOLDEN_RUNS = [
-    pytest.param(f"{stem}.{EXTENSION[fmt]}",
-                 argv if fmt == "plain" else argv + ("--format", fmt), code,
+    pytest.param(argv if fmt == "plain" else argv + ("--format", fmt), code,
+                 f"{stem}.{EXTENSION[fmt]}",
+                 f"{stem}.err" if argv[0] == "oracle" and fmt != "plain" else None,
                  id=f"{stem}.{EXTENSION[fmt]}")
     for stem, argv, formats, code in CLI_GOLDENS for fmt in formats
 ]
 
 
-@pytest.mark.parametrize("golden, argv, exit_code", GOLDEN_RUNS)
-def test_output_matches_golden(capsys, golden, argv, exit_code):
-    code, out, _ = run(capsys, *argv)
-    assert code == exit_code
-    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+@pytest.mark.parametrize("argv, exit_code, out, err", GOLDEN_RUNS)
+def test_output_matches_golden(capsys, argv, exit_code, out, err):
+    """argv exits with exit_code, writes the golden out to stdout and the
+    golden err, or nothing, to stderr; and a second run in the same
+    process, served by what the first one cached, does the same."""
+    expected = (exit_code, golden(out), golden(err) if err else "")
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv) == expected
 
 
 def test_each_report_format_builds_only_its_own_text(monkeypatch):
@@ -1104,6 +985,28 @@ def test_the_template_cache_holds_one_template_per_shape_and_format(monkeypatch)
         assert tracemalloc.get_traced_memory()[0] - before < 256 * 1024
     finally:
         tracemalloc.stop()
+
+
+def test_the_renderers_refuse_any_other_format(monkeypatch):
+    """render_rows and render_report raise the ValueError that `--format`
+    raises on a format not in FORMATS, for rows the library made or not,
+    and for valid, invalid and --thresholds reports; 1,000 such names
+    cache no template."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    reports = [report(BundleParams(1, 1, 3)), report(BundleParams(0, 0, 0)),
+               report(BundleParams(2, 2, 5), (Fraction(1),))]
+    table = classify_k2_failures()
+    row_lists = [table, [table[0]._replace(delta=Fraction(7, 3))], []]
+    for rep in reports:
+        for fmt in cli.FORMATS:
+            render_report(rep, fmt)
+    cached = len(cli._TEMPLATES)
+    for fmt in ("yaml", "md", "Plain", "", *(f"xml{k}" for k in range(1000))):
+        refused = (ValueError, f"invalid choice: {fmt!r} (choose from plain, json, csv, markdown)")
+        assert rendered(fmt, None, lambda text, _: cli._format_arg(text)) == refused
+        assert all(rendered(rep, fmt) == refused for rep in reports), fmt
+        assert all(rendered(rows, fmt, render_rows) == refused for rows in row_lists), fmt
+    assert len(cli._TEMPLATES) == cached == 8
 
 
 # --- entry points -----------------------------------------------------------------

@@ -23,11 +23,12 @@ about 50 MB; at h = 326 the count walks them instead.
 
 Per case, stdout gets the parent's median and q1-q3 and the change's median,
 in ms, the change's relative difference, and the number of rounds in which
-the change is slower.  As tools/pairs.py marks a `gain`, the case is marked
-`slower` only when that number is at least 9/10 of the rounds (all 7 at
-ROUNDS = 7) and the change's median is above the parent's by more than the
-parent's q3 - q1: one disturbed round marks nothing.  If a run fails, its
-stderr is printed and the exit status is 1.
+the change is slower.  By the rule by which tools/pairs.py marks a `gain`,
+its `pair_rule`, the case is marked `slower` only when that number is at
+least 9/10 of the rounds (all 7 at ROUNDS = 7) and the change's median is
+above the parent's by more than the parent's q3 - q1: one disturbed round
+marks nothing.  If a run fails, its stderr is printed and the exit status
+is 1.
 `compare` and `run` take any timed case, (label, setup, statement, calls
 per run), timed by `timeit` with the garbage collector on; `timed` makes
 one of each case above, one call per run, and tools/render_times.py times
@@ -35,10 +36,11 @@ the row renderer with them.  Only the standard library is used.
 """
 
 import os
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from pairs import pair_rule
 
 ROUNDS = 7
 BEST = 3
@@ -105,10 +107,8 @@ def compare(sides: dict[str, Path], cases, rounds: int = ROUNDS, best: int = BES
         for i in range(rounds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 times[side].append(scale * best_time(sides[side], case, best, least))
-        q1, _, q3 = statistics.quantiles(times["parent"], n=4)
-        before, after = statistics.median(times["parent"]), statistics.median(times["change"])
-        slower = sum(c > p for p, c in zip(times["parent"], times["change"]))
-        mark = "slower  " if 10 * slower >= 9 * rounds and after - before > q3 - q1 else ""
+        before, after, q1, q3, slower, marked = pair_rule(times["parent"], times["change"])
+        mark = "slower  " if marked else ""
         yield (f"{case[0]}  parent {before:.4g} {unit} (q1-q3 {q1:.4g}-{q3:.4g})  "
                f"change {after:.4g} {unit} ({after / before - 1:+.1%})  "
                f"{mark}slower in {slower}/{rounds}")

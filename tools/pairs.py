@@ -60,6 +60,20 @@ def write(path: str, records: list[dict]) -> None:
         "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
 
 
+def pair_rule(parent: list, change: list, sign: int = 1) -> tuple:
+    """(parent's median, change's median, parent's q1, parent's q3, k,
+    marked) of a measure taken in pairs: k is the number of pairs in which
+    the change is above the parent (below it, with sign -1), and marked
+    whether k is at least 9/10 of the pairs while the medians differ the
+    same way by more than the parent's q3 - q1.  `summary` marks a `gain`,
+    and tools/basis_times.py `slower`, by it."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    before, after = statistics.median(parent), statistics.median(change)
+    k = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    marked = 10 * k >= 9 * len(parent) and sign * (after - before) > q3 - q1
+    return before, after, q1, q3, k, marked
+
+
 def summary(records: list[dict], metrics: list[dict]) -> str:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -74,12 +88,9 @@ def summary(records: list[dict], metrics: list[dict]) -> str:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             parent, change = ([runs[side, s]["metrics"][name]["value"] for s in seeds]
                               for side in ("parent", "change"))
-            q1, _, q3 = statistics.quantiles(parent, n=4)
-            before, after = statistics.median(parent), statistics.median(change)
-            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            before, after, q1, q3, wins, marked = pair_rule(parent, change, sign)
             # fc/ac <= fp/ap, the failed shares compared without dividing.
-            if (10 * wins >= 9 * len(seeds) and sign * (after - before) > q3 - q1
-                    and fc * ap <= fp * ac):
+            if marked and fc * ap <= fp * ac:
                 mark = "gain  "
             elif -sign * (after / before - 1) > metric.get("bound", math.inf):
                 mark = "worse  "
