@@ -17,20 +17,23 @@ A report's text is built once per shape, as a `%` template, and filled
 per report.  Only 10 values vary inside a shape, the holes of its template:
 lambda, mu, nu, the four weight ratios, (-K_X)^3, the nef threshold and
 delta.  The shape key, `_shape`, is the format, the id of every other
-object the text shows (the fields of the validity record, the case, k2,
-the K^3_d thresholds and results, the fields of the K-status and the
-verdict) and the types of the records and the holes.  `_template` renders
-a report of the shape by the field path above, with a mark in each hole,
-so each field is still written in one place.  `_TEMPLATES` caches only
-shapes made of the objects `report` shares (`_SHARED`): bools, None, the
-enum members and the `DEFAULT_THRESHOLDS` Fractions, each alive as long
-as its module, so an id in a key names one object for good.  They are
+object the text shows (the validity record, the case, k2, the K^3_d
+thresholds and results, the K-status and the verdict) and one flat run
+of the types of the records and the holes; an invalid report's key is
+the format, the id of its validity record and the type of its triplet.
+`_template` renders a report of the shape by the field path above, with a
+mark in each hole, so each field is still written in one place.
+`_TEMPLATES` caches only shapes made of the objects `report` shares
+(`_SHARED`): the shared validity records and K-statuses, bools, the enum
+members and the `DEFAULT_THRESHOLDS` Fractions, each alive as long as
+its module, so an id in a key names one object for good.  They are
 finite, and a format not in FORMATS raises before any template is built,
 so the cache needs no bound of its own: 84 templates cover every
 shape of lambda in [0,6], mu in [-12,12], nu in [-2,21].  Other
 thresholds, such as those `analyze --thresholds` reads from text, are new
 Fractions with new ids, so their reports, which would make shapes without
-end, take the field path, as does a report of any other types.
+end, take the field path, as does a report of any other types or with a
+copy of a shared record.
 A table of rows is its head, then per row the row's number and its
 piece: the rest of its line, or for JSON its item of the list.
 `_row_pieces` is the one formatter of a row.  Every list of rows the
@@ -62,7 +65,7 @@ except ImportError:
 from .classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                        classify_k2_failures, nonsingular_delta, oracle_search)
 from .conditions import (DEFAULT_THRESHOLDS, CaseLabel, FibrationReport,
-                         KFailureReason, KStatus, RestrictBranch, ValidityReport,
+                         KFailureReason, KStatus, ValidityReport,
                          Verdict, WeightRatios, report, to_json)
 from .grading import (BundleParams, DivisorClass, GradingMatrix,
                       monomial_strings, normalize, rational)
@@ -209,25 +212,27 @@ def _render_fields(rep: FibrationReport, fmt: str) -> str:
 _HOLES = ("params.lam", "params.mu", "params.nu", "weight_ratios.wr_x", "weight_ratios.wr_y",
           "weight_ratios.wr_z", "weight_ratios.wr_w", "k_cubed", "nef_threshold", "delta")
 # What a shape is made of when `report` makes it: the ids of the objects
-# in its records and verdicts, each of which lives as long as its module,
-# so that no other object has its id, and the types of its records and
-# holes, invalid or valid.
-_SHARED = frozenset((*map(id, (True, False, None, *DEFAULT_THRESHOLDS, *CaseLabel, *RestrictBranch,
-                               *KFailureReason, *Verdict)), (ValidityReport, BundleParams),
-                     (ValidityReport, KStatus, dict, BundleParams, WeightRatios, *[Fraction] * 7)))
+# that its text shows besides the holes (the shared validity records and
+# K-statuses, the cases, k2, the `DEFAULT_THRESHOLDS` and their results
+# and the verdicts), each of which lives as long as its module, so that no
+# other object has its id, and the types of its records and holes.
+_SHARED = frozenset((*map(id, (True, False, *DEFAULT_THRESHOLDS, *CaseLabel, *Verdict,
+                               *ValidityReport.shared(), KStatus.not_proven(),
+                               *map(KStatus.proven, KFailureReason))),
+                     dict, BundleParams, WeightRatios, Fraction))
 _TEMPLATES = {}  # shape key -> (text, getter of its hole values)
 
 
 def _shape(rep: FibrationReport, fmt: str) -> tuple:
     """The key of rep's shape in format fmt: the format, the id of each
-    object its text shows besides the holes, and their types."""
-    if rep.case is None:  # the ids of the four fields, named: faster than a map
-        v = rep.validity
-        nu_nonneg, below, branch, valid = v
-        return fmt, id(nu_nonneg), id(below), id(branch), id(valid), (type(v), type(rep.params))
+    object its text shows besides the holes, and one flat run of the types
+    of its records and holes.  An invalid report shows only its validity
+    record and its triplet."""
     p, v, case, wr, k_cubed, nef, delta, k2, k3, status, verdict = rep
-    return (fmt, *map(id, (*v, case, k2, *k3, *k3.values(), *(status or ()), verdict)),
-            (type(v), type(status), *map(type, (k3, p, wr, *(wr or ()), k_cubed, nef, delta))))
+    if case is None:
+        return fmt, id(v), type(p)
+    return (fmt, id(v), id(case), id(k2), *map(id, k3), *map(id, k3.values()), id(status),
+            id(verdict), *map(type, (k3, p, wr, *(wr or ()), k_cubed, nef, delta)))
 
 
 def _template(rep: FibrationReport, fmt: str) -> tuple:

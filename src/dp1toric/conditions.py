@@ -33,8 +33,9 @@ thresholds.  `classify` bounds the oracle's regions by the same rows and
 forms.
 
 A report builds only what varies per triplet.  Each part with few values
-is built once at import and shared: the three K-statuses, the 32
-validity records (8 sets of flags by 4 branches) and the K^3_d results of
+is built once at import and shared: the three K-statuses, the 20
+validity records of the 32 decisions (8 sets of flags by 4 branches;
+equal records are one object) and the K^3_d results of
 `DEFAULT_THRESHOLDS`, one dict per stretch of 2*delta between their cuts.
 A report with those thresholds gets a fresh copy of its stretch's dict,
 which keeps the keys' hashes; other thresholds are compared one by one.
@@ -90,7 +91,9 @@ class WeightRatios(NamedTuple):
 
     @classmethod
     def from_params(cls, p: BundleParams) -> "WeightRatios":
-        return cls(_over(0, 1), _over(p.lam, 1), _over(p.mu, 2), _over(p.nu, 3))
+        # Every field is a Fraction already: no constructor needs to run.
+        return tuple.__new__(cls, (_over(0, 1), _over(p.lam, 1), _over(p.mu, 2),
+                                   _over(p.nu, 3)))
 
 
 class ValidityReport(NamedTuple):
@@ -108,6 +111,12 @@ class ValidityReport(NamedTuple):
         if self.nu_nonneg and self.three_mu_lt_two_nu and not self.is_valid:
             reasons.append("case (b) but no branch of 2*nu vs 5*lambda, 4*lambda+mu matches")
         return reasons
+
+    @classmethod
+    def shared(cls) -> tuple["ValidityReport", ...]:
+        """The records `validity` and `report` hand out, each built once at
+        import; no two are equal."""
+        return tuple(_SHARED_VALIDITY)
 
 
 class KStatus(NamedTuple("KStatus", [("proven_fails", bool),
@@ -336,12 +345,17 @@ def _decide(lam: int, mu: int, nu: int) -> tuple:
     return 0, case, branch, _form_at(_TWO_DELTA[case], lam, mu, nu)
 
 
-# The 32 validity records, built once: `_VALIDITY[branch][flags]` is the
-# record of a decision, shared by every triplet that has it.
-_VALIDITY = {branch: tuple(ValidityReport(nu_nonneg=not flags & _NU_NEGATIVE,
-                                          three_mu_lt_two_nu=not flags & _MU_NOT_BELOW,
-                                          restrictb_branch=branch, is_valid=not flags)
-                           for flags in range(8))
+# The validity records, built once: `_VALIDITY[branch][flags]` is the
+# record of a decision, shared by every triplet that has it.  No field shows
+# `_NO_BRANCH`, so flags f and f | _NO_BRANCH (f = 1, 2, 3) build equal
+# records; they are interned in `_SHARED_VALIDITY`, so that equal records
+# are one object: 20 records for the 32 decisions.
+_SHARED_VALIDITY = {}  # record -> itself
+_VALIDITY = {branch: tuple(_SHARED_VALIDITY.setdefault(record, record) for record in (
+                 ValidityReport(nu_nonneg=not flags & _NU_NEGATIVE,
+                                three_mu_lt_two_nu=not flags & _MU_NOT_BELOW,
+                                restrictb_branch=branch, is_valid=not flags)
+                 for flags in range(8)))
              for branch in (None, *RestrictBranch)}
 
 
@@ -452,6 +466,11 @@ def k_status(p: BundleParams) -> KStatus:
     return _k_status(p, _nef(p, _decide_valid(p)[1]))
 
 
+# The fields of an invalid triplet's report after params and validity: the
+# defaults of `FibrationReport`, its read-only empty K^3_d results included.
+_INVALID_TAIL = tuple(FibrationReport._field_defaults.values())
+
+
 def report(p: BundleParams,
            thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS) -> FibrationReport:
     """Full invariant-and-verdict report for a normalized triplet.
@@ -466,13 +485,16 @@ def report(p: BundleParams,
     proven K-failure.  Each threshold is read by `grading.rational`, so a
     float raises TypeError.  The validity record is `validity`'s shared
     one.  A valid report's K^3_d results are a fresh dict: for
-    `DEFAULT_THRESHOLDS` itself, a copy of one built at import.
+    `DEFAULT_THRESHOLDS` itself, a copy of one built at import.  Every
+    field is built exact and of its type, so the records are made by
+    `tuple.__new__`, past their constructors.
     """
-    _require_normalized(p)
+    if p.lam < 0:
+        _require_normalized(p)
     flags, case, branch, two_delta = _decide(*p)
     v = _VALIDITY[branch][flags]
     if flags:
-        return FibrationReport(p, v)
+        return tuple.__new__(FibrationReport, (p, v, *_INVALID_TAIL))
     two_nef = _nef(p, two_delta)
     status = _k_status(p, two_nef)
     if two_delta <= 0:
@@ -486,6 +508,6 @@ def report(p: BundleParams,
     else:
         k3 = {d0: _at_most(two_delta, d0) for d0 in map(rational, thresholds)}
     # 2*delta - 2*nef = 2*(-K_X)^3, the form `TWO_MINUS_K_CUBED`.
-    return FibrationReport(
+    return tuple.__new__(FibrationReport, (
         p, v, case, WeightRatios.from_params(p), _over(two_delta - two_nef, 2),
-        _over(two_nef, 2), _over(two_delta, 2), two_delta <= 0, k3, status, verdict)
+        _over(two_nef, 2), _over(two_delta, 2), two_delta <= 0, k3, status, verdict))

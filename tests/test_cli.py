@@ -904,6 +904,34 @@ def test_templates_render_as_the_field_path(monkeypatch):
                     p, fmt, other)
 
 
+def test_a_record_equal_to_a_shared_one_takes_the_field_path(monkeypatch):
+    """The key names a validity record and a K-status by id, so a report
+    whose record equals a shared one but is another object renders as the
+    field path does and caches no template, in every format, while the
+    report with the shared record is served from its template."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    reports = {}  # (validity record, K-status) -> a report with them
+    for t in product(range(3), range(-4, 5), range(-1, 8)):
+        rep = report(BundleParams(*t))
+        reports.setdefault((rep.validity, rep.k_status), rep)
+    assert {status for _, status in reports} == {
+        None, KStatus.not_proven(), *map(KStatus.proven, KFailureReason)}
+    copies = []  # (report, a copy with an equal record that is another object)
+    for rep in reports.values():
+        copies.append((rep, rep._replace(validity=ValidityReport(*rep.validity))))
+        if rep.k_status is not None:
+            copies.append((rep, rep._replace(k_status=KStatus(*rep.k_status))))
+    for rep, copy in copies:
+        assert copy == rep and any(a is not b for a, b in zip(copy, rep))
+        for fmt in cli.FORMATS:
+            assert render_report(copy, fmt) == cli._render_fields(copy, fmt)
+    assert cli._TEMPLATES == {}
+    for rep, copy in copies:
+        for fmt in cli.FORMATS:
+            assert render_report(rep, fmt) == render_report(copy, fmt)
+    assert len(cli._TEMPLATES) == 4 * len(reports)
+
+
 def test_a_template_of_a_huge_report(monkeypatch):
     """A 5,000-digit report renders as the field path does once the caller
     lifts the digit limit, and raises the same ValueError before.  The

@@ -603,6 +603,55 @@ def test_refusals_name_a_triplet_too_long_to_print():
         delta(BundleParams(0, 0, 0))
 
 
+def test_report_builds_the_records_its_constructors_would():
+    """`report` builds its records past their constructors: on a grid and on
+    5,000-digit triplets each record is of its class and has all of its
+    fields, each equal to and of the type of the field the constructor
+    gives, and its numbers are those of the public functions.  Invalid
+    reports hold the class's defaults, the read-only empty K^3_d results
+    included; lambda < 0 and a plain tuple are refused as before."""
+    n = 10 ** 5000
+    huge = [(0, 0, n), (n, n, 3 * n), (0, -5 * n, 0), (n, 0, 0), (0, n, 0), (1, 1, -n)]
+    defaults = FibrationReport._field_defaults
+    for t in (*iproduct(range(4), range(-6, 7), range(-1, 9)), *huge):
+        p = BundleParams(*t)
+        rep = report(p)
+        records = [(rep, FibrationReport(*rep))]
+        if rep.case is None:
+            assert rep[2:] == tuple(defaults.values())
+            assert rep.k3_threshold_results is defaults["k3_threshold_results"]
+        else:
+            wr = rep.weight_ratios
+            records.append((wr, WeightRatios(*wr)))
+            assert wr == (0, t[0], Q(t[1], 2), Q(t[2], 3))
+            assert all(type(q) is Fraction for q in (*wr, rep.k_cubed, rep.nef_threshold))
+            assert (rep.k_cubed, rep.nef_threshold, rep.delta) == (
+                minus_k_cubed(p), nef_threshold(p), delta(p))
+        for record, built in records:
+            assert type(record) is type(built) and len(record) == len(built._fields)
+            for field, value in zip(built._fields, record):
+                assert value == getattr(built, field), (t, field)
+                assert type(value) is type(getattr(built, field)), (t, field)
+    for t, shown in (((-1, 0, 3), "P(-1,0,3)"), ((-n, 0, 0), "the triplet")):
+        with pytest.raises(InvalidParams) as refused:
+            report(BundleParams(*t))
+        assert str(refused.value) == f"{shown} is not normalized (lambda < 0)"
+    for t in ((2, 3, 6), (-1, 0, 3), (0, 0, 0)):
+        with pytest.raises(AttributeError):
+            report(t)
+
+
+def test_equal_validity_records_are_one_object():
+    # The 32 decisions hand out 20 records, pairwise unequal, which are
+    # `ValidityReport.shared()`; `validity` and `report` still agree.
+    records = list({id(r): r for rs in conditions._VALIDITY.values() for r in rs}.values())
+    assert len(records) == len(set(records)) == 20
+    assert list(map(id, ValidityReport.shared())) == list(map(id, records))
+    for t in iproduct(range(4), range(-6, 7), range(-1, 9)):
+        p = BundleParams(*t)
+        assert validity(p) is report(p).validity
+
+
 def test_report_delta_consistency():
     rep = report(BundleParams(1, 1, 3))
     assert rep.delta == rep.k_cubed + rep.nef_threshold

@@ -1,7 +1,7 @@
 """The measuring scripts under tools/: the pair summary and line totals that
 tools/pairs.py prints, the basis timings of tools/basis_times.py, the
-renderer timings of tools/render_times.py and the code-line count of
-tools/code_lines.py.
+renderer timings of tools/render_times.py, the report timings of
+tools/report_times.py and the code-line count of tools/code_lines.py.
 
 tools/ is put on sys.path, as running a script from it would.
 """
@@ -14,8 +14,10 @@ import sys
 import timeit
 from pathlib import Path
 
-from dp1toric import cli
+from dp1toric import cli, conditions
 from dp1toric.classify import SearchBox, oracle_search
+from dp1toric.conditions import report
+from dp1toric.grading import BundleParams
 
 ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -25,6 +27,8 @@ from code_lines import code_lines  # noqa: E402
 from pairs import sizes, summary  # noqa: E402
 from render_times import CASES as RENDER_CASES  # noqa: E402
 from render_times import TWO_ROWS  # noqa: E402
+from report_times import CASES as REPORT_CASES  # noqa: E402
+from report_times import TRIPLETS  # noqa: E402
 
 LOWER = {"name": "latency_p50_ms", "better": "lower"}
 HIGHER = {"name": "ops_per_s", "better": "higher"}
@@ -155,6 +159,29 @@ def test_render_times_compares_a_case_on_both_sides():
     [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
                      rounds=3, best=1, least=0, unit="us")
     assert re.fullmatch(rf"{label}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
+                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
+                        r"[0-3]/3", line), line
+
+
+def test_report_times_compares_a_case_on_both_sides(monkeypatch):
+    # report on an invalid, a valid and a certificate triplet, and
+    # render_report on each in every format; each statement runs after its setup.
+    assert len(REPORT_CASES) == 3 + 3 * 4
+    # Only the certificate triplet runs the D_z certificate, once.
+    certified, check = [], conditions.is_dz_movable_on_x
+    monkeypatch.setattr(conditions, "is_dz_movable_on_x",
+                        lambda p: certified.append(p) or check(p))
+    valid = [report(BundleParams(*t)).validity.is_valid for _, t in TRIPLETS]
+    assert valid == [False, True, True]
+    assert certified == [BundleParams(*dict(TRIPLETS)["certificate"])]
+    for _, setup, statement, _ in REPORT_CASES:
+        timeit.Timer(statement, setup).timeit(1)
+    # Both sides are this checkout; 3 rounds of one run of 10 calls.
+    label, setup, statement, _ = REPORT_CASES[-1]
+    assert label == "render_report certificate (1, 1, 3) markdown"
+    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
+                     rounds=3, best=1, least=0, unit="us")
+    assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
                         rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
                         r"[0-3]/3", line), line
 
