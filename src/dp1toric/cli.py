@@ -41,7 +41,8 @@ library makes is drawn from the 14 oracle rows, so the piece of each in
 each format is built at import, in `_ROW_PIECES`, by the row's id, as are
 the `missing:` and `extra:` lines of `oracle`: an `oracle` or `table1`
 call formats no row.  This module holds those rows, so an id in the table
-names one row for good; any other row is formatted per call.
+names one row for good; any other row is formatted per call.  `oracle`
+diffs in one pass: each row pops its line from a copy of `_TABLE1`.
 The command line is read by one table, `_GRAMMAR`, and `_parse`, in one
 pass over the tokens.  `_SPELLINGS`, built from `_GRAMMAR` at import, maps
 each spelling of a command's flags (a flag, -h, --help, or a prefix of one
@@ -306,13 +307,11 @@ _EXTRA = {r.params: f"extra: {_triplet(r.params)}" for r in _ORACLE_ROWS}
 
 def _cmd_oracle(args) -> int:
     rows = oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))
-    found = {r.params for r in rows}
-    # rows are sorted and hold each triplet once, so the extra lines are
-    # in order as they come.
-    diff = [line for p, line in _TABLE1.items() if p not in found]
-    diff += [_EXTRA[r.params] for r in rows if r.params not in _TABLE1]
-    status = "\n".join(["DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1",
-                        *diff, ""])
+    missing = _TABLE1.copy()
+    # No two rows share a triplet, so a pop finds nothing only off the table.
+    extra = [_EXTRA[r.params] for r in rows if missing.pop(r.params, None) is None]
+    diff = [*missing.values(), *extra]
+    status = "\n".join(["DOES NOT MATCH TABLE 1" if diff else "MATCHES TABLE 1", *diff, ""])
     text = render_rows(rows, args.format)
     # The diff goes to stderr unless the format is plain, so that the
     # formatted rows on stdout parse.
@@ -446,21 +445,26 @@ def _fail(command: str | None, reason: str) -> None:
     raise SystemExit(2)
 
 
+def _is_flag(token: str) -> bool:
+    """A flag starts with `-`, then neither `.` nor a decimal digit of any
+    script, as `int` reads them (`-` is none).  No converter reads one."""
+    return token[:1] == "-" and token[1:2] not in "0123456789." and not token[1:2].isdecimal()
+
+
 def _parse(argv: list[str]) -> tuple:
     """The handler of the command that argv names, and its arguments as
     attributes, read by _GRAMMAR.  Options may come anywhere after the
     command, as `--flag value` or `--flag=value`, and a unique prefix
-    names a long flag; after `--` every token is a positional.  A token
-    is a flag unless it is `-` or starts with `-` and a `.` or a decimal
-    digit of any script, as `int` reads them."""
+    names a long flag; after `--` every token is a positional.  Too few
+    values for an option, or a flag among values that fail to convert, is
+    an error of their count."""
     if not argv:
         _fail(None, "the following arguments are required: command")
     command = argv[0]
     if command not in _GRAMMAR:
         if command in _SPELLINGS[None]:
             _help(None)
-        if (command[:1] == "-" and command[1:2] not in "0123456789."
-                and not command[1:2].isdecimal()):
+        if _is_flag(command):
             _fail(None, f"unrecognized arguments: {command}")
         _fail(None, f"invalid choice: {command!r} (choose from {', '.join(_GRAMMAR)})")
     handler, _, positionals, options = _GRAMMAR[command]
@@ -473,7 +477,7 @@ def _parse(argv: list[str]) -> tuple:
         i += 1
         flag, eq = spellings.get(token), ""
         if flag is None:
-            if token[:1] != "-" or token[1:2] in "0123456789." or token[1:2].isdecimal():
+            if not _is_flag(token):
                 tokens.append(token)
                 continue
             if token == "--":
@@ -485,15 +489,14 @@ def _parse(argv: list[str]) -> tuple:
         given = [value] if eq else argv[i:i + nargs]
         if not eq:
             i += nargs
-        for text in given:  # a flag among the values leaves too few
-            if text[:1] == "-" and text[1:2] not in "0123456789." and not text[1:2].isdecimal():
-                given = ()
-        if len(given) != nargs:
-            _fail(command, f"argument {flag}: expected {nargs} argument{'s' * (nargs > 1)}")
-        try:
-            values[dest] = convert(given[0]) if nargs == 1 else tuple(map(convert, given))
-        except ValueError as exc:
-            _fail(command, f"argument {flag}: {exc}")
+        if len(given) == nargs:
+            try:
+                values[dest] = convert(given[0]) if nargs == 1 else tuple(map(convert, given))
+                continue
+            except ValueError as exc:  # a flag among the values leaves too few
+                if not any(map(_is_flag, given)):
+                    _fail(command, f"argument {flag}: {exc}")
+        _fail(command, f"argument {flag}: expected {nargs} argument{'s' * (nargs > 1)}")
     names = _METAVARS[command]
     if len(tokens) < len(names):
         _fail(command, "the following arguments are required: "

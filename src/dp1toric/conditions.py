@@ -255,17 +255,12 @@ _VALID_ROWS = (
     ((0, 3, -2, -1), _MU_NOT_BELOW),  # 3*mu <= 2*nu - 1
 )
 # (case, branch, rows) per case and branch of case (b).  The (a-i) and
-# (a-ii) entries together hold exactly where 6*lambda <= 2*nu, so only case
-# (b) can match no entry, and first match (`_decide`) tries II and III only
-# where 2*nu < 6*lambda.  So their rows leave out that case-(b) row.  It
-# also follows in the regions of `classify` (lambda >= 0, validity and the
-# entry), over the integers: in II, 2*nu = 4*lambda + mu and 3*mu <= 2*nu -
-# 1 give 2*nu <= 6*lambda - 1; in III, 2*nu = 5*lambda < 4*lambda + mu and
-# 3*mu <= 2*nu - 1 give lambda < mu < 5*lambda/3, so lambda > 0 and 2*nu <
-# 6*lambda.  I keeps the row, as without it I holds in case (a) as well.
-# So at most one entry holds at a valid triplet with lambda >= 0.  Entries
-# may overlap elsewhere, as (a-ii) and III at the invalid (0, 1, 0), where
-# first match answers (a-ii).
+# (a-ii) entries together hold exactly where 6*lambda <= 2*nu, so first
+# match (`_decide`) tries II and III only where 2*nu < 6*lambda, and their
+# rows leave out that row; I keeps it.  At most one entry holds at a valid
+# triplet with lambda >= 0 (the claim `case-entries-exclusive` of
+# tests/test_proofs.py), so the regions of `classify` agree with first
+# match.  Elsewhere (a-ii) and III overlap at the invalid (0, 1, 0).
 _CASE_ROWS = (
     (CaseLabel.AI, None, (
         (6, 0, -2, 0),  # 6*lambda <= 2*nu: case (a)
@@ -479,12 +474,12 @@ def report(p: BundleParams,
     valid one always has a verdict.  Superrigid when delta <= 0 (the
     K^2-condition implies both the K-condition and the K^3 conditions);
     else NotRigidOverBase when the K-condition provably fails; else
-    SuperrigidIfKCondition.  That last one needs delta <= 1, which holds by
-    exhaustion: delta > 0 only on the 14 rows `classify` enumerates over
-    Z^3, and its import raises unless each of them with delta > 1 has a
-    proven K-failure.  Each threshold is read by `grading.rational`, so a
-    float raises TypeError.  The validity record is `validity`'s shared
-    one.  A valid report's K^3_d results are a fresh dict: for
+    SuperrigidIfKCondition.  That last one needs delta <= 1: delta > 0 only
+    on the 14 rows of `classify` (the claim `regions` of
+    tests/test_proofs.py), whose import raises unless each with delta > 1
+    has a proven K-failure.  Each threshold is read by `grading.rational`,
+    so a float raises TypeError.  The validity record is `validity`'s
+    shared one.  A valid report's K^3_d results are a fresh dict: for
     `DEFAULT_THRESHOLDS` itself, a copy of one built at import.  Every
     field is built exact and of its type, so the records are made by
     `tuple.__new__`, past their constructors.

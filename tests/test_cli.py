@@ -272,6 +272,17 @@ def test_oracle_formats_no_triplet_and_other_rows_are_formatted(capsys, monkeypa
 ROW_LABELS = {CaseLabel.AI: "(a-i)", CaseLabel.AII: "(a-ii)", CaseLabel.B: "(b)"}
 
 
+def test_oracle_prints_the_same_twice_and_leaves_the_table_as_it_was(capsys):
+    # The default box (14 rows), an empty box and the box of (1,0,2) alone:
+    # the diff works on a copy, so a second run finds the table unchanged.
+    table, extra = dict(cli._TABLE1), dict(cli._EXTRA)
+    for box in ((), ("--lambda", "6", "10"), ("--lambda", "1", "1", "--mu", "0", "0")):
+        for fmt in ALL_FORMATS:
+            first = run(capsys, "oracle", *box, "--format", fmt)
+            assert run(capsys, "oracle", *box, "--format", fmt) == first, (box, fmt)
+            assert (cli._TABLE1, cli._EXTRA) == (table, extra), (box, fmt)
+
+
 def reference_rows(rows, fmt):
     """The table of rows in format fmt, by the rule: the golden line format
     for plain, the standard library's JSON, comma-joined cells for csv and
@@ -609,6 +620,26 @@ def test_usage_errors_count_the_values_of_an_option(capsys):
         "invalid literal for int() with base 10: 'x'")
     assert usage_error(capsys, "basis", "0", "2", "3", "x", "--format", "json") == (
         "dp1toric basis: error: the following arguments are required: f")
+
+
+FLAG_SHAPED = ("-x", "--mu", "-h", "--", "- 1", "-+1", "--1", "-_1", "-e5", "-\u00b2",
+               "-\u2177")  # the last two: a superscript two and a small roman eight
+
+
+def test_no_option_converter_reads_a_flag():
+    # So `_parse` may convert an option's values before it looks for a flag
+    # among them.
+    converters = {spec[3] for _, _, _, options in cli._GRAMMAR.values()
+                  for spec in options.values()}
+    assert len(converters) == 3  # int, the format and the thresholds
+    for token in FLAG_SHAPED:
+        assert cli._is_flag(token), token
+        for convert in converters:
+            with pytest.raises(ValueError):
+                convert(token)
+    # A dash alone, or before a digit of any script or a dot, starts a value.
+    for token in ("-", "-1", "-.5", "-\u0663"):
+        assert not cli._is_flag(token), token
 
 
 def brute_force_spellings(flags) -> dict:

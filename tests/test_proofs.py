@@ -149,6 +149,11 @@ CLAIMS = {
         nonsingular(AI, (-5, 6, 0), (5, -6, 0)),  # 6*mu = 5*lambda
         nonsingular(AII, (1, -1, -1)),  # mu >= lambda + 1
     ], [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (3, 3), (6, 5)]),
+    # The K^2-condition, delta <= 0, never meets a proven K-failure, at
+    # every valid triplet with lambda >= 0.
+    "k2-excludes-proven-failure": ([
+        (f"{name}: 2*delta <= 0, proven", base + (at_most(conditions._TWO_DELTA[case], 0),) + c)
+        for case, name, _, base in ENTRIES for c in k_proven(conditions._TWO_NEF[case])], ()),
     # The regions of `classify` hold the 14 oracle triplets, all of Z^3 with
     # delta > 0, labelled by case and branch.
     "regions": ([((case, branch), rows) for case, branch, rows in classify._REGIONS], [
@@ -184,7 +189,7 @@ def test_the_table_holds_the_systems_of_each_claim():
         "case-entries-exclusive": 10, "k-dichotomy": 28,
         "k-proven-with-at-most-one-slope-below": 40, "two-slopes-below-not-proven": 60,
         "k-fails-on-six-triplets": 30, "case-a-sections": 6,
-        "nonsingular-delta-positive": 3, "regions": 5}
+        "nonsingular-delta-positive": 3, "k2-excludes-proven-failure": 10, "regions": 5}
 
 
 def test_check_fails_a_false_claim():

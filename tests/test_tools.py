@@ -26,7 +26,7 @@ from basis_times import CASES, compare, timed  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from pairs import sizes, summary  # noqa: E402
 from render_times import CASES as RENDER_CASES  # noqa: E402
-from render_times import TWO_ROWS  # noqa: E402
+from render_times import EMPTY, EXTRA_ONLY, TWO_ROWS  # noqa: E402
 from report_times import CASES as REPORT_CASES  # noqa: E402
 from report_times import TRIPLETS  # noqa: E402
 
@@ -145,11 +145,15 @@ def test_basis_times_compares_a_case_on_both_sides():
 
 
 def test_render_times_compares_a_case_on_both_sides():
-    # render_rows in every format on 0, 2 and 14 rows, and main on two
-    # oracle argvs, of 14 rows and of 2; each statement runs after its setup.
-    assert len(RENDER_CASES) == 14
-    _, args = cli._parse(TWO_ROWS)
-    assert len(oracle_search(SearchBox(args.lambda_range, args.mu_range, args.nu_range))) == 2
+    # render_rows in every format on 0, 2 and 14 rows, and main on four
+    # oracle argvs, of 14 rows, none, (1,0,2) alone and 2; each statement
+    # runs after its setup.
+    assert len(RENDER_CASES) == 16
+    for argv, found in ((EMPTY, []), (EXTRA_ONLY, [(1, 0, 2)]),
+                        (TWO_ROWS, [(2, 2, 5), (2, 3, 5)])):
+        _, args = cli._parse(argv)
+        box = SearchBox(args.lambda_range, args.mu_range, args.nu_range)
+        assert [r.params for r in oracle_search(box)] == found, argv
     with contextlib.redirect_stdout(io.StringIO()):
         for _, setup, statement, _ in RENDER_CASES:
             timeit.Timer(statement, setup).timeit(1)

@@ -10,8 +10,9 @@ INVALID, VALID (valid, off the D_z certificate path) and CERTIFICATE
 built in the setup, after one render has cached its shape's template.
 Each is timed by tools/basis_times.py's `compare`: for each of ROUNDS
 rounds, one subprocess runs in each checkout, with PYTHONPATH on its src,
-and prints the best of BEST runs of NUMBER calls, per call; which side
-runs first alternates from round to round.  Per case, stdout gets the
+and prints the best of at least BEST runs of NUMBER calls, per call, run
+for at least basis_times.MIN_SECONDS in all; which side runs first
+alternates from round to round.  Per case, stdout gets the
 parent's median and q1-q3 and the change's median, in microseconds, the
 relative difference and the rounds in which the change is slower, marked
 `slower` by the rule of tools/basis_times.py.  If a run fails, its stderr
@@ -20,7 +21,7 @@ is printed and the exit status is 1.  Only the standard library is used.
 
 import sys
 
-from basis_times import run
+from basis_times import MIN_SECONDS, run
 
 ROUNDS, BEST, NUMBER = 7, 7, 10_000
 FORMATS = ("plain", "json", "csv", "markdown")
@@ -40,4 +41,4 @@ CASES += [(f"render_report {kind:<11} {t} {fmt}", SETUP % (t,), f"render_report(
 
 if __name__ == "__main__":
     sys.exit(run(sys.argv[1:], "tools/report_times.py", CASES, rounds=ROUNDS, best=BEST,
-                 least=0, unit="us"))
+                 least=MIN_SECONDS, unit="us"))
