@@ -14,15 +14,8 @@ independent cross-check of the closed form.
 `_top_below` multiplies classes by the rule F^2 = 0, in ints on integer
 pairs and in `Fraction`s on `DivisorClass`es, and each returned value is a
 `Fraction`: one computed in ints is the shared `Fraction` of
-`grading._over`, built once per value.  `triple_on_x` evaluates the
-product with the hypersurface X = 6H + 2*nu*F collapsed to one form:
-
-    (a . b . c)_X = (2*below - (2*lambda + mu)*top) / 2
-
-for (a . b . c) = top*H^3 + below*H^2*F.  It multiplies the six entries
-in ints for integral classes, which are all the classes the library
-builds (H, F, the torus classes, -K_X and X), and in `Fraction`s
-otherwise.
+`grading._over`, built once per value.  `triple_on_x` evaluates products
+on the hypersurface X = 6H + 2*nu*F by one closed form, stated there.
 """
 
 from __future__ import annotations
@@ -149,34 +142,27 @@ def anticanonical_on_x(p: BundleParams) -> DivisorClass:
 
 def triple_on_x(p: BundleParams, a: DivisorClass, b: DivisorClass,
                 c: DivisorClass) -> Fraction:
-    """Triple intersection (a . b . c) on the hypersurface X.
+    """Triple intersection (a . b . c) on the hypersurface X, which is
+    (a . b . c . X) on the bundle: with (a . b . c) = top*H^3 + below*H^2*F,
+    by the closed forms of `evaluate_top` (the nu terms cancel),
 
-    Restriction is computed upstairs: (a . b . c)_X = (a . b . c . X)_P.
-    With (a . b . c) = top*H^3 + below*H^2*F and X = 6H + 2*nu*F, the
-    product is 6*top*H^4 + (6*below + 2*nu*top)*H^3*F modulo F^2 = 0.  By
-    the closed forms its degree is
+        (a . b . c)_X = (2*below - (2*lambda + mu)*top) / 2.
 
-        (-6*top*(6*lambda + 3*mu + 2*nu) + 6*(6*below + 2*nu*top)) / 36
-          = (2*below - (2*lambda + mu)*top) / 2:
-
-    the nu terms cancel.  For classes h_i*H + f_i*F that is
-    f_a*h_b*h_c + h_a*f_b*h_c + h_a*h_b*f_c - (lambda + mu/2)*h_a*h_b*h_c.
-
-    The six entries are read as integer ratios once.  When all six
-    denominators are 1, as for every class the library builds, top and
-    below are those two products in ints, and the result is `_over` of
-    2*below - (2*lambda + mu)*top and 2; otherwise the six entries are the
-    `Fraction`s themselves, the same products run on them, and that
-    `Fraction` is halved.
+    tests/test_chow.py::test_triple_on_x_equals_the_generic_path checks it
+    against `evaluate_top`.  Each entry of a `DivisorClass` is exactly a
+    `Fraction` (`grading.rational`), whose slots _numerator and
+    _denominator hold its reduced ratio, and they are read directly.  When
+    the six denominators are 1, as for every class the library builds, top
+    and below are products of the six numerators in ints and the result is
+    `_over(twice, 2)`; otherwise they are products of the `Fraction`s, and
+    twice the result is halved.  ::test_triple_on_x_reads_every_denominator
+    checks that each denominator decides the path.
     """
-    ha, sa = a.h.as_integer_ratio()
-    fa, ta = a.f.as_integer_ratio()
-    hb, sb = b.h.as_integer_ratio()
-    fb, tb = b.f.as_integer_ratio()
-    hc, sc = c.h.as_integer_ratio()
-    fc, tc = c.f.as_integer_ratio()
-    if not sa == ta == sb == tb == sc == tc == 1:
-        ha, fa, hb, fb, hc, fc = a.h, a.f, b.h, b.f, c.h, c.f
+    (ha, fa), (hb, fb), (hc, fc) = a, b, c
+    if (ha._denominator == fa._denominator == hb._denominator == fb._denominator
+            == hc._denominator == fc._denominator == 1):
+        ha, fa, hb, fb, hc, fc = (ha._numerator, fa._numerator, hb._numerator,
+                                  fb._numerator, hc._numerator, fc._numerator)
     top = ha * hb * hc
     below = fa * hb * hc + ha * fb * hc + ha * hb * fc
     twice = 2 * below - (2 * p.lam + p.mu) * top

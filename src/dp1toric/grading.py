@@ -95,7 +95,7 @@ class GradingMatrix(NamedTuple):
 
     @classmethod
     def from_params(cls, p: BundleParams) -> "GradingMatrix":
-        return cls((1, 1, 0, p.lam, p.mu, p.nu))
+        return tuple.__new__(cls, ((1, 1, 0, p.lam, p.mu, p.nu), BOTTOM_ROW))
 
     def shifted(self, k: int) -> "GradingMatrix":
         """Row operation top_row += k * bottom_row (a gauge change)."""
@@ -342,7 +342,7 @@ def _kept(p: BundleParams, cls: DivisorClass):
     if n > MAX_BASIS_MONOMIALS:
         raise ValueError(f"|{_shown(cls, 'D')}| has more than {MAX_BASIS_MONOMIALS} "
                          "fiber monomials x^c*y^d*z^e*w^g to scan")
-    h, f = (int(cls.h), int(cls.f)) if n else (-1, 0)
+    h, f = _degrees(cls)
     lam, mu, nu = p
     return ((r, c, d, e, g) for c, d, e, g in _fiber_parts(h)
             for r in [f - lam * d - mu * e - nu * g] if r >= 0)
@@ -388,7 +388,7 @@ def monomial_strings(p: BundleParams, cls: DivisorClass) -> list[str]:
     needs no JSON escape and no csv quote.
     """
     n = fiber_part_count(cls)
-    h, f = int(cls.h), int(cls.f)
+    h, f = _degrees(cls)
     if 0 < n <= _POWER_TABLE_SIZE:
         lam, mu, nu = p
         parts = [(r, fiber) for d, e, g, fiber in _fibers(h)
@@ -437,15 +437,21 @@ def _powers(s: str, n: int) -> tuple[str, ...]:
     return powers
 
 
+def _degrees(cls: DivisorClass) -> tuple[int, int]:
+    """(h, f) of the class h*H + f*F as ints, or (-1, 0), degrees with no
+    monomial, when it is not integral.  Each entry is exactly a `Fraction`
+    (`rational`), so its slots hold its reduced ratio and are read directly."""
+    h, f = cls
+    return (h._numerator, f._numerator) if h._denominator == f._denominator == 1 else (-1, 0)
+
+
 def fiber_part_count(cls: DivisorClass) -> int:
     """len(list(_fiber_parts(h))) for an integral class of H-degree h, and 0
     for a non-integral one, in closed form: the number of (c, d, e, g) >= 0
     with c + d + 2*e + 3*g = h is the integer nearest to
     (2*h^3 + 21*h^2 + 66*h + 55) / 72."""
-    if not cls.is_integral or cls.h < 0:
-        return 0
-    h = int(cls.h)
-    return (2 * h**3 + 21 * h**2 + 66 * h + 91) // 72
+    h = _degrees(cls)[0]
+    return (2 * h**3 + 21 * h**2 + 66 * h + 91) // 72 if h >= 0 else 0
 
 
 def monomial_basis(p: BundleParams, cls: DivisorClass) -> list[ExponentVector]:
@@ -542,7 +548,7 @@ def base_locus_strata(p: BundleParams, cls: DivisorClass) -> list[Stratum]:
     else.
     """
     lam, mu, nu = p
-    h, f = (int(cls.h), int(cls.f)) if cls.is_integral else (-1, 0)
+    h, f = _degrees(cls)
     # Exponents are >= 0, so (c and 1) is x's bit: 1 exactly when c > 0.
     supports = {(c and 1) | (d and 2) | (e and 4) | (g and 8)
                 for c, d, e, g in _extreme_parts(h) if lam * d + mu * e + nu * g <= f}

@@ -2,7 +2,10 @@
 calls of float(), so exact arithmetic cannot be lost by accident.  And one
 builder of Fractions: only `grading.rational` and `grading._over` call
 Fraction(), so every Fraction the library makes from ints is the shared,
-immutable one of its value."""
+immutable one of its value.  And two readers of a Fraction's private
+slots: only `chow.triple_on_x` and `grading._degrees` read _numerator or
+_denominator, each on the entries of a `DivisorClass`, every one of which
+is exactly a Fraction (tests/test_records.py)."""
 
 import ast
 import gc
@@ -24,6 +27,8 @@ from dp1toric.grading import _FRACTIONS, _FRACTIONS_MAX, H, BundleParams, _over,
 MODULES = sorted(Path(dp1toric.__file__).parent.glob("*.py"))
 # The functions of each module that may call Fraction().
 FRACTION_BUILDERS = {"grading.py": {"rational", "_over"}}
+# The functions of each module that may read a Fraction's slots.
+SLOT_READERS = {"chow.py": {"triple_on_x"}, "grading.py": {"_degrees"}}
 
 
 def float_uses(tree: ast.AST) -> list[str]:
@@ -48,15 +53,20 @@ def test_no_float_in_module(path):
     assert float_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def inside(tree: ast.AST, names) -> set[int]:
+    """The ids of the nodes of tree within the functions named in names."""
+    return {id(node) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in names
+            for node in ast.walk(f)}
+
+
 def fraction_calls(tree: ast.AST, builders=frozenset()) -> list[str]:
     """Calls of Fraction() or fractions.Fraction() in tree outside the
     functions named in builders."""
-    inside = {id(node) for f in ast.walk(tree)
-              if isinstance(f, ast.FunctionDef) and f.name in builders
-              for node in ast.walk(f)}
+    inside_builders = inside(tree, builders)
     return [f"line {line}: call of Fraction()" for line in sorted(
         node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and id(node) not in inside
+        if isinstance(node, ast.Call) and id(node) not in inside_builders
         and "Fraction" in (getattr(node.func, "id", None),
                            getattr(node.func, "attr", None)))]
 
@@ -73,6 +83,30 @@ def test_the_guard_sees_fraction_calls():
 def test_only_the_builders_call_fraction(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert fraction_calls(tree, FRACTION_BUILDERS.get(path.name, ())) == []
+
+
+def slot_reads(tree: ast.AST, readers=frozenset()) -> list[str]:
+    """Reads of the attributes _numerator or _denominator in tree outside
+    the functions named in readers."""
+    inside_readers = inside(tree, readers)
+    return [f"line {line}: {attr}" for line, attr in sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in inside_readers
+        and node.attr in ("_numerator", "_denominator"))]
+
+
+def test_the_guard_sees_slot_reads():
+    tree = ast.parse("def _degrees(cls):\n    return cls.h._numerator\n"
+                     "def count(q):\n    return q._denominator == 1\n"
+                     "n = getattr(q, 'numerator')\nd = q.denominator\n")
+    assert slot_reads(tree, {"_degrees"}) == ["line 4: _denominator"]
+    assert slot_reads(tree) == ["line 2: _numerator", "line 4: _denominator"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_named_readers_read_fraction_slots(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert slot_reads(tree, SLOT_READERS.get(path.name, ())) == []
 
 
 def test_equal_values_are_one_shared_fraction():

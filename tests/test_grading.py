@@ -4,11 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 import sys
 import time
-from itertools import chain, product as iproduct
+from itertools import chain, combinations_with_replacement, product as iproduct
 
 import pytest
 
 from dp1toric import grading
+from dp1toric.chow import triple_on_x
 from dp1toric.grading import (BOTTOM_ROW, VARIABLES, F, H, BundleParams,
                               DivisorClass, EmptyLinearSystem, ExponentVector,
                               GradingMatrix, InvalidMatrix, Stratum, _fiber_parts,
@@ -391,6 +392,56 @@ def test_fiber_part_count_matches_the_enumeration_on_grid():
             assert list(_fiber_parts(h)) == [t for t in iproduct(range(h + 1), repeat=4)
                                              if t[0] + t[1] + 2 * t[2] + 3 * t[3] == h], h
     assert fiber_part_count(DivisorClass(Fraction(7, 2), 0)) == 0
+
+
+def degrees_by_int(cls):
+    """grading._degrees as int() and as_integer_ratio() read a class: (h, f)
+    when both denominators are 1, else (-1, 0)."""
+    (_, s), (_, t) = cls.h.as_integer_ratio(), cls.f.as_integer_ratio()
+    return (int(cls.h), int(cls.f)) if s == t == 1 else (-1, 0)
+
+
+def triple_by_ratio(p, a, b, c):
+    """chow.triple_on_x with its six entries read by as_integer_ratio()."""
+    (ha, sa), (fa, ta) = a.h.as_integer_ratio(), a.f.as_integer_ratio()
+    (hb, sb), (fb, tb) = b.h.as_integer_ratio(), b.f.as_integer_ratio()
+    (hc, sc), (fc, tc) = c.h.as_integer_ratio(), c.f.as_integer_ratio()
+    if not sa == ta == sb == tb == sc == tc == 1:
+        ha, fa, hb, fb, hc, fc = a.h, a.f, b.h, b.f, c.h, c.f
+    twice = (2 * (fa * hb * hc + ha * fb * hc + ha * hb * fc)
+             - (2 * p.lam + p.mu) * ha * hb * hc)
+    return Fraction(twice, 2) if type(twice) is int else twice / 2
+
+
+def outcome(function, *args):
+    """function(*args), or the type and message of what it raises."""
+    try:
+        return function(*args)
+    except Exception as error:  # noqa: BLE001 - the refusal is the outcome
+        return type(error), str(error)
+
+
+def test_slot_reads_agree_with_int_reads_at_the_boundaries(monkeypatch):
+    # h in {-1, 0, 1/2, 29, 30}, on both sides of the spelt fiber table, f in
+    # {-1/3, 0, 10**40}, and a 5,000-digit entry, which str() refuses.
+    big = 10 ** 4999
+    classes = [DivisorClass(h, f) for h in (-1, 0, Fraction(1, 2), 29, 30)
+               for f in (Fraction(-1, 3), 0, 10 ** 40)]
+    classes += [DivisorClass(6, big), DivisorClass(big, 0)]
+    for cls in classes:
+        degrees = grading._degrees(cls)
+        assert degrees == degrees_by_int(cls) and {type(n) for n in degrees} == {int}, cls
+    functions = (lambda p, cls: fiber_part_count(cls), monomial_count, monomial_strings,
+                 monomial_basis, base_locus_strata)
+    # All parts kept at f = 0, and x^h alone.
+    bundles = (BundleParams(0, 0, 0), BundleParams(1, 2, 3))
+    read = [outcome(f, p, cls) for p in bundles for cls in classes for f in functions]
+    monkeypatch.setattr(grading, "_degrees", degrees_by_int)
+    assert read == [outcome(f, p, cls) for p in bundles for cls in classes for f in functions]
+    p = bundles[1]
+    for a, b, c in combinations_with_replacement(classes, 3):
+        got = triple_on_x(p, a, b, c)
+        assert type(got) is Fraction and got == triple_by_ratio(p, a, b, c), (a, b, c)
 
 
 def test_w_squared_always_a_hypersurface_section():

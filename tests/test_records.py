@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from dp1toric import (DEFAULT_BOX, BundleParams, CycleClass, DivisorClass,
                       FibrationReport, GradingMatrix, KFailureReason, KStatus,
                       SearchBox, Stratum, ValidityReport, WeightRatios,
                       classify_k2_failures, report, validity)
+from dp1toric.chow import anticanonical_on_x, x_class
 from dp1toric.classify import ClassificationRow
 from dp1toric.conditions import to_json
+from dp1toric.grading import F, H, torus_divisor_class
 
 SRC = Path(__file__).parent.parent / "src"
 LIBRARY_MODULES = ("dp1toric.grading", "dp1toric.chow", "dp1toric.conditions",
@@ -39,7 +42,7 @@ VALID_REPORT_REPR = (
 RECORDS = [
     (BundleParams, lambda: BundleParams(1, 1, 3),
      "BundleParams(lam=1, mu=1, nu=3)", True),
-    (GradingMatrix, lambda: GradingMatrix((1, 1, 0, 1, 1, 3)),
+    (GradingMatrix, lambda: GradingMatrix.from_params(BundleParams(1, 1, 3)),
      "GradingMatrix(top_row=(1, 1, 0, 1, 1, 3), bottom_row=(0, 0, 1, 1, 2, 3))",
      True),
     (DivisorClass, lambda: DivisorClass(1, 2),
@@ -166,6 +169,28 @@ def test_divisor_class_coerces_to_fractions():
     d = c._replace(h=3)
     assert type(d.h) is Q and d == DivisorClass(3, 2)
     assert CycleClass().coefficients == {}
+
+
+class Rational(Q):
+    """A Fraction subclass, which a class must not keep as it is."""
+
+
+def test_divisor_class_entries_are_exactly_fractions():
+    # The invariant under the slot reads of chow.triple_on_x and
+    # grading._degrees: every entry, however the class is built, is exactly
+    # a Fraction, whose slots hold the ratio that as_integer_ratio gives.
+    p = BundleParams(2, 3, 5)
+    c = DivisorClass(Q(3, 2), -4)
+    classes = [DivisorClass(q, q) for q in (7, True, "7", "3/2", Decimal("2.5"),
+                                            Rational(5, 3), Q(-4, 6))]
+    classes += [DivisorClass._make((1, "1/3")), c._replace(h=2), c._replace(f="5/7"),
+                c + DivisorClass(1, 2), c - DivisorClass(1, 2), c * 3, 3 * c,
+                c * Q(2, 3), Q(2, 3) * c, -c, H, F, anticanonical_on_x(p), x_class(p)]
+    classes += [torus_divisor_class(p, s) for s in "uvxyzw"]
+    for cls in classes:
+        for q in cls:
+            assert type(q) is Q, cls
+            assert (q._numerator, q._denominator) == q.as_integer_ratio(), cls
 
 
 def test_invalid_reports_share_no_mutable_results():

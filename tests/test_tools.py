@@ -1,7 +1,8 @@
 """The measuring scripts under tools/: the pair summary and line totals that
 tools/pairs.py prints, the basis timings of tools/basis_times.py, the
 renderer timings of tools/render_times.py, the report timings of
-tools/report_times.py and the code-line count of tools/code_lines.py.
+tools/report_times.py, the intersection and crosscheck timings of
+tools/chow_times.py and the code-line count of tools/code_lines.py.
 
 tools/ is put on sys.path, as running a script from it would.
 """
@@ -12,6 +13,7 @@ import re
 import statistics
 import sys
 import timeit
+from fractions import Fraction
 from pathlib import Path
 
 from dp1toric import cli, conditions
@@ -23,6 +25,8 @@ ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 from basis_times import CASES, compare, timed  # noqa: E402
+from chow_times import CASES as CHOW_CASES  # noqa: E402
+from chow_times import OP, OP_TRIPLETS, top_row  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from pairs import sizes, summary  # noqa: E402
 from render_times import CASES as RENDER_CASES  # noqa: E402
@@ -183,6 +187,30 @@ def test_report_times_compares_a_case_on_both_sides(monkeypatch):
     # Both sides are this checkout; 3 rounds of one run of 10 calls.
     label, setup, statement, _ = REPORT_CASES[-1]
     assert label == "render_report certificate (1, 1, 3) markdown"
+    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
+                     rounds=3, best=1, least=0, unit="us")
+    assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
+                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
+                        r"[0-3]/3", line), line
+
+
+def test_chow_times_compares_a_case_on_both_sides():
+    # triple_on_x on 7 classes, 4 builders and 3 crosscheck op bodies; each
+    # op gives its triplet's basis length, (-K_X)^3 and (H^4), and each
+    # statement runs after its setup.
+    assert len(CHOW_CASES) == 7 + 4 + 3
+    namespace = {}
+    exec(OP, namespace)
+    for (lam, mu, nu), count in zip(OP_TRIPLETS, (84, 578, 1360)):
+        products, h4, out, code = namespace["op"](top_row(lam, mu, nu))
+        assert (code, len(products), out.count("\n")) == (0, 56, count)
+        assert products[-1] == Fraction(4 * lam + 5 * mu - 6 * nu + 12, 2)
+        assert h4 == Fraction(-(6 * lam + 3 * mu + 2 * nu), 36)
+    for _, setup, statement, _ in CHOW_CASES:
+        timeit.Timer(statement, setup).timeit(1)
+    # Both sides are this checkout; 3 rounds of one run of 10 calls.
+    label, setup, statement, _ = CHOW_CASES[0]
+    assert label == "triple_on_x         (2, 3, 5) H^3"
     [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
                      rounds=3, best=1, least=0, unit="us")
     assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
