@@ -218,21 +218,15 @@ def nonsingular_delta(lam: int, mu: int) -> tuple[Fraction, CaseLabel]:
     formulas.
 
     The family is |6H + 6*mu*F|, and it has a nonsingular member exactly
-    when mu >= lambda or 6*mu = 5*lambda; every other pair is refused.
-    Proof: z^3 and w^2 have constant coefficients, so a general member
-    misses x = y = w = 0 and x = y = z = 0, off which the bundle is
-    nonsingular, and by Bertini it is nonsingular off the base locus, which
-    lies in z = w = 0.  If mu < 0, x^6, x^5 y, x^4 z and x^3 w would leave
-    the negative F-degrees 6*mu, 6*mu - lambda, 4*mu and 3*mu to u and v,
-    so every member lies in (y, z, w)^2: singular along y = z = w = 0.  If
-    mu >= 0, x^6 is a section, so the base locus lies in C_y = {x = z = w
-    = 0}, and y^6 empties it when mu >= lambda.  If mu < lambda, y^6, y^4 z
-    and y^3 w would leave 6*(mu - lambda), 4*(mu - lambda) and 3*(mu -
-    lambda) to u and v, so modulo (x, z, w)^2 every member is y^5 x b(u, v)
-    with deg b = 6*mu - 5*lambda.  A member is singular along all of C_y if
-    that degree is negative (no such term) and where b = 0 if it is
-    positive; if it is 0, b is a nonzero constant for a general member,
-    which is then nonsingular.
+    when mu >= lambda or 6*mu = 5*lambda; every other pair is refused.  As
+    z^3 and w^2 have constant coefficients, a general member can be
+    singular only on the curves y = z = w = 0 and C_y = {x = z = w = 0}
+    (Bertini), where x^6 (mu >= 0) and y^6 (mu >= lambda) or y^5*x (6*mu =
+    5*lambda) keep it nonsingular.  In each refused region every monomial
+    of degree at most 1 in the coordinates vanishing on one of those curves
+    is missing, but y^5*x*b(u, v) with deg b > 0, singular where b = 0: the
+    claim `nonsingular-refusals` of tests/test_proofs.py.  Its pairs with
+    delta > 0 are the seven of the claim `nonsingular-delta-positive`.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")

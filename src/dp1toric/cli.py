@@ -6,47 +6,22 @@ completed computation (including reports on invalid parameters), 1 when
 the oracle search does not match the reference table, 2 on usage errors.
 
 Every report and nonsingular output goes through one renderer, `_render`,
-which builds only the format asked for.  A report's fields are listed
-once, in `_report_fields`, and each call builds one form of them: the
-plain lines, or the cells of the csv and markdown table.  JSON is
-written by this module's own `indent=2` writer, `_json`, whose text equals
-`json.dumps(value, indent=2)`; it escapes strings with CPython's `_json`
-accelerator, the function `json.encoder` uses, so that no command imports
-the json package.
-A report's text is built once per shape, as a `%` template, and filled
-per report.  Only 10 values vary inside a shape, the holes of its template:
-lambda, mu, nu, the four weight ratios, (-K_X)^3, the nef threshold and
-delta.  The shape key, `_shape`, is the format, the id of every other
-object the text shows (the validity record, the case, k2, the K^3_d
-thresholds and results, the K-status and the verdict) and one flat run
-of the types of the records and the holes; an invalid report's key is
-the format, the id of its validity record and the type of its triplet.
-`_template` renders a report of the shape by the field path above, with a
-mark in each hole, so each field is still written in one place.
-`_TEMPLATES` caches only shapes made of the objects `report` shares
-(`_SHARED`): the shared validity records and K-statuses, bools, the enum
-members and the `DEFAULT_THRESHOLDS` Fractions, each alive as long as
-its module, so an id in a key names one object for good.  They are
-finite, and a format not in FORMATS raises before any template is built,
-so the cache needs no bound of its own: 84 templates cover every
-shape of lambda in [0,6], mu in [-12,12], nu in [-2,21].  Other
-thresholds, such as those `analyze --thresholds` reads from text, are new
-Fractions with new ids, so their reports, which would make shapes without
-end, take the field path, as does a report of any other types or with a
-copy of a shared record.
-A table of rows is its head, then per row the row's number and its
-piece: the rest of its line, or for JSON its item of the list.
-`_row_pieces` is the one formatter of a row.  Every list of rows the
-library makes is drawn from the 14 oracle rows, so the piece of each in
-each format is built at import, in `_ROW_PIECES`, by the row's id, as are
-the `missing:` and `extra:` lines of `oracle`: an `oracle` or `table1`
-call formats no row.  This module holds those rows, so an id in the table
-names one row for good; any other row is formatted per call.  `oracle`
-diffs in one pass: each row pops its line from a copy of `_TABLE1`.
-The command line is read by one table, `_GRAMMAR`, and `_parse`, in one
-pass over the tokens.  `_SPELLINGS`, built from `_GRAMMAR` at import, maps
-each spelling of a command's flags (a flag, -h, --help, or a prefix of one
-long flag only) to the flag it names.
+which builds only the format asked for; a report's fields are listed once,
+in `_report_fields`.  JSON is written by `_json`, whose text equals
+`json.dumps(value, indent=2)`, so that no command imports the json package.
+A report's text is built once per shape (`_shape`) as a template with a
+hole per varying value (`_HOLES`), by the field path (`_template`), so
+each field is still written in one place.  `_TEMPLATES` keeps only shapes
+made of the objects `report` shares (`_SHARED`), which are finite, and a
+format not in FORMATS raises before a template is built, so it needs no
+bound of its own: 84 templates cover every shape of lambda in [0,6], mu in
+[-12,12], nu in [-2,21].  Other thresholds, such as those
+`analyze --thresholds` reads, are new Fractions, whose reports would make
+shapes without end; they take the field path (`render_report`).
+Every list of rows the library makes is drawn from the 14 oracle rows,
+whose pieces are built at import (`_ROW_PIECES`, `render_rows`), so an
+`oracle` or `table1` call formats no row.  The command line is read by one
+table, `_GRAMMAR`, in one pass (`_parse`, `_spellings`).
 """
 
 from __future__ import annotations

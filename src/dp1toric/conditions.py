@@ -286,22 +286,15 @@ _CASE_ROWS = (
 )
 # Twice the nef threshold, a*lambda + b*mu + c*nu + r per case, as (a, b, c,
 # r) (module docstring).  This is the one place the nef formulas live.
-#
-# Proof from the Cox ring, at every valid triplet with lambda >= 0.  N =
-# -K_X + nef*F is D_y = H + lambda*F in (a-i) and (b), and D_z/2 = H +
-# (mu/2)*F in (a-ii).  N is nef: |2N| has the sections y^2,
-# x^2*(u,v)^(2*lambda) and z*(u,v)^(2*lambda - mu) in (a-i) and (b), where
-# mu <= 2*lambda (3*mu <= 6*lambda, or 3*mu < 2*nu < 6*lambda), and |D_z|
-# has z, x^2*(u,v)^mu and y^2*(u,v)^(mu - 2*lambda) in (a-ii), where mu >
-# 2*lambda >= 0.  So the base locus of |2N| is the curve C_w = {x = y = z =
-# 0}.  X misses C_w: w^2, of residual F-degree 0, is the one monomial of |X|
-# = |6H + 2*nu*F| in w alone, so it has a constant coefficient.  So |2N| is
-# base-point free on X.  N is sharp: C = X.D_x.D_z in (a-i) and (b), and
-# X.D_x.D_y in (a-ii), is a curve of X, as w^2 keeps X from containing {x =
-# z = 0} or {x = y = 0}, and N.C = 0 < F.C (`chow.triple_on_x`).  So -K_X +
-# r*F = N - (nef - r)*F is negative on C for every r < nef.  In case (b), X
-# contains C_y = {x = z = w = 0}, since y^6 would need 2*nu >= 6*lambda, and
-# C = 2*C_y, with H.C_y = -lambda, F.C_y = 1 and -K_X.C_y = -nef.
+# -K_X + r*F is nef exactly when r >= nef, at every valid triplet with
+# lambda >= 0.  N = -K_X + nef*F is D_y in (a-i) and (b) and D_z/2 in
+# (a-ii).  x^2, x*y, y^2 and z are sections of |2N|, so it is free off C_w =
+# {x = y = z = 0}, which X misses (w^2 is a monomial of |X|): N is nef.  C =
+# X.D_x.D_z, X.D_x.D_y in (a-ii), is a curve, as w^2 keeps X from
+# containing {x = z = 0} or {x = y = 0}, and N.C = 0 < F.C, so N - r*F is
+# not nef for r > 0.  In (b), C = 2*C_y with C_y = {x = z = w = 0} in X.
+# tests/test_proofs.py proves the rows by the claim `nef-sections` and the
+# products by test_n_meets_its_curve_in_zero_and_f_positively.
 _TWO_NEF = {CaseLabel.AI: (0, -2, 2, -4), CaseLabel.AII: (-2, -1, 2, -4),
             CaseLabel.B: (0, -2, 2, -4)}
 # 2*delta = 2*(-K_X)^3 + 2*nef(X/P^1) per case: (4, 3, -4, 8) in (a-i) and

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 import sys
+from _thread import allocate_lock
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
@@ -132,10 +133,6 @@ class DivisorClass(NamedTuple("DivisorClass", [("h", Fraction), ("f", Fraction)]
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(-self.h, -self.f)
 
-    @property
-    def is_integral(self) -> bool:
-        return self.h.denominator == 1 and self.f.denominator == 1
-
     def __str__(self) -> str:
         terms = []
         for coeff, sym in ((self.h, "H"), (self.f, "F")):
@@ -189,18 +186,21 @@ def _over(n: int, d: int) -> Fraction:
     cache holds only such small ints: about 0.85 MiB when full
     (tracemalloc), whatever the size of the values the library is asked
     about.  A shared value costs one dict lookup; the bound on n is tested
-    only when a value is built."""
+    only when a value is built, and a lock is taken only to store it, so
+    that threads storing at once never evict one key twice."""
     q = _FRACTIONS.get((n, d))
     if q is None:
         q = Fraction(n, d)
         if -_FRACTIONS_BELOW < n < _FRACTIONS_BELOW:
-            if len(_FRACTIONS) == _FRACTIONS_MAX:
-                del _FRACTIONS[next(iter(_FRACTIONS))]  # the oldest
-            _FRACTIONS[n, d] = q
+            with _STORING:
+                if len(_FRACTIONS) >= _FRACTIONS_MAX:
+                    del _FRACTIONS[next(iter(_FRACTIONS))]  # the oldest
+                _FRACTIONS[n, d] = q
     return q
 
 
 _FRACTIONS_BELOW, _FRACTIONS_MAX = 1 << 64, 4096
+_STORING = allocate_lock()  # a threading.Lock, with no import of threading
 _FRACTIONS = {}  # (n, d) -> the shared Fraction n/d, oldest first
 
 
@@ -237,9 +237,6 @@ class ExponentVector(NamedTuple):
     d: int
     e: int
     f: int
-
-    def support(self) -> frozenset[str]:
-        return frozenset(v for v, k in zip(VARIABLES, self) if k > 0)
 
     def __str__(self) -> str:
         return "*".join(v if k == 1 else f"{v}^{k}"
@@ -572,47 +569,19 @@ def is_dz_movable_on_x(p: BundleParams) -> bool:
     of D_z restricted to the hypersurface has codimension >= 2; it is a
     sufficient certificate, not a characterization of movability.
 
-    On the normalized triplet (lambda, mu, nu) it holds exactly when
+    On the normalized triplet it holds exactly when mu >= 0 and (mu >=
+    2*lambda or 2*nu > 3*mu), and so on any triplet, with no `normalize`,
+    exactly when
 
-        mu >= 0  and  (mu >= 2*lambda  or  2*nu > 3*mu).
+        mu >= 2*min(0, lambda)  and  (mu >= 2*max(0, lambda)  or  2*nu > 3*mu),
 
-    Proof for lambda >= 0.  The sections of a class are the monomials of
-    its bidegree (Cox 1995), and V(Z) lies in the base locus exactly when
-    every section contains a variable of Z.  Among the sections of
-    |3 D_z| = |6H + 3*mu*F| are z^3, always; x^6 (u,v)^(3mu) when mu >= 0;
-    y^6 (u,v)^(3mu - 6lambda) when mu >= 2*lambda; w^2 (u,v)^(3mu - 2nu)
-    when 2*nu <= 3*mu.  w^2 is itself a section of |X|.  Here (u,v)^r
-    stands for u^a v^(r-a).  The strata lie in the fiber coordinates and
-    meet the fiber support of every section (`base_locus_strata`), so each
-    of these sections puts one of its fiber variables in every stratum; by
-    z^3, z lies in every one.
-
-    - mu < 0: a section without z is x^c y^d w^g (u,v)^r with F-degree
-      lambda*d + nu*g <= 3*mu < 0, so it contains w and nu < 0.  If
-      2*nu > 3*mu there is none (the cheapest is w^2), and V(z), a divisor,
-      is in the base locus.  Otherwise every stratum contains {z, w}, and
-      the only monomials of |X| avoiding both are x^c y^d (u,v)^r with
-      lambda*d + r = 2*nu < 0: there are none.  False either way.
-    - mu >= 0: x^6 puts x in every stratum.  If also mu >= 2*lambda, y^6
-      puts y there too, leaving {x, y, z} (codimension 3, avoided by w^2)
-      or nothing.  If mu < 2*lambda, a section without x and z is y^3 w or
-      w^2.  When 2*nu > 3*mu, neither is one (3*lambda + nu > 3*mu), so the
-      unique stratum is {x, z}, of codimension 2 and avoided by w^2.
-      Otherwise w^2 is one and y^6 is not, so the unique stratum is
-      {x, z, w}, and the only monomial of |X| avoiding it would be
-      y^6 (u,v)^(2nu - 6lambda), which needs nu >= 3*lambda; but
-      2*nu <= 3*mu < 6*lambda.  So the certificate holds in the first two
-      cases and fails in the third.
-
-    For lambda < 0 the bundle is the normalized (-lambda, mu - 2*lambda,
-    nu - 3*lambda) in another gauge, with x and y swapped, so monomials and
-    strata correspond; the rule there is mu >= 2*lambda and (mu >= 0 or
-    2*nu > 3*mu).  So on any triplet, with no `normalize`, it holds iff
-
-        mu >= 2*min(0, lambda)  and  (mu >= 2*max(0, lambda)  or  2*nu > 3*mu).
-
-    `base_locus_strata` computes the strata themselves, and the tests check
-    this rule against a scan of them.
+    as for lambda < 0 the bundle is the normalized (-lambda, mu - 2*lambda,
+    nu - 3*lambda) with x and y swapped.  The claims `dz-sections`,
+    `dz-missing-parts` and `dz-closed-form` of tests/test_proofs.py prove
+    the closed form cell by sign cell of mu, mu - 2*lambda and 2*nu - 3*mu
+    from the sections z^3, x^6, y^6 and w^2 of |3 D_z|, and a test there
+    checks the gauge; tests/test_grading.py checks the rule against a scan
+    of the strata that `base_locus_strata` computes.
     """
     lam, mu, nu = p
     return mu >= 2 * min(0, lam) and (mu >= 2 * max(0, lam) or 2 * nu > 3 * mu)

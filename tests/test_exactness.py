@@ -5,13 +5,17 @@ Fraction(), so every Fraction the library makes from ints is the shared,
 immutable one of its value.  And two readers of a Fraction's private
 slots: only `chow.triple_on_x` and `grading._degrees` read _numerator or
 _denominator, each on the entries of a `DivisorClass`, every one of which
-is exactly a Fraction (tests/test_records.py)."""
+is exactly a Fraction (tests/test_records.py).  And threads that share the
+cache of `_over` get what one thread gets."""
 
 import ast
 import gc
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,7 @@ import dp1toric
 from dp1toric.chow import (CycleClass, anticanonical_on_x, derive_h4,
                            minus_k_cubed, triple_on_x)
 from dp1toric.classify import nonsingular_delta
+from dp1toric.cli import render_report
 from dp1toric.conditions import (DEFAULT_THRESHOLDS, delta, nef_threshold,
                                  report)
 from dp1toric.grading import _FRACTIONS, _FRACTIONS_MAX, H, BundleParams, _over, rational
@@ -163,3 +168,32 @@ def test_the_fraction_cache_holds_small_values_only():
         assert tracemalloc.get_traced_memory()[0] - before < 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def test_threads_that_evict_from_the_fraction_cache_write_what_one_thread_writes():
+    """Four threads render the reports of 9,000 triplets, whose values
+    evict the oldest entries of the full cache, as one thread does.  With a
+    thread switch every microsecond, two threads would evict one key at
+    once (KeyError) within a few milliseconds were the store not locked."""
+    triplets = [BundleParams(*t) for t in product((0, 1), range(-1500, 0), (0, 1, 2))]
+    serial = [render_report(report(p), "json") for p in triplets]
+    threaded, failures = [None] * 4, []
+
+    def run(i):
+        try:
+            threaded[i] = [render_report(report(p), "json") for p in triplets[i::4]]
+        except Exception as failure:
+            failures.append(failure)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and threaded == [serial[i::4] for i in range(4)]

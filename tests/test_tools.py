@@ -146,6 +146,15 @@ def test_basis_times_compares_a_case_on_both_sides():
     assert re.fullmatch(rf"monomial_strings  P\(0,0,0\) h=6   f=0  parent {NUMBER} ms "
                         rf"\(q1-q3 {NUMBER}-{NUMBER}\)  change {NUMBER} ms "
                         r"\([-+]\d+\.\d%\)  (slower  )?slower in [0-3]/3", line), line
+    # The render, report and chow timers time their cases in microseconds by
+    # this compare; one of them, 3 rounds of one run of 10 calls.
+    label, setup, statement, _ = CHOW_CASES[0]
+    assert label == "triple_on_x         (2, 3, 5) H^3"
+    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
+                     rounds=3, best=1, least=0, unit="us")
+    assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
+                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
+                        r"[0-3]/3", line), line
 
 
 def test_render_times_compares_a_case_on_both_sides():
@@ -161,14 +170,8 @@ def test_render_times_compares_a_case_on_both_sides():
     with contextlib.redirect_stdout(io.StringIO()):
         for _, setup, statement, _ in RENDER_CASES:
             timeit.Timer(statement, setup).timeit(1)
-    # Both sides are this checkout; 3 rounds of one run of 10 calls.
-    label, setup, statement, _ = RENDER_CASES[-1]
-    assert label == "main oracle --lambda 2 2 --nu 0 5"
-    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
-                     rounds=3, best=1, least=0, unit="us")
-    assert re.fullmatch(rf"{label}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
-                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
-                        r"[0-3]/3", line), line
+    # Both sides are timed by basis_times.compare, which
+    # test_basis_times_compares_a_case_on_both_sides runs in microseconds.
 
 
 def test_report_times_compares_a_case_on_both_sides(monkeypatch):
@@ -184,14 +187,8 @@ def test_report_times_compares_a_case_on_both_sides(monkeypatch):
     assert certified == [BundleParams(*dict(TRIPLETS)["certificate"])]
     for _, setup, statement, _ in REPORT_CASES:
         timeit.Timer(statement, setup).timeit(1)
-    # Both sides are this checkout; 3 rounds of one run of 10 calls.
-    label, setup, statement, _ = REPORT_CASES[-1]
-    assert label == "render_report certificate (1, 1, 3) markdown"
-    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
-                     rounds=3, best=1, least=0, unit="us")
-    assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
-                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
-                        r"[0-3]/3", line), line
+    # Both sides are timed by basis_times.compare, which
+    # test_basis_times_compares_a_case_on_both_sides runs in microseconds.
 
 
 def test_chow_times_compares_a_case_on_both_sides():
@@ -208,14 +205,8 @@ def test_chow_times_compares_a_case_on_both_sides():
         assert h4 == Fraction(-(6 * lam + 3 * mu + 2 * nu), 36)
     for _, setup, statement, _ in CHOW_CASES:
         timeit.Timer(statement, setup).timeit(1)
-    # Both sides are this checkout; 3 rounds of one run of 10 calls.
-    label, setup, statement, _ = CHOW_CASES[0]
-    assert label == "triple_on_x         (2, 3, 5) H^3"
-    [line] = compare({"parent": ROOT, "change": ROOT}, [(label, setup, statement, 10)],
-                     rounds=3, best=1, least=0, unit="us")
-    assert re.fullmatch(rf"{re.escape(label)}  parent {NUMBER} us \(q1-q3 {NUMBER}-{NUMBER}\)  "
-                        rf"change {NUMBER} us \([-+]\d+\.\d%\)  (slower  )?slower in "
-                        r"[0-3]/3", line), line
+    # Both sides are timed by basis_times.compare, which
+    # test_basis_times_compares_a_case_on_both_sides runs in microseconds.
 
 
 def scripted_lines(monkeypatch, parent: list, change: list) -> list[str]:
