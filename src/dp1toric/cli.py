@@ -9,13 +9,15 @@ Every report and nonsingular output goes through one renderer, `_render`,
 which builds only the format asked for; a report's fields are listed once,
 in `_report_fields`.  JSON is written by `_json`, whose text equals
 `json.dumps(value, indent=2)`, so that no command imports the json package.
-A report's text is built once per shape (`_shape`) as a template with a
-hole per varying value (`_HOLES`), by the field path (`_template`), so
-each field is still written in one place.  `_TEMPLATES` keeps only shapes
-made of the objects `report` shares (`_SHARED`), which are finite, and a
-format not in FORMATS raises before a template is built, so it needs no
-bound of its own: 84 templates cover every shape of lambda in [0,6], mu in
-[-12,12], nu in [-2,21].  Other thresholds, such as those
+A report's text is built once per shape (`_shape`: its format and the
+ids of the objects it shows) as a template with a hole per varying value
+(`_HOLES`), by the field path (`_template`), so each field is still
+written in one place.  A report with a value not of exactly the type
+`report` makes has no shape and takes the field path.  `_TEMPLATES` keeps
+only shapes made of the objects `report` shares (`_SHARED`), which are
+finite, and a format not in FORMATS raises before a template is built, so
+it needs no bound of its own: 84 templates cover every shape of lambda in
+[0,6], mu in [-12,12], nu in [-2,21].  Other thresholds, such as those
 `analyze --thresholds` reads, are new Fractions, whose reports would make
 shapes without end; they take the field path (`render_report`).
 Every list of rows the library makes is drawn from the 14 oracle rows,
@@ -167,10 +169,10 @@ def render_rows(rows: list[ClassificationRow], fmt: str) -> str:
 
 def render_report(rep: FibrationReport, fmt: str) -> str:
     """The text of rep in format fmt: its shape's template, built on first
-    use, filled with rep's values.  A report whose shape is not made of the
-    objects `report` shares takes the field path."""
+    use, filled with rep's values.  A report with no shape, or whose shape
+    is not made of the objects `report` shares, takes the field path."""
     template = _TEMPLATES.get(key := _shape(rep, fmt))
-    if template is None and _SHARED.issuperset(key[1:]):
+    if template is None and key and _SHARED.issuperset(key[1:]):
         template = _TEMPLATES[key] = _template(rep, fmt)
     return template[0] % template[1](rep) if template else _render_fields(rep, fmt)
 
@@ -191,24 +193,29 @@ _HOLES = ("params.lam", "params.mu", "params.nu", "weight_ratios.wr_x", "weight_
 # that its text shows besides the holes (the shared validity records and
 # K-statuses, the cases, k2, the `DEFAULT_THRESHOLDS` and their results
 # and the verdicts), each of which lives as long as its module, so that no
-# other object has its id, and the types of its records and holes.
-_SHARED = frozenset((*map(id, (True, False, *DEFAULT_THRESHOLDS, *CaseLabel, *Verdict,
-                               *ValidityReport.shared(), KStatus.not_proven(),
-                               *map(KStatus.proven, KFailureReason))),
-                     dict, BundleParams, WeightRatios, Fraction))
+# other object has its id.
+_SHARED = frozenset(map(id, (True, False, *DEFAULT_THRESHOLDS, *CaseLabel, *Verdict,
+                             *ValidityReport.shared(), KStatus.not_proven(),
+                             *map(KStatus.proven, KFailureReason))))
 _TEMPLATES = {}  # shape key -> (text, getter of its hole values)
 
 
-def _shape(rep: FibrationReport, fmt: str) -> tuple:
-    """The key of rep's shape in format fmt: the format, the id of each
-    object its text shows besides the holes, and one flat run of the types
-    of its records and holes.  An invalid report shows only its validity
-    record and its triplet."""
+def _shape(rep: FibrationReport, fmt: str) -> tuple | None:
+    """The key of rep's shape in format fmt: the format and the id of each
+    object its text shows besides the holes.  An invalid report shows only
+    its validity record and its triplet.  A report whose triplet, weight
+    ratios, K^3_d results or seven Fraction holes are not of exactly the
+    types `report` makes has no key (None) and takes the field path: its
+    values may be written otherwise."""
     p, v, case, wr, k_cubed, nef, delta, k2, k3, status, verdict = rep
     if case is None:
-        return fmt, id(v), type(p)
-    return (fmt, id(v), id(case), id(k2), *map(id, k3), *map(id, k3.values()), id(status),
-            id(verdict), *map(type, (k3, p, wr, *(wr or ()), k_cubed, nef, delta)))
+        return (fmt, id(v)) if type(p) is BundleParams else None
+    if (type(p) is BundleParams and type(wr) is WeightRatios and type(k3) is dict
+            and type(wr.wr_x) is type(wr.wr_y) is type(wr.wr_z) is type(wr.wr_w)
+            is type(k_cubed) is type(nef) is type(delta) is Fraction):
+        return (fmt, id(v), id(case), id(k2), *map(id, k3), *map(id, k3.values()),
+                id(status), id(verdict))
+    return None
 
 
 def _template(rep: FibrationReport, fmt: str) -> tuple:

@@ -60,24 +60,32 @@ class InvalidParams(ValueError):
     """Operation requires parameters passing the validity conditions."""
 
 
-class CaseLabel(enum.Enum):
+class _Label(enum.Enum):
+    # Each member is a singleton equal only to itself, so it hashes by
+    # identity: the tables keyed on members (`_TWO_DELTA`, `_VALIDITY`,
+    # `_PROVEN`) are then looked up in C, not through Enum's Python-level
+    # hash of the member's name.
+    __hash__ = object.__hash__
+
+
+class CaseLabel(_Label):
     AI = "AI"
     AII = "AII"
     B = "B"
 
 
-class RestrictBranch(enum.Enum):
+class RestrictBranch(_Label):
     I = "I"
     II = "II"
     III = "III"
 
 
-class KFailureReason(enum.Enum):
+class KFailureReason(_Label):
     AMPLE_ANTICANONICAL = "AmpleAntiCanonical"
     DZ_MOVABLE_INTERIOR = "DzMovableInterior"
 
 
-class Verdict(enum.Enum):
+class Verdict(_Label):
     SUPERRIGID = "Superrigid"
     SUPERRIGID_IF_K_CONDITION = "SuperrigidIfKCondition"
     NOT_RIGID_OVER_BASE = "NotRigidOverBase"
@@ -383,13 +391,13 @@ _DEFAULT_K3 = tuple({d0: _at_most(t, d0) for d0 in DEFAULT_THRESHOLDS}
 
 def _k_status(p: BundleParams, two_nef: int) -> KStatus:
     if two_nef < 0:
-        return KStatus.proven(KFailureReason.AMPLE_ANTICANONICAL)
+        return _PROVEN[KFailureReason.AMPLE_ANTICANONICAL]
     # -K_X = H + (lambda + mu - nu + 2) F lies strictly inside the cone of F
     # and D_z = 2H + mu F when its F-coefficient exceeds wr(z) = mu/2.
     interior = 2 * (p.lam + p.mu - p.nu + 2) > p.mu
     if interior and is_dz_movable_on_x(p):
-        return KStatus.proven(KFailureReason.DZ_MOVABLE_INTERIOR)
-    return KStatus.not_proven()
+        return _PROVEN[KFailureReason.DZ_MOVABLE_INTERIOR]
+    return _NOT_PROVEN
 
 
 def validity(p: BundleParams) -> ValidityReport:

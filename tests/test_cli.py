@@ -2,12 +2,14 @@
 
 import argparse
 import contextlib
+import enum
 import gc
 import importlib
 import importlib.util
 import io
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -27,8 +29,8 @@ from dp1toric.classify import (DEFAULT_BOX, ClassificationRow, SearchBox,
                                classify_k2_failures, oracle_search)
 from dp1toric.cli import _json, main, render_report, render_rows
 from dp1toric.conditions import (_DEFAULT_K3, _VALIDITY, DEFAULT_THRESHOLDS, CaseLabel,
-                                 FibrationReport, KFailureReason, KStatus, ValidityReport,
-                                 Verdict, WeightRatios, report, to_json)
+                                 FibrationReport, KFailureReason, KStatus, RestrictBranch,
+                                 ValidityReport, Verdict, WeightRatios, report, to_json)
 from dp1toric.grading import (BundleParams, DivisorClass, monomial_basis,
                               monomial_strings)
 
@@ -889,16 +891,30 @@ def parts_swapped(rep):
     yield from (rep._replace(validity=v) for v in {r for rs in _VALIDITY.values() for r in rs})
 
 
+class Shown(Fraction):
+    """A Fraction that writes itself otherwise."""
+
+    def __str__(self):
+        return "shown " + Fraction.__str__(self)
+
+
 def values_retyped(rep):
     """rep with values of types `report` does not make: ints for Fractions
     (JSON writes them bare), ints for bools (JSON writes 1), a plain tuple
-    for a record and a read-only view for the K^3_d dict."""
+    for a record (the triplet too) and a read-only view for the K^3_d
+    dict, and in each of the seven Fraction holes in turn a `Shown`."""
     v, k3 = rep.validity, rep.k3_threshold_results
     yield rep._replace(validity=ValidityReport(*(int(b) if type(b) is bool else b for b in v)))
+    yield rep._replace(params=tuple(rep.params))
     if rep.case is None:
         yield rep._replace(case=CaseLabel.AI)
         return
     numbers = rep.weight_ratios
+    for field in WeightRatios._fields:
+        yield rep._replace(weight_ratios=numbers._replace(
+            **{field: Shown(getattr(numbers, field))}))
+    for field in ("k_cubed", "nef_threshold", "delta"):
+        yield rep._replace(**{field: Shown(getattr(rep, field))})
     yield rep._replace(k_cubed=int(rep.k_cubed))
     yield rep._replace(weight_ratios=WeightRatios(*map(int, numbers)))
     yield rep._replace(weight_ratios=tuple(numbers))
@@ -933,6 +949,60 @@ def test_templates_render_as_the_field_path(monkeypatch):
             for fmt in cli.FORMATS:
                 assert rendered(other, fmt) == rendered(other, fmt, cli._render_fields), (
                     p, fmt, other)
+
+
+def test_values_of_other_types_cache_no_template(monkeypatch):
+    """A report holding a value of a type `report` does not make (see
+    `values_retyped`) has no shape key: in every format it renders as the
+    field path does and caches no template, also when the report it was
+    made from has its template cached."""
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    for p in ((2, 3, 6), (1, 1, 3), (0, 1, 2), (2, 2, 5), (0, 0, 0), (0, -2, -1)):
+        rep = report(BundleParams(*p))
+        for fmt in cli.FORMATS:
+            render_report(rep, fmt)
+        cached = cli._TEMPLATES.copy()
+        for other in values_retyped(rep):
+            for fmt in cli.FORMATS:
+                assert rendered(other, fmt) == rendered(other, fmt, cli._render_fields), (
+                    p, fmt, other)
+            assert cli._TEMPLATES == cached, (p, other)
+
+
+def test_reports_hash_no_member_of_the_report_enums_by_name(monkeypatch):
+    """`report` and `render_report` in every format, its template built and
+    then filled, call `enum.Enum.__hash__` (a hash of the member's name)
+    on no triplet: an invalid one whose record carries a branch, valid
+    (a-i), (a-ii) and (b) ones, one on the D_z certificate and an ample
+    one.  The members of the four report enums hash by identity, still
+    pickle to themselves and key dicts."""
+    # triplet -> (case, branch, reason of a proven K-failure)
+    triplets = {(0, -2, -1): (None, RestrictBranch.II, None),
+                (2, 3, 6): (CaseLabel.AI, None, None), (0, 1, 3): (CaseLabel.AII, None, None),
+                (2, 2, 5): (CaseLabel.B, RestrictBranch.I, None),
+                (1, 1, 3): (CaseLabel.AI, None, KFailureReason.DZ_MOVABLE_INTERIOR),
+                (0, -1, 0): (CaseLabel.AI, None, KFailureReason.AMPLE_ANTICANONICAL)}
+    by_name, calls = enum.Enum.__hash__, []
+    monkeypatch.setattr(enum.Enum, "__hash__", lambda member: calls.append(member)
+                        or by_name(member))
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    hash(enum.Enum("Other", "A").A)
+    assert len(calls) == 1  # the patch counts the calls of any other enum
+    calls.clear()
+    for t, kind in triplets.items():
+        rep = report(BundleParams(*t))
+        for fmt in cli.FORMATS * 2:
+            render_report(rep, fmt)
+        assert (rep.case, rep.validity.restrictb_branch,
+                rep.k_status and rep.k_status.reason) == kind, t
+    assert calls == [] and len(cli._TEMPLATES) == len(triplets) * len(cli.FORMATS)
+    monkeypatch.undo()
+    for kind in (CaseLabel, RestrictBranch, KFailureReason, Verdict):
+        table = {member: member.value for member in kind}
+        for member in kind:
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert table[member] == member.value and member.value not in table
+            assert hash(member) == object.__hash__(member)
 
 
 def test_a_record_equal_to_a_shared_one_takes_the_field_path(monkeypatch):

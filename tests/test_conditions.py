@@ -132,10 +132,12 @@ def test_nef_threshold_shared_formula_for_ai_and_b():
 
 
 def test_nef_threshold_from_the_cox_ring():
-    """-K_X + r*F is nef exactly when r >= nef (the proof in the `_TWO_NEF`
-    comment): N = -K_X + nef*F is D_y in (a-i) and (b) and D_z/2 in (a-ii),
-    |2N| has the base locus C_w = {x = y = z = 0}, which X misses, and N.C
-    = 0 < F.C for C = X.D_x.D_z, or X.D_x.D_y in (a-ii)."""
+    """-K_X + r*F is nef exactly when r >= nef (proven in tests/test_proofs.py
+    by the claim `nef-sections` and by
+    test_n_meets_its_curve_in_zero_and_f_positively): N = -K_X + nef*F is
+    D_y in (a-i) and (b) and D_z/2 in (a-ii), |2N| has the base locus C_w =
+    {x = y = z = 0}, which X misses, and N.C = 0 < F.C for C = X.D_x.D_z,
+    or X.D_x.D_y in (a-ii)."""
     c_w = [Stratum(frozenset("xyz"))]
     checked = 0
     for p in valid_box(7, 16, 24):

@@ -74,6 +74,17 @@ def test_quartiles_are_the_parents():
     assert "change 20 (+37.9%)" in text
 
 
+def test_drift_is_the_median_step_between_consecutive_parent_runs():
+    # Steps 3, 2, 6, 5, 7, 5, 1, 1, 2: median 3.  The rule and marks keep
+    # to q1-q3 (11.75-17.25), which a drift does not move.
+    parent = [10, 13, 11, 17, 12, 19, 14, 15, 16, 18]
+    text = summary(records(parent, [p + 8 for p in parent]), [HIGHER])
+    assert "(q1-q3 11.75-17.25) (drift 3)  change 22.5 (+55.2%)  gain  " in text
+    assert marks(text) == ["gain"] and wins(text) == ["10/10"]
+    # Steps 1, 2, 3, 4: an even count takes the mean of the middle two.
+    assert "(drift 2.5)" in summary(records([1, 2, 4, 7, 11], [1] * 5), [LOWER])
+
+
 def marks(text: str) -> list[str]:
     """The mark before "better in" on each metric line, "" for none."""
     return [line.rsplit("better in ", 1)[0].split(")  ")[-1].strip()
@@ -175,16 +186,20 @@ def test_render_times_compares_a_case_on_both_sides():
 
 
 def test_report_times_compares_a_case_on_both_sides(monkeypatch):
-    # report on an invalid, a valid and a certificate triplet, and
-    # render_report on each in every format; each statement runs after its setup.
-    assert len(REPORT_CASES) == 3 + 3 * 4
+    # report on an invalid, a valid, a certificate and a valid case-(b)
+    # triplet, and render_report on each in every format; each statement
+    # runs after its setup.
+    assert len(REPORT_CASES) == 4 + 4 * 4
     # Only the certificate triplet runs the D_z certificate, once.
     certified, check = [], conditions.is_dz_movable_on_x
     monkeypatch.setattr(conditions, "is_dz_movable_on_x",
                         lambda p: certified.append(p) or check(p))
     valid = [report(BundleParams(*t)).validity.is_valid for _, t in TRIPLETS]
-    assert valid == [False, True, True]
+    assert valid == [False, True, True, True]
     assert certified == [BundleParams(*dict(TRIPLETS)["certificate"])]
+    # Only the case-(b) triplet's record carries a branch.
+    assert [report(BundleParams(*t)).validity.restrictb_branch is not None
+            for _, t in TRIPLETS] == [False, False, False, True]
     for _, setup, statement, _ in REPORT_CASES:
         timeit.Timer(statement, setup).timeit(1)
     # Both sides are timed by basis_times.compare, which

@@ -20,17 +20,19 @@ OUT gets a JSON array with one object per line, in run order:
 and run is the JSON object that bench/run.py prints last.  Then, for each
 workload, stdout gets each side's totals of failed and attempted ops over
 its runs, and for each end-to-end metric both medians, the parent's
-quartiles q1-q3 and the number of pairs in which the change is better by
-the metric's `better` direction.  That count is marked `gain` when it is
-at least 9/10, the medians differ, in the better direction, by more than
-the parent's q3 - q1, and the change failed no larger share of its ops
-than the parent; it is marked `worse` when the change's median is worse
-than the parent's by more than the metric's relative `bound`.  Last,
-stdout gets each side's line total of src/dp1toric/*.py (as `wc -l`
-counts) and code-line total (as tools/code_lines.py counts), and the
-change's delta of each.  If a run fails, its stderr is printed, OUT gets
-the records of the runs before it, and the exit status is 1.  Only the
-standard library is used.
+quartiles q1-q3, the parent's drift (the median absolute difference
+between its runs of consecutive seeds: how far one run of unchanged code
+moves from the next, which a q1-q3 narrower than it understates) and the
+number of pairs in which the change is better by the metric's `better`
+direction.  That count is marked `gain` when it is at least 9/10, the
+medians differ, in the better direction, by more than the parent's q3 -
+q1, and the change failed no larger share of its ops than the parent; it
+is marked `worse` when the change's median is worse than the parent's by
+more than the metric's relative `bound`.  Last, stdout gets each side's
+line total of src/dp1toric/*.py (as `wc -l` counts) and code-line total
+(as tools/code_lines.py counts), and the change's delta of each.  If a
+run fails, its stderr is printed, OUT gets the records of the runs before
+it, and the exit status is 1.  Only the standard library is used.
 """
 
 import json
@@ -74,6 +76,11 @@ def pair_rule(parent: list, change: list, sign: int = 1) -> tuple:
     return before, after, q1, q3, k, marked
 
 
+def drift(parent: list) -> float:
+    """The median absolute difference between consecutive parent runs."""
+    return statistics.median(abs(b - a) for a, b in zip(parent, parent[1:]))
+
+
 def summary(records: list[dict], metrics: list[dict]) -> str:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -97,7 +104,8 @@ def summary(records: list[dict], metrics: list[dict]) -> str:
             else:
                 mark = ""
             lines.append(
-                f"  {name:<16} parent {before:.6g} (q1-q3 {q1:.6g}-{q3:.6g})  "
+                f"  {name:<16} parent {before:.6g} (q1-q3 {q1:.6g}-{q3:.6g}) "
+                f"(drift {drift(parent):.6g})  "
                 f"change {after:.6g} ({after / before - 1:+.1%})  "
                 f"{mark}better in {wins}/{len(seeds)}")
     return "\n".join(lines)

@@ -6,8 +6,10 @@ PARENT and CHANGE are the roots of two checkouts.  The cases are
 `conditions.report(p)` and `cli.render_report(rep, fmt)` in each format,
 for the three kinds of triplet of the benchmark's analyze_mix workload:
 INVALID, VALID (valid, off the D_z certificate path) and CERTIFICATE
-(`k_status` runs `is_dz_movable_on_x`).  A render is timed on a report
-built in the setup, after one render has cached its shape's template.
+(`k_status` runs `is_dz_movable_on_x`), and for VALID (B), a valid
+case-(b) triplet off the certificate path whose validity record carries a
+branch of the restriction.  A render is timed on a report built in the
+setup, after one render has cached its shape's template.
 Each is timed by tools/basis_times.py's `compare`: for each of ROUNDS
 rounds, one subprocess runs in each checkout, with PYTHONPATH on its src,
 and prints the best of at least BEST runs of NUMBER calls, per call, run
@@ -25,8 +27,10 @@ from basis_times import MIN_SECONDS, run
 
 ROUNDS, BEST, NUMBER = 7, 7, 10_000
 FORMATS = ("plain", "json", "csv", "markdown")
-# (kind, triplet) for each kind of analyze_mix op.
-TRIPLETS = (("invalid", (0, 0, 0)), ("valid", (2, 3, 6)), ("certificate", (1, 1, 3)))
+# (kind, triplet) for each kind of analyze_mix op, and a valid one whose
+# record carries a branch.
+TRIPLETS = (("invalid", (0, 0, 0)), ("valid", (2, 3, 6)), ("certificate", (1, 1, 3)),
+            ("valid (b)", (2, 2, 5)))
 
 SETUP = ("from dp1toric.cli import render_report\n"
          "from dp1toric.conditions import report\n"
